@@ -5,24 +5,27 @@
 // needs exactly the pairs a batch introduced, at a cost tracking the
 // batch. DeltaCandidates is that query.
 //
-// Exactness differs by engine family. MinHash adjacency is monotone
-// under Add — a band collision is a pairwise property of two fixed
-// signatures, so new titles never change old edges — which admits a
-// truly sublinear delta: look up each batch title's band buckets and
-// expand only the incident edges. The kNN engines (hnsw/ivf/embedding
-// and the sharded kNN fan-in) are not monotone: a new title can evict
-// an old partner from someone's top-K budget, so an exact sublinear
-// delta needs reverse-kNN bookkeeping the indexes do not keep yet (see
-// the ROADMAP). They honour the contract exactly by filtering the
-// full-universe query — correct, memoized, but O(corpus) per delta.
+// A delta is only a complete account of a batch when adjacency is
+// monotone under Add: then the pairs before the batch all survive it,
+// and old pairs plus the delta equal the full adjacency after it.
+// MinHash adjacency is monotone — a band collision is a pairwise
+// property of two fixed signatures, so new titles never change old
+// edges — which admits a truly sublinear delta: look up each batch
+// title's band buckets and expand only the incident edges. The kNN
+// indexes (ShardedKNNIndex at any shard count, EmbeddingIndex) are not
+// monotone: a new title can evict an old partner from someone's top-K
+// budget, a removal no list of added pairs can express. They do not
+// implement DeltaIndex, so callers fall back to a full query.
 
 package blocking
 
 import "errors"
 
-// DeltaIndex is an Index that can report the candidate pairs a batch of
-// newly applied offers introduced, without the caller re-querying the
-// whole corpus. All indexes in this package implement it.
+// DeltaIndex is an Index whose adjacency is monotone under Add and that
+// can report the candidate pairs a batch of newly applied offers
+// introduced, without the caller re-querying the whole corpus. In this
+// package the MinHash indexes (MinHashIndex, ShardedMinHashIndex)
+// implement it.
 type DeltaIndex interface {
 	Index
 	// DeltaCandidates returns exactly the candidate pairs with at least
@@ -113,25 +116,6 @@ func (c *indexedCorpus) expandDelta(batch []int, mates func(tid int) []int) []Ca
 	return out
 }
 
-// deltaByFullQuery implements the DeltaCandidates contract by filtering
-// a full-universe candidate set down to the pairs touching the batch —
-// the exact-but-O(corpus) path the non-monotone kNN engines use. full
-// must be sorted and deduplicated (the Candidates contract), which the
-// filtered result then is too.
-func deltaByFullQuery(newIdxs []int, full []CandidatePair) []CandidatePair {
-	in := make(map[int]bool, len(newIdxs))
-	for _, i := range newIdxs {
-		in[i] = true
-	}
-	out := make([]CandidatePair, 0, len(newIdxs))
-	for _, p := range full {
-		if in[p.A] || in[p.B] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // DeltaCandidates implements DeltaIndex on the sublinear MinHash path:
 // each batch title's band buckets name every title it collides with —
 // collisions are pairwise properties of fixed signatures, so old edges
@@ -162,38 +146,30 @@ func (m *MinHashIndex) titleMates(tid int) []int {
 	return out
 }
 
-// DeltaCandidates implements DeltaIndex. The MinHash engine merges band
-// buckets across shards — every shard signs with the same hash family,
-// so a batch title's band keys address the matching bucket in each
-// shard directly — keeping the sublinear cost of the unsharded path.
-// The kNN engines filter the memoized full-universe query (see the
-// package comment on non-monotonicity).
-func (si *ShardedIndex) DeltaCandidates(newIdxs []int) []CandidatePair {
-	si.mu.RLock()
-	defer si.mu.RUnlock()
-	si.corpus.mustIndexed(newIdxs)
-	if si.mh != nil {
-		return si.corpus.expandDelta(newIdxs, si.minhashMates)
-	}
-	full := si.memoQ.get(si.corpus.order, func() []CandidatePair {
-		return si.corpus.knnCandidates(si.corpus.order, si.knn.k, si.workers, si.knnNeighbours)
-	})
-	return deltaByFullQuery(newIdxs, full)
+// DeltaCandidates implements DeltaIndex. Every shard signs with the same
+// hash family, so a batch title's band keys address the matching bucket
+// in each shard directly, keeping the sublinear cost of the unsharded
+// path.
+func (m *ShardedMinHashIndex) DeltaCandidates(newIdxs []int) []CandidatePair {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	m.corpus.mustIndexed(newIdxs)
+	return m.corpus.expandDelta(newIdxs, m.minhashMates)
 }
 
 // minhashMates returns every title sharing at least one band bucket with
 // tid across all shards: tid's home shard computes the band key, and
 // every shard's bucket for that key contributes its members (mapped from
 // shard-local ids back to title ids).
-func (si *ShardedIndex) minhashMates(tid int) []int {
-	home := si.mh.ix[si.shardOf[tid]]
+func (m *ShardedMinHashIndex) minhashMates(tid int) []int {
+	home := m.ix[m.shardOf[tid]]
 	seen := map[int]bool{}
 	var out []int
-	for band := 0; band < si.mh.cfg.Bands; band++ {
-		key := home.BandKey(int(si.local[tid]), band)
-		for s := 0; s < si.shards; s++ {
-			for _, l := range si.mh.ix[s].Bucket(band, key) {
-				u := int(si.members[s][l])
+	for band := 0; band < m.cfg.Bands; band++ {
+		key := home.BandKey(int(m.local[tid]), band)
+		for s, ix := range m.ix {
+			for _, l := range ix.Bucket(band, key) {
+				u := int(m.members[s][l])
 				if u != tid && !seen[u] {
 					seen[u] = true
 					out = append(out, u)
@@ -202,48 +178,4 @@ func (si *ShardedIndex) minhashMates(tid int) []int {
 		}
 	}
 	return out
-}
-
-// DeltaCandidates implements DeltaIndex by filtering the memoized
-// full-universe query: HNSW adjacency is not monotone under Add (a new
-// title can enter anyone's top-K), so the exact delta needs the full
-// neighbour lists the query materializes anyway.
-func (h *HNSWIndex) DeltaCandidates(newIdxs []int) []CandidatePair {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	h.corpus.mustIndexed(newIdxs)
-	full := h.memoQ.get(h.corpus.order, func() []CandidatePair {
-		return h.corpus.knnCandidates(h.corpus.order, h.k, h.cfg.Workers, h.neighbours)
-	})
-	return deltaByFullQuery(newIdxs, full)
-}
-
-// DeltaCandidates implements DeltaIndex by filtering the memoized
-// full-universe query (one batched multi-query search); see HNSWIndex on
-// why kNN deltas are not sublinear yet.
-func (x *IVFIndex) DeltaCandidates(newIdxs []int) []CandidatePair {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	x.corpus.mustIndexed(newIdxs)
-	full := x.memoQ.get(x.corpus.order, func() []CandidatePair {
-		return x.corpus.knnCandidatesBatch(x.corpus.order, x.k, x.primeNeighbours, x.neighbours)
-	})
-	return deltaByFullQuery(newIdxs, full)
-}
-
-// DeltaCandidates implements DeltaIndex by filtering the memoized
-// full-universe query; the exhaustive index keeps per-offer (not
-// per-title) neighbour budgets, so its universe is the slot order.
-func (e *EmbeddingIndex) DeltaCandidates(newIdxs []int) []CandidatePair {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, i := range newIdxs {
-		if _, ok := e.slotOf[i]; !ok {
-			panic(&UnindexedQueryError{Offer: i})
-		}
-	}
-	full := e.memoQ.get(e.order, func() []CandidatePair {
-		return e.scanCandidates(e.order)
-	})
-	return deltaByFullQuery(newIdxs, full)
 }

@@ -1,9 +1,10 @@
-// The delta-candidates contract suite: for every indexed engine and the
-// sharded fan-in, DeltaCandidates over an applied batch must equal the
-// full-universe query filtered to pairs touching the batch — the
-// property the serving daemon's incremental view publication rests on.
-// The token blocker is the one BlockerNames entry absent here: it has no
-// reusable Index form, so there is no delta path to contract-test.
+// The delta-candidates contract suite: for the MinHash indexes, unsharded
+// and sharded, adjacency is monotone under Add and DeltaCandidates over
+// an applied batch equals the full-universe query filtered to pairs
+// touching the batch — the two properties the serving daemon's
+// incremental view publication rests on. Every kNN index must stay out
+// of the contract (ErrNoDelta). The token blocker is the one BlockerNames
+// entry absent here: it has no reusable Index form.
 
 package blocking
 
@@ -50,12 +51,27 @@ func checkDelta(t *testing.T, ix Index, all, batch []int) {
 	}
 }
 
+// checkMonotone asserts that every pair of before — the full candidate
+// set ahead of an Add — survives in the full candidate set after it.
+func checkMonotone(t *testing.T, before, after []CandidatePair) {
+	t.Helper()
+	kept := pairSet(after)
+	for _, p := range before {
+		if !kept[p] {
+			t.Fatalf("pair %+v vanished after Add: adjacency is not monotone", p)
+		}
+	}
+}
+
 // TestDeltaCandidatesContract covers every indexed engine (minhash,
-// hnsw, embedding, ivf) at several worker counts plus ShardedIndex at
-// several shard counts, across two Add-after-Build rounds whose batches
-// carry duplicate titles (one duplicating a build-set title, one
-// duplicating a fellow batch member's title), a full-universe "batch"
-// (the filter is the identity), and the unindexed-query error path.
+// hnsw, embedding, ivf) at several worker counts plus the sharded
+// indexes at several shard counts, across two Add-after-Build rounds
+// whose batches carry duplicate titles (one duplicating a build-set
+// title, one duplicating a fellow batch member's title). MinHash rows
+// check monotonicity across each Add, the delta against the filtered
+// full query, a full-universe "batch" (the filter is the identity), and
+// the unindexed-query error path. kNN rows check that the index is not a
+// DeltaIndex and that delta queries report ErrNoDelta.
 func TestDeltaCandidatesContract(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	// Two extra offers whose titles duplicate indexed ones, so the delta
@@ -73,6 +89,7 @@ func TestDeltaCandidatesContract(t *testing.T) {
 
 	type tcase struct {
 		name  string
+		delta bool
 		build func() Index
 	}
 	var cases []tcase
@@ -82,6 +99,7 @@ func TestDeltaCandidatesContract(t *testing.T) {
 			bl := bl
 			cases = append(cases, tcase{
 				name:  fmt.Sprintf("%s/workers=%d", bl.Name(), workers),
+				delta: bl.Name() == "minhash-lsh",
 				build: func() Index { return bl.BuildIndex(ext, buildSet) },
 			})
 		}
@@ -95,6 +113,7 @@ func TestDeltaCandidatesContract(t *testing.T) {
 			}
 			cases = append(cases, tcase{
 				name:  fmt.Sprintf("sharded/%s/shards=%d", bl.Name(), shards),
+				delta: bl.Name() == "minhash-lsh",
 				build: func() Index { return sb.BuildShardedIndex(ext, buildSet, shards) },
 			})
 		}
@@ -105,13 +124,27 @@ func TestDeltaCandidatesContract(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ix := c.build()
 			all := append([]int(nil), buildSet...)
+			if !c.delta {
+				if _, ok := ix.(DeltaIndex); ok {
+					t.Fatalf("%T implements DeltaIndex, but kNN adjacency is not monotone under Add", ix)
+				}
+				ix.Add(ext, batch1)
+				if _, err := QueryDeltaCandidates(ix, batch1); !errors.Is(err, ErrNoDelta) {
+					t.Fatalf("delta query on a kNN index: got %v, want ErrNoDelta", err)
+				}
+				return
+			}
 
+			before := ix.Candidates(all)
 			ix.Add(ext, batch1)
 			all = append(all, batch1...)
+			checkMonotone(t, before, ix.Candidates(all))
 			checkDelta(t, ix, all, batch1)
 
+			before = ix.Candidates(all)
 			ix.Add(ext, batch2)
 			all = append(all, batch2...)
+			checkMonotone(t, before, ix.Candidates(all))
 			checkDelta(t, ix, all, batch2)
 			checkDelta(t, ix, all, all)
 

@@ -80,8 +80,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	lcfg, hcfg, icfg := fuzzLSHConfig(), fuzzHNSWConfig(), fuzzIVFConfig()
 	const seed = 1
 	f.Add(BuildMinHashIndex(offers, idxs, lcfg, seed).EncodeSnapshot())
-	f.Add(BuildHNSWIndex(offers, idxs, model, 2, hcfg, seed).EncodeSnapshot())
-	f.Add(BuildIVFIndex(offers, idxs, model, 2, icfg, seed).EncodeSnapshot())
+	f.Add(BuildShardedHNSWIndex(offers, idxs, 1, model, 2, hcfg, seed).EncodeSnapshot())
+	f.Add(BuildShardedIVFIndex(offers, idxs, 1, model, 2, icfg, seed).EncodeSnapshot())
 	f.Add(BuildShardedMinHashIndex(offers, idxs, 2, lcfg, seed).EncodeSnapshot())
 	f.Add(BuildShardedHNSWIndex(offers, idxs, 2, model, 2, hcfg, seed).EncodeSnapshot())
 	f.Add(BuildShardedIVFIndex(offers, idxs, 2, model, 2, icfg, seed).EncodeSnapshot())
@@ -100,9 +100,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		_, err := LoadMinHashIndex(data, offers, idxs, lcfg, seed)
 		check("minhash", err)
-		_, err = LoadHNSWIndex(data, offers, idxs, model, 2, hcfg, seed)
+		_, err = LoadShardedHNSWIndex(data, offers, idxs, 1, model, 2, hcfg, seed)
 		check("hnsw", err)
-		_, err = LoadIVFIndex(data, offers, idxs, model, 2, icfg, seed)
+		_, err = LoadShardedIVFIndex(data, offers, idxs, 1, model, 2, icfg, seed)
 		check("ivf", err)
 		_, err = LoadShardedMinHashIndex(data, offers, idxs, 2, lcfg, seed)
 		check("sharded-minhash", err)
@@ -135,8 +135,8 @@ func FuzzPQSnapshotDecode(f *testing.F) {
 	const seed = 1
 	i8cfg := fuzzQuantIVFConfig(ivf.PrecisionInt8)
 	pqcfg := fuzzQuantIVFConfig(ivf.PrecisionPQ)
-	f.Add(BuildIVFIndex(offers, idxs, model, 2, i8cfg, seed).EncodeSnapshot())
-	f.Add(BuildIVFIndex(offers, idxs, model, 2, pqcfg, seed).EncodeSnapshot())
+	f.Add(BuildShardedIVFIndex(offers, idxs, 1, model, 2, i8cfg, seed).EncodeSnapshot())
+	f.Add(BuildShardedIVFIndex(offers, idxs, 1, model, 2, pqcfg, seed).EncodeSnapshot())
 	f.Add(BuildShardedIVFIndex(offers, idxs, 2, model, 2, pqcfg, seed).EncodeSnapshot())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -151,7 +151,7 @@ func FuzzPQSnapshotDecode(f *testing.F) {
 			}
 		}
 		for _, cfg := range []ivf.Config{i8cfg, pqcfg} {
-			ix, err := LoadIVFIndex(data, offers, idxs, model, 2, cfg, seed)
+			ix, err := LoadShardedIVFIndex(data, offers, idxs, 1, model, 2, cfg, seed)
 			check(string(cfg.Precision), err)
 			if err == nil {
 				// A load that passed every structural check must be

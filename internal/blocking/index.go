@@ -225,8 +225,8 @@ func (c *indexedCorpus) view(queryIdxs []int) *queryView {
 	return v
 }
 
-// knnCandidates implements the split-query semantics shared by the
-// title-level kNN indexes (HNSW, IVF): every query title consumes its
+// knnCandidates implements the split-query semantics of the title-level
+// kNN index (ShardedKNNIndex): every query title consumes its
 // K-neighbour budget from its ranked neighbour list (computed over the
 // full indexed corpus, own title included), pairs whose partner falls
 // outside the query are dropped rather than refilled, and identical-title
@@ -234,25 +234,11 @@ func (c *indexedCorpus) view(queryIdxs []int) *queryView {
 // idempotent and safe for concurrent calls — the first pass materializes
 // the lists across the worker pool.
 func (c *indexedCorpus) knnCandidates(queryIdxs []int, k, workers int, neighbourIDs func(tid int) []int32) []CandidatePair {
-	return c.knnCandidatesBatch(queryIdxs, k, func(tids []int) {
-		parallel.Run(len(tids), workers, func(s int) error {
-			neighbourIDs(tids[s])
-			return nil
-		}, nil)
-	}, neighbourIDs)
-}
-
-// knnCandidatesBatch is knnCandidates with the materialization step under
-// the index's control: materialize(tids) receives the split's distinct
-// title ids and must leave neighbourIDs(tid) answerable without further
-// search work for each of them — either by per-title searches across a
-// worker pool (knnCandidates above) or by one batched multi-query search
-// that amortizes shared work across the whole split (IVFIndex). The
-// assembly over the materialized lists is identical either way, which is
-// what keeps the batched path byte-compatible with the per-query one.
-func (c *indexedCorpus) knnCandidatesBatch(queryIdxs []int, k int, materialize func(tids []int), neighbourIDs func(tid int) []int32) []CandidatePair {
 	v := c.view(queryIdxs)
-	materialize(v.titles)
+	parallel.Run(len(v.titles), workers, func(s int) error {
+		neighbourIDs(v.titles[s])
+		return nil
+	}, nil)
 	var titlePairs [][2]int
 	for s, tid := range v.titles {
 		taken := 0

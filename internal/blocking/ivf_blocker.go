@@ -1,4 +1,4 @@
-// IVFIndex / IVFBlocker: partition-based approximate kNN blocking over
+// IVFBlocker: partition-based approximate kNN blocking over
 // title embeddings through the internal/ivf inverted-file index — the
 // coarse-quantizer alternative to the HNSW graph. Build cost is one
 // k-means fit plus a linear assignment pass (no graph), queries probe the
@@ -8,154 +8,10 @@
 package blocking
 
 import (
-	"sync"
-
 	"wdcproducts/internal/embed"
 	"wdcproducts/internal/ivf"
-	"wdcproducts/internal/parallel"
 	"wdcproducts/internal/schemaorg"
-	"wdcproducts/internal/xrand"
 )
-
-// IVFIndex is a reusable approximate-kNN index over distinct title
-// embeddings, backed by an incrementally growable inverted-file index.
-// Add and Candidates are safe to interleave from any number of
-// goroutines (see the Index contract).
-type IVFIndex struct {
-	mu     sync.RWMutex // Add writes, Candidates reads
-	corpus *indexedCorpus
-	model  *embed.Model
-	k      int
-	cfg    ivf.Config
-	seed   int64
-	ix     *ivf.Index
-	vecs   [][]float32 // title id -> encoding
-	memo   *memoSlots[int32]
-	memoQ  queryMemo
-
-	// Batched-search bookkeeping: primed[tid] records that tid's
-	// neighbour list was (or is being) produced by a SearchBatch, so a
-	// later batch skips it. batchMu serializes only the cheap claim scan
-	// — the batched searches themselves run outside it. Reset alongside
-	// memo on Add.
-	batchMu sync.Mutex
-	primed  []bool
-}
-
-// BuildIVFIndex interns the titles of the offers at idxs, encodes each
-// distinct title once, and fits the IVF coarse quantizer over the
-// encodings. Encoding and assignment fan out across cfg.Workers; index
-// contents are identical at any worker count for a fixed seed. k is the
-// neighbour budget per distinct title at query time.
-func BuildIVFIndex(offers []schemaorg.Offer, idxs []int, model *embed.Model, k int, cfg ivf.Config, seed int64) *IVFIndex {
-	x := &IVFIndex{corpus: newIndexedCorpus(), model: model, k: k, cfg: cfg, seed: seed}
-	x.corpus.add(offers, idxs)
-	prep := x.corpus.prep()
-	x.vecs = make([][]float32, prep.Len())
-	parallel.Run(len(x.vecs), cfg.Workers, func(t int) error {
-		x.vecs[t] = model.EncodeTokens(prep.Tokens(t))
-		return nil
-	}, nil)
-	x.ix = ivf.Build(x.vecs, cfg, xrand.New(seed).Stream("ivf-knn"))
-	x.memo = newMemoSlots[int32](len(x.vecs))
-	x.primed = make([]bool, len(x.vecs))
-	return x
-}
-
-// Name implements Index.
-func (x *IVFIndex) Name() string { return "ivf-knn" }
-
-// Len implements Index.
-func (x *IVFIndex) Len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.corpus.len()
-}
-
-// Add implements Index: new distinct titles are encoded and assigned to
-// their inverted list. The coarse quantizer is fixed at Build, so the
-// grown index is identical to a fresh Build over the union whenever the
-// original build covered the quantizer's training prefix (see
-// ivf.Config.TrainSize). Neighbour memos are discarded.
-func (x *IVFIndex) Add(offers []schemaorg.Offer, idxs []int) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	before := x.corpus.len()
-	newTitles := x.corpus.add(offers, idxs)
-	if x.corpus.len() != before {
-		x.memoQ.reset()
-	}
-	if len(newTitles) == 0 {
-		return
-	}
-	for _, tid := range newTitles {
-		vec := x.model.EncodeTokens(x.corpus.prep().Tokens(tid))
-		x.vecs = append(x.vecs, vec)
-		x.ix.Add(vec)
-	}
-	x.memo = newMemoSlots[int32](len(x.vecs))
-	x.primed = make([]bool, len(x.vecs))
-}
-
-// neighbours returns title tid's memoized ranked neighbour ids (top k+1
-// because the title's own vector is its nearest neighbour — guaranteed
-// found, since a vector always lands in its own list).
-func (x *IVFIndex) neighbours(tid int) []int32 {
-	return x.memo.get(tid, func() []int32 {
-		return resultIDs(x.ix.Search(x.vecs[tid], x.k+1))
-	})
-}
-
-// resultIDs projects a ranked result list to its title ids.
-func resultIDs(res []ivf.Result) []int32 {
-	ids := make([]int32, len(res))
-	for i, r := range res {
-		ids[i] = int32(r.ID)
-	}
-	return ids
-}
-
-// primeNeighbours materializes the neighbour memos of the given titles
-// through one ivf.SearchBatch call, amortizing centroid scans, lookup
-// tables and scratch across the whole split instead of paying them per
-// title. Titles another batch already claimed are skipped; a Candidates
-// call racing ahead of the batch may still compute a claimed title's list
-// singly, which is harmless — Search and SearchBatch are deterministic and
-// the memo's Once keeps whichever lands first (they are identical).
-func (x *IVFIndex) primeNeighbours(tids []int) {
-	x.batchMu.Lock()
-	todo := make([]int, 0, len(tids))
-	for _, tid := range tids {
-		if !x.primed[tid] {
-			x.primed[tid] = true
-			todo = append(todo, tid)
-		}
-	}
-	x.batchMu.Unlock()
-	if len(todo) == 0 {
-		return
-	}
-	qs := make([][]float32, len(todo))
-	for i, tid := range todo {
-		qs[i] = x.vecs[tid]
-	}
-	batch := x.ix.SearchBatch(qs, x.k+1)
-	for i, tid := range todo {
-		x.memo.set(tid, resultIDs(batch[i]))
-	}
-}
-
-// Candidates implements Index with the shared title-level kNN split
-// semantics of knnCandidates, with the split's neighbour lists produced by
-// one batched multi-query search; repeated queries of the same split are
-// served from the query memo.
-func (x *IVFIndex) Candidates(queryIdxs []int) []CandidatePair {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.memoQ.get(queryIdxs, func() []CandidatePair {
-		return x.corpus.knnCandidatesBatch(queryIdxs, x.k, x.primeNeighbours, x.neighbours)
-	})
-}
 
 // IVFBlocker proposes, for each offer, the offers carrying its K
 // approximately nearest distinct titles, found by probing an inverted-file
@@ -186,9 +42,10 @@ func NewIVFBlocker(model *embed.Model, k int) *IVFBlocker {
 // Name implements Blocker.
 func (b *IVFBlocker) Name() string { return "ivf-knn" }
 
-// BuildIndex implements IndexedBlocker.
+// BuildIndex implements IndexedBlocker with the single-shard
+// ShardedKNNIndex.
 func (b *IVFBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index {
-	return BuildIVFIndex(offers, idxs, b.Model, b.K, b.Config, b.Seed)
+	return BuildShardedIVFIndex(offers, idxs, 1, b.Model, b.K, b.Config, b.Seed)
 }
 
 // Candidates implements Blocker through the cached index: repeated calls

@@ -1,6 +1,6 @@
-// The two embedding-space indexes: HNSWIndex (approximate kNN through the
-// small-world graph) and EmbeddingIndex (exact kNN by exhaustive scan).
-// Both encode each distinct title once at Build/Add time and materialize
+// EmbeddingIndex, the exact-kNN index (exhaustive scan), and the
+// per-slot memo it shares with the approximate ShardedKNNIndex. Both
+// encode each distinct title once at Build/Add time and materialize
 // per-node neighbour lists lazily, at most once per node, so the first
 // query after a build pays the searches and every later query is a filter
 // over frozen lists. Add invalidates the memo wholesale: a new node can be
@@ -12,11 +12,9 @@ import (
 	"sync"
 
 	"wdcproducts/internal/embed"
-	"wdcproducts/internal/hnsw"
 	"wdcproducts/internal/parallel"
 	"wdcproducts/internal/schemaorg"
 	"wdcproducts/internal/vector"
-	"wdcproducts/internal/xrand"
 )
 
 // memoSlots lazily materializes one value per slot, each computed at most
@@ -34,108 +32,6 @@ func newMemoSlots[T any](n int) *memoSlots[T] {
 func (m *memoSlots[T]) get(i int, compute func() []T) []T {
 	m.once[i].Do(func() { m.res[i] = compute() })
 	return m.res[i]
-}
-
-// set installs a precomputed value for slot i through the slot's Once, so
-// it composes safely with concurrent get calls: whichever lands first
-// wins, and batch producers must therefore install the same value a
-// single-slot compute would have produced.
-func (m *memoSlots[T]) set(i int, v []T) {
-	m.once[i].Do(func() { m.res[i] = v })
-}
-
-// HNSWIndex is a reusable approximate-kNN index over distinct title
-// embeddings, backed by an incrementally growable HNSW graph. Add and
-// Candidates are safe to interleave from any number of goroutines (see
-// the Index contract).
-type HNSWIndex struct {
-	mu     sync.RWMutex // Add writes, Candidates reads
-	corpus *indexedCorpus
-	model  *embed.Model
-	k      int
-	cfg    hnsw.Config
-	seed   int64
-	graph  *hnsw.Graph
-	vecs   [][]float32 // title id -> encoding
-	memo   *memoSlots[int32]
-	memoQ  queryMemo
-}
-
-// BuildHNSWIndex interns the titles of the offers at idxs, encodes each
-// distinct title once, and builds the HNSW graph over the encodings.
-// Encoding and construction fan out across cfg.Workers; the graph is
-// byte-identical at any worker count for a fixed seed. k is the neighbour
-// budget per distinct title at query time.
-func BuildHNSWIndex(offers []schemaorg.Offer, idxs []int, model *embed.Model, k int, cfg hnsw.Config, seed int64) *HNSWIndex {
-	h := &HNSWIndex{corpus: newIndexedCorpus(), model: model, k: k, cfg: cfg, seed: seed}
-	h.corpus.add(offers, idxs)
-	prep := h.corpus.prep()
-	h.vecs = make([][]float32, prep.Len())
-	parallel.Run(len(h.vecs), cfg.Workers, func(t int) error {
-		h.vecs[t] = model.EncodeTokens(prep.Tokens(t))
-		return nil
-	}, nil)
-	h.graph = hnsw.Build(h.vecs, cfg, xrand.New(seed).Stream("hnsw-knn"))
-	h.memo = newMemoSlots[int32](len(h.vecs))
-	return h
-}
-
-// Name implements Index.
-func (h *HNSWIndex) Name() string { return "hnsw-knn" }
-
-// Len implements Index.
-func (h *HNSWIndex) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.corpus.len()
-}
-
-// Add implements Index: new distinct titles are encoded and inserted into
-// the graph with hnsw's batch-faithful incremental insertion, so the grown
-// graph — and therefore every candidate set — is identical to a fresh
-// Build over the union. Neighbour memos are discarded: the new nodes may
-// appear in anyone's top-K.
-func (h *HNSWIndex) Add(offers []schemaorg.Offer, idxs []int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	before := h.corpus.len()
-	newTitles := h.corpus.add(offers, idxs)
-	if h.corpus.len() != before {
-		h.memoQ.reset()
-	}
-	if len(newTitles) == 0 {
-		return
-	}
-	for _, tid := range newTitles {
-		vec := h.model.EncodeTokens(h.corpus.prep().Tokens(tid))
-		h.vecs = append(h.vecs, vec)
-		h.graph.Add(vec)
-	}
-	h.memo = newMemoSlots[int32](len(h.vecs))
-}
-
-// neighbours returns title tid's memoized ranked neighbour ids (top k+1
-// because the title's own vector is its nearest neighbour).
-func (h *HNSWIndex) neighbours(tid int) []int32 {
-	return h.memo.get(tid, func() []int32 {
-		res := h.graph.Search(h.vecs[tid], h.k+1)
-		ids := make([]int32, len(res))
-		for i, r := range res {
-			ids[i] = int32(r.ID)
-		}
-		return ids
-	})
-}
-
-// Candidates implements Index with the shared title-level kNN split
-// semantics of knnCandidates; repeated queries of the same split are
-// served from the query memo.
-func (h *HNSWIndex) Candidates(queryIdxs []int) []CandidatePair {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.memoQ.get(queryIdxs, func() []CandidatePair {
-		return h.corpus.knnCandidates(queryIdxs, h.k, h.cfg.Workers, h.neighbours)
-	})
 }
 
 // EmbeddingIndex is the reusable form of the exhaustive embedding blocker:

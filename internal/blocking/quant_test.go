@@ -1,6 +1,6 @@
 // Blocking-layer tests of the quantized IVF tiers and the scale-aware
 // MinHash banding: candidate equivalence and worker invariance of the
-// batched quantized path, snapshot round-trips of quantized indexes with
+// quantized path, snapshot round-trips of quantized indexes with
 // the stale-fingerprint refusal, and the AutoBand boundary.
 
 package blocking
@@ -42,8 +42,8 @@ func TestIVFQuantizedCandidateRecall(t *testing.T) {
 }
 
 // TestIVFQuantizedDeterministic: quantized candidate sets are identical
-// at any worker count — the batched search path's claim bookkeeping and
-// pooled scratch never leak into results — and across repeated queries
+// at any worker count — the search path's pooled scratch never leaks
+// into results — and across repeated queries
 // (memo on/off paths agree).
 func TestIVFQuantizedDeterministic(t *testing.T) {
 	offers, idxs, _ := fixture(t)
@@ -67,19 +67,19 @@ func TestIVFQuantizedSnapshotRoundTrip(t *testing.T) {
 	cut := len(idxs) * 2 / 3
 	for _, p := range []ivf.Precision{ivf.PrecisionInt8, ivf.PrecisionPQ} {
 		bl := quantIVFBlocker(p, 2)
-		ix := bl.BuildIndex(offers, idxs).(*IVFIndex)
+		ix := bl.BuildIndex(offers, idxs).(SnapshotIndex)
 		data := ix.EncodeSnapshot()
 		loaded, err := bl.loadSnapshot(data, offers, idxs, 1)
 		if err != nil {
 			t.Fatalf("%s: load failed: %v", p, err)
 		}
-		if string(loaded.(*IVFIndex).EncodeSnapshot()) != string(data) {
+		if string(loaded.(SnapshotIndex).EncodeSnapshot()) != string(data) {
 			t.Fatalf("%s: loaded index re-encodes to different bytes", p)
 		}
 		samePairs(t, string(p), loaded.Candidates(idxs), ix.Candidates(idxs))
 
 		// Round-trip a prefix build, then grow both sides identically.
-		prefix := bl.BuildIndex(offers, idxs[:cut]).(*IVFIndex)
+		prefix := bl.BuildIndex(offers, idxs[:cut]).(SnapshotIndex)
 		grown, err := bl.loadSnapshot(prefix.EncodeSnapshot(), offers, idxs[:cut], 1)
 		if err != nil {
 			t.Fatalf("%s: prefix load failed: %v", p, err)
@@ -99,7 +99,7 @@ func TestIVFQuantizedSnapshotRoundTrip(t *testing.T) {
 // and equally fatal.
 func TestIVFQuantizedStaleFingerprint(t *testing.T) {
 	offers, idxs, _ := fixture(t)
-	data := quantIVFBlocker(ivf.PrecisionPQ, 1).BuildIndex(offers, idxs).(*IVFIndex).EncodeSnapshot()
+	data := quantIVFBlocker(ivf.PrecisionPQ, 1).BuildIndex(offers, idxs).(SnapshotIndex).EncodeSnapshot()
 	stale := []*IVFBlocker{
 		quantIVFBlocker(ivf.PrecisionF32, 1),
 		quantIVFBlocker(ivf.PrecisionInt8, 1),

@@ -1,11 +1,13 @@
-// ShardedIndex: hash-partitioned variants of the three sublinear blocking
-// indexes, the layer that lets a corpus outgrow one index (and, with the
-// snapshot format, one machine). Distinct titles are assigned to shards
-// by a hash of their bytes — identical titles always share a title id, so
-// the identical-title cliques every blocker guarantees are unaffected by
-// where the title lands — and each shard runs an ordinary lsh/hnsw/ivf
-// engine over its own slice of the corpus, built concurrently over
-// internal/parallel.
+// Sharded indexes: hash-partitioned variants of the three sublinear
+// blocking engines, the layer that lets a corpus outgrow one index (and,
+// with the snapshot format, one machine). Distinct titles are assigned to
+// shards by a hash of their bytes — identical titles always share a title
+// id, so the identical-title cliques every blocker guarantees are
+// unaffected by where the title lands — and each shard runs an ordinary
+// lsh/hnsw/ivf engine over its own slice of the corpus, built
+// concurrently over internal/parallel. The shard assignment, corpus and
+// query memo live in one shardSet that ShardedMinHashIndex and
+// ShardedKNNIndex embed.
 //
 // Queries fan out and merge deterministically:
 //
@@ -20,6 +22,8 @@
 //     per-title budget is spent against slightly different neighbour pools
 //     than a single index would see, so recall can differ within the
 //     approximation's usual tolerance (the equivalence suite bounds it).
+//     At one shard the merge is the single index's own ranking, so
+//     ShardedKNNIndex is also the unsharded HNSW and IVF index.
 //
 // Shard assignment, merge order, and per-shard engine contents are all
 // pure functions of the corpus and seed, so sharded candidate sets are
@@ -40,12 +44,14 @@ import (
 	"wdcproducts/internal/ivf"
 	"wdcproducts/internal/lsh"
 	"wdcproducts/internal/parallel"
+	"wdcproducts/internal/persist"
 	"wdcproducts/internal/schemaorg"
 	"wdcproducts/internal/xrand"
 )
 
-// shardWordMarker tags a sharded index's fingerprint words so a sharded
-// and an unsharded snapshot of the same corpus/config can never collide.
+// shardWordMarker tags a multi-shard index's fingerprint words so a
+// sharded and an unsharded snapshot of the same corpus/config can never
+// collide.
 const shardWordMarker = 0x7368617264 // "shard"
 
 // shardForTitle assigns a title to one of shards partitions by an FNV-1a
@@ -58,7 +64,7 @@ func shardForTitle(title string, shards int) int {
 }
 
 // shardStream names the per-shard seed stream. One shard keeps the
-// unsharded stream name, so a single-shard ShardedIndex holds exactly the
+// unsharded stream name, so a single-shard index holds exactly the
 // engine an unsharded build would produce.
 func shardStream(base string, shards, s int) string {
 	if shards == 1 {
@@ -79,36 +85,11 @@ func shardWorkers(workers, shards int) int {
 	return w
 }
 
-// shardedMinHash is the MinHash engine state of a ShardedIndex: one LSH
-// index per shard, all drawing the identical hash family.
-type shardedMinHash struct {
-	cfg  lsh.Config
-	seed int64
-	ix   []*lsh.Index
-}
-
-// shardedKNN is the kNN engine state of a ShardedIndex: per-shard HNSW
-// graphs or IVF indexes (exactly one of the two is set) over the shard's
-// title encodings.
-type shardedKNN struct {
-	model  *embed.Model
-	k      int
-	hcfg   hnsw.Config
-	icfg   ivf.Config
-	seed   int64
-	graphs []*hnsw.Graph
-	ivfs   []*ivf.Index
-	memo   *memoSlots[int32]
-}
-
-// ShardedIndex is a blocking Index hash-partitioned across per-shard
-// engines. Build one with BuildShardedMinHashIndex /
-// BuildShardedHNSWIndex / BuildShardedIVFIndex, or through a blocker's
-// BuildShardedIndex method. It honours the full Index contract: grown
-// indexes equal fresh builds, queries only restrict the reported pairs,
-// and Add and Candidates are safe to interleave from any number of
-// goroutines.
-type ShardedIndex struct {
+// shardSet is the state every sharded index shares: the indexed corpus,
+// the title -> shard assignment, and the query memo. mu guards the set
+// and the engines of the index that embeds it: Add holds it for writing,
+// Candidates for reading.
+type shardSet struct {
 	mu       sync.RWMutex // Add writes, Candidates reads
 	name     string
 	corpus   *indexedCorpus
@@ -119,84 +100,256 @@ type ShardedIndex struct {
 	shardOf []int32   // title id -> shard
 	local   []int32   // title id -> local id within its shard
 	members [][]int32 // shard -> local id -> title id
-	vecs    [][]float32
 
-	mh    *shardedMinHash
-	knn   *shardedKNN
 	memoQ queryMemo
 }
 
-// newShardedIndex builds the corpus and shard assignment shared by every
-// engine variant.
-func newShardedIndex(name string, offers []schemaorg.Offer, idxs []int, shards, workers int, cfgWords []uint64) *ShardedIndex {
+// init indexes the offers at idxs and places every title on its shard.
+// The fingerprint words gain the shard marker only past one shard, so a
+// single-shard index carries the unsharded content address.
+func (ss *shardSet) init(name string, offers []schemaorg.Offer, idxs []int, shards, workers int, cfgWords []uint64) {
 	if shards < 1 {
 		shards = 1
 	}
-	si := &ShardedIndex{
-		name:     name,
-		corpus:   newIndexedCorpus(),
-		shards:   shards,
-		workers:  workers,
-		cfgWords: append(append([]uint64(nil), cfgWords...), shardWordMarker, uint64(shards)),
-		members:  make([][]int32, shards),
-	}
-	si.corpus.add(offers, idxs)
-	si.assign(0)
-	return si
+	ss.name = name
+	ss.corpus = newIndexedCorpus()
+	ss.shards = shards
+	ss.workers = workers
+	ss.cfgWords = shardedSnapshotWords(cfgWords, shards)
+	ss.members = make([][]int32, shards)
+	ss.corpus.add(offers, idxs)
+	ss.assign(0)
 }
 
 // assign places every title id >= from on its shard.
-func (si *ShardedIndex) assign(from int) {
-	for tid := from; tid < si.corpus.titleCount(); tid++ {
-		s := shardForTitle(si.corpus.titles[tid], si.shards)
-		si.shardOf = append(si.shardOf, int32(s))
-		si.local = append(si.local, int32(len(si.members[s])))
-		si.members[s] = append(si.members[s], int32(tid))
+func (ss *shardSet) assign(from int) {
+	for tid := from; tid < ss.corpus.titleCount(); tid++ {
+		s := shardForTitle(ss.corpus.titles[tid], ss.shards)
+		ss.shardOf = append(ss.shardOf, int32(s))
+		ss.local = append(ss.local, int32(len(ss.members[s])))
+		ss.members[s] = append(ss.members[s], int32(tid))
 	}
+}
+
+// addOffers indexes further offers and places their new titles on their
+// shards, returning the new title ids for the caller's engines. The
+// caller holds mu for writing.
+func (ss *shardSet) addOffers(offers []schemaorg.Offer, idxs []int) []int {
+	before, from := ss.corpus.len(), ss.corpus.titleCount()
+	newTitles := ss.corpus.add(offers, idxs)
+	if ss.corpus.len() != before {
+		ss.memoQ.reset()
+	}
+	ss.assign(from)
+	return newTitles
+}
+
+// Name implements Index (the engine name; see Shards for the partition
+// count).
+func (ss *shardSet) Name() string { return ss.name }
+
+// Shards returns the number of hash partitions.
+func (ss *shardSet) Shards() int { return ss.shards }
+
+// Len implements Index.
+func (ss *shardSet) Len() int {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	return ss.corpus.len()
+}
+
+// ShardedMinHashIndex is the MinHash-LSH Index hash-partitioned across
+// per-shard LSH indexes that all draw one hash family. Build one with
+// BuildShardedMinHashIndex or MinHashBlocker.BuildShardedIndex. It
+// honours the full Index contract — grown indexes equal fresh builds,
+// queries only restrict the reported pairs, Add and Candidates are safe
+// to interleave from any number of goroutines — and implements
+// DeltaIndex.
+type ShardedMinHashIndex struct {
+	shardSet
+	cfg lsh.Config
+	ix  []*lsh.Index // shard -> engine
+}
+
+// newShardedMinHash indexes the corpus and shard assignment of a sharded
+// MinHash index whose engines the caller fills in.
+func newShardedMinHash(offers []schemaorg.Offer, idxs []int, shards int, cfg lsh.Config, seed int64) *ShardedMinHashIndex {
+	m := &ShardedMinHashIndex{cfg: cfg}
+	m.init("minhash-lsh", offers, idxs, shards, cfg.Workers, minhashWords(cfg, seed))
+	m.ix = make([]*lsh.Index, m.shards)
+	return m
 }
 
 // BuildShardedMinHashIndex hash-partitions the distinct titles of the
 // offers at idxs across shards and builds one banded LSH index per shard
 // concurrently. Every shard draws the identical hash family from seed, so
 // query merges reproduce the unsharded candidate set exactly.
-func BuildShardedMinHashIndex(offers []schemaorg.Offer, idxs []int, shards int, cfg lsh.Config, seed int64) *ShardedIndex {
-	si := newShardedIndex("minhash-lsh", offers, idxs, shards, cfg.Workers, minhashWords(cfg, seed))
-	si.mh = &shardedMinHash{cfg: cfg, seed: seed, ix: make([]*lsh.Index, si.shards)}
-	prep := si.corpus.prep()
+func BuildShardedMinHashIndex(offers []schemaorg.Offer, idxs []int, shards int, cfg lsh.Config, seed int64) *ShardedMinHashIndex {
+	m := newShardedMinHash(offers, idxs, shards, cfg, seed)
+	prep := m.corpus.prep()
 	inner := cfg
-	inner.Workers = shardWorkers(cfg.Workers, si.shards)
-	parallel.Run(si.shards, cfg.Workers, func(s int) error {
+	inner.Workers = shardWorkers(cfg.Workers, m.shards)
+	parallel.Run(m.shards, cfg.Workers, func(s int) error {
 		// Every shard draws from the SAME stream name: band keys are only
 		// comparable across shards when all shards share one hash family.
 		ix := lsh.NewIndex(inner, xrand.New(seed).Stream("minhash-lsh"))
-		sets := make([][]int32, len(si.members[s]))
-		for l, tid := range si.members[s] {
+		sets := make([][]int32, len(m.members[s]))
+		for l, tid := range m.members[s] {
 			sets[l] = prep.TokenSet(int(tid))
 		}
 		ix.Build(sets)
-		si.mh.ix[s] = ix
+		m.ix[s] = ix
 		return nil
 	}, nil)
-	return si
+	return m
+}
+
+// Add implements Index: new distinct titles are signed into their
+// shard's engine incrementally. Per-shard insertion order is the global
+// interning order restricted to the shard, so a grown index is identical
+// to a fresh sharded build over the union.
+func (m *ShardedMinHashIndex) Add(offers []schemaorg.Offer, idxs []int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, tid := range m.addOffers(offers, idxs) {
+		m.ix[m.shardOf[tid]].Add(m.corpus.prep().TokenSet(tid))
+	}
+}
+
+// Candidates implements Index by merging the per-shard band buckets over
+// the query's titles: for each band, titles group by their band key —
+// identical across shards because every shard signs with the same hash
+// family — so two titles pair iff they would share a bucket in one
+// corpus-wide index. Repeated queries of the same split are served from
+// the query memo.
+func (m *ShardedMinHashIndex) Candidates(queryIdxs []int) []CandidatePair {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.memoQ.get(queryIdxs, func() []CandidatePair {
+		v := m.corpus.view(queryIdxs)
+		var slotPairs [][2]int
+		seen := map[uint64]bool{}
+		byKey := make(map[uint64][]int, len(v.titles))
+		for band := 0; band < m.cfg.Bands; band++ {
+			for k := range byKey {
+				delete(byKey, k)
+			}
+			for slot, tid := range v.titles {
+				key := m.ix[m.shardOf[tid]].BandKey(int(m.local[tid]), band)
+				byKey[key] = append(byKey[key], slot)
+			}
+			for _, slots := range byKey {
+				for x := 0; x < len(slots); x++ {
+					for y := x + 1; y < len(slots); y++ {
+						// Slots were appended in ascending order, so a < b.
+						a, b := slots[x], slots[y]
+						k := uint64(uint32(a))<<32 | uint64(uint32(b))
+						if seen[k] {
+							continue
+						}
+						seen[k] = true
+						slotPairs = append(slotPairs, [2]int{a, b})
+					}
+				}
+			}
+		}
+		return expandTitlePairs(v.groups, slotPairs)
+	})
+}
+
+// knnShard is one shard's approximate-kNN engine — an HNSW graph or an
+// IVF index — reduced to what ShardedKNNIndex needs of it.
+type knnShard interface {
+	// Add appends a vector under the next local id.
+	Add(vec []float32) int
+	// AppendSnapshot writes the engine's structure into b.
+	AppendSnapshot(b *persist.Buffer)
+	// search returns the k members nearest q, best first.
+	search(q []float32, k int) []scoredTitle
+}
+
+// scoredTitle is one kNN search hit: a title id (shard-local inside a
+// shard's search results) and its cosine similarity to the query.
+type scoredTitle struct {
+	id  int32
+	sim float64
+}
+
+// hnswShard adapts an HNSW graph to knnShard.
+type hnswShard struct{ *hnsw.Graph }
+
+func (g hnswShard) search(q []float32, k int) []scoredTitle {
+	res := g.Search(q, k)
+	out := make([]scoredTitle, len(res))
+	for i, r := range res {
+		out[i] = scoredTitle{int32(r.ID), r.Sim}
+	}
+	return out
+}
+
+// ivfShard adapts an IVF index to knnShard.
+type ivfShard struct{ *ivf.Index }
+
+func (x ivfShard) search(q []float32, k int) []scoredTitle {
+	res := x.Search(q, k)
+	out := make([]scoredTitle, len(res))
+	for i, r := range res {
+		out[i] = scoredTitle{int32(r.ID), r.Sim}
+	}
+	return out
+}
+
+// ShardedKNNIndex is the approximate-kNN Index over distinct title
+// embeddings, hash-partitioned across per-shard HNSW graphs or IVF
+// indexes; at one shard it is the unsharded index HNSWBlocker and
+// IVFBlocker build. Each distinct title is encoded once, and its ranked
+// neighbour list is materialized lazily, at most once between Adds.
+// Build one with BuildShardedHNSWIndex / BuildShardedIVFIndex or through
+// the blockers. It honours the full Index contract but is not a
+// DeltaIndex: a new title can evict an old partner from someone's top-K,
+// so kNN adjacency is not monotone under Add.
+type ShardedKNNIndex struct {
+	shardSet
+	model   *embed.Model
+	k       int
+	vecs    [][]float32 // title id -> encoding
+	engines []knnShard  // shard -> engine
+	memo    *memoSlots[int32]
+}
+
+// newShardedKNN indexes the corpus and shard assignment of a sharded kNN
+// index whose encodings and engines the caller fills in.
+func newShardedKNN(name string, offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k, workers int, cfgWords []uint64) *ShardedKNNIndex {
+	x := &ShardedKNNIndex{model: model, k: k}
+	x.init(name, offers, idxs, shards, workers, cfgWords)
+	x.engines = make([]knnShard, x.shards)
+	x.memo = newMemoSlots[int32](x.corpus.titleCount())
+	return x
+}
+
+// buildEngines encodes every title and builds each shard's engine
+// concurrently.
+func (x *ShardedKNNIndex) buildEngines(build func(s int) knnShard) {
+	x.encodeTitles(0)
+	parallel.Run(x.shards, x.workers, func(s int) error {
+		x.engines[s] = build(s)
+		return nil
+	}, nil)
 }
 
 // BuildShardedHNSWIndex hash-partitions the distinct titles across shards
 // and builds one HNSW graph per shard concurrently; queries merge the
 // per-shard top-(K+1) lists. k is the neighbour budget per distinct title
 // at query time.
-func BuildShardedHNSWIndex(offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg hnsw.Config, seed int64) *ShardedIndex {
-	si := newShardedIndex("hnsw-knn", offers, idxs, shards, cfg.Workers, hnswWords(model, k, cfg, seed))
-	si.knn = &shardedKNN{model: model, k: k, hcfg: cfg, seed: seed, graphs: make([]*hnsw.Graph, si.shards)}
-	si.encodeTitles(0, cfg.Workers)
+func BuildShardedHNSWIndex(offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg hnsw.Config, seed int64) *ShardedKNNIndex {
+	x := newShardedKNN("hnsw-knn", offers, idxs, shards, model, k, cfg.Workers, hnswWords(model, k, cfg, seed))
 	inner := cfg
-	inner.Workers = shardWorkers(cfg.Workers, si.shards)
-	parallel.Run(si.shards, cfg.Workers, func(s int) error {
-		si.knn.graphs[s] = hnsw.Build(si.shardVecs(s), inner,
-			xrand.New(seed).Stream(shardStream("hnsw-knn", si.shards, s)))
-		return nil
-	}, nil)
-	si.knn.memo = newMemoSlots[int32](si.corpus.titleCount())
-	return si
+	inner.Workers = shardWorkers(cfg.Workers, x.shards)
+	x.buildEngines(func(s int) knnShard {
+		return hnswShard{hnsw.Build(x.shardVecs(s), inner,
+			xrand.New(seed).Stream(shardStream("hnsw-knn", x.shards, s)))}
+	})
+	return x
 }
 
 // BuildShardedIVFIndex hash-partitions the distinct titles across shards
@@ -204,162 +357,82 @@ func BuildShardedHNSWIndex(offers []schemaorg.Offer, idxs []int, shards int, mod
 // per-shard top-(K+1) lists. Each shard trains its own coarse quantizer
 // on its first Config.TrainSize titles. k is the neighbour budget per
 // distinct title at query time.
-func BuildShardedIVFIndex(offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg ivf.Config, seed int64) *ShardedIndex {
-	si := newShardedIndex("ivf-knn", offers, idxs, shards, cfg.Workers, ivfWords(model, k, cfg, seed))
-	si.knn = &shardedKNN{model: model, k: k, icfg: cfg, seed: seed, ivfs: make([]*ivf.Index, si.shards)}
-	si.encodeTitles(0, cfg.Workers)
+func BuildShardedIVFIndex(offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg ivf.Config, seed int64) *ShardedKNNIndex {
+	x := newShardedKNN("ivf-knn", offers, idxs, shards, model, k, cfg.Workers, ivfWords(model, k, cfg, seed))
 	inner := cfg
-	inner.Workers = shardWorkers(cfg.Workers, si.shards)
-	parallel.Run(si.shards, cfg.Workers, func(s int) error {
-		si.knn.ivfs[s] = ivf.Build(si.shardVecs(s), inner,
-			xrand.New(seed).Stream(shardStream("ivf-knn", si.shards, s)))
-		return nil
-	}, nil)
-	si.knn.memo = newMemoSlots[int32](si.corpus.titleCount())
-	return si
+	inner.Workers = shardWorkers(cfg.Workers, x.shards)
+	x.buildEngines(func(s int) knnShard {
+		return ivfShard{ivf.Build(x.shardVecs(s), inner,
+			xrand.New(seed).Stream(shardStream("ivf-knn", x.shards, s)))}
+	})
+	return x
 }
 
 // encodeTitles encodes every title id >= from across the worker pool.
-func (si *ShardedIndex) encodeTitles(from, workers int) {
-	prep := si.corpus.prep()
-	n := si.corpus.titleCount()
-	si.vecs = append(si.vecs, make([][]float32, n-from)...)
-	parallel.Run(n-from, workers, func(j int) error {
+func (x *ShardedKNNIndex) encodeTitles(from int) {
+	prep := x.corpus.prep()
+	n := x.corpus.titleCount()
+	x.vecs = append(x.vecs, make([][]float32, n-from)...)
+	parallel.Run(n-from, x.workers, func(j int) error {
 		t := from + j
-		si.vecs[t] = si.knn.model.EncodeTokens(prep.Tokens(t))
+		x.vecs[t] = x.model.EncodeTokens(prep.Tokens(t))
 		return nil
 	}, nil)
 }
 
 // shardVecs gathers shard s's vectors in local-id order.
-func (si *ShardedIndex) shardVecs(s int) [][]float32 {
-	out := make([][]float32, len(si.members[s]))
-	for l, tid := range si.members[s] {
-		out[l] = si.vecs[tid]
+func (x *ShardedKNNIndex) shardVecs(s int) [][]float32 {
+	out := make([][]float32, len(x.members[s]))
+	for l, tid := range x.members[s] {
+		out[l] = x.vecs[tid]
 	}
 	return out
 }
 
-// Name implements Index (the engine name; see Shards for the partition
-// count).
-func (si *ShardedIndex) Name() string { return si.name }
-
-// Shards returns the number of hash partitions.
-func (si *ShardedIndex) Shards() int { return si.shards }
-
-// Len implements Index.
-func (si *ShardedIndex) Len() int {
-	si.mu.RLock()
-	defer si.mu.RUnlock()
-	return si.corpus.len()
-}
-
-// Add implements Index: new distinct titles are assigned to their shard
-// and appended to its engine incrementally. Per-shard insertion order is
-// the global interning order restricted to the shard, so a grown index is
-// identical to a fresh sharded build over the union.
-func (si *ShardedIndex) Add(offers []schemaorg.Offer, idxs []int) {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	before := si.corpus.len()
-	from := si.corpus.titleCount()
-	newTitles := si.corpus.add(offers, idxs)
-	if si.corpus.len() != before {
-		si.memoQ.reset()
-	}
+// Add implements Index: new distinct titles are encoded and appended to
+// their shard's engine incrementally. Per-shard insertion order is the
+// global interning order restricted to the shard, so a grown index is
+// identical to a fresh sharded build over the union (for IVF, whenever
+// each shard's first build covered its Config.TrainSize prefix).
+// Neighbour memos are discarded: the new titles may appear in anyone's
+// top-K.
+func (x *ShardedKNNIndex) Add(offers []schemaorg.Offer, idxs []int) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	from := x.corpus.titleCount()
+	newTitles := x.addOffers(offers, idxs)
 	if len(newTitles) == 0 {
 		return
 	}
-	si.assign(from)
-	if si.knn != nil {
-		si.encodeTitles(from, si.workers)
-	}
+	x.encodeTitles(from)
 	for _, tid := range newTitles {
-		s := int(si.shardOf[tid])
-		switch {
-		case si.mh != nil:
-			si.mh.ix[s].Add(si.corpus.prep().TokenSet(tid))
-		case si.knn.graphs != nil:
-			si.knn.graphs[s].Add(si.vecs[tid])
-		default:
-			si.knn.ivfs[s].Add(si.vecs[tid])
-		}
+		x.engines[x.shardOf[tid]].Add(x.vecs[tid])
 	}
-	if si.knn != nil {
-		si.knn.memo = newMemoSlots[int32](si.corpus.titleCount())
-	}
+	x.memo = newMemoSlots[int32](x.corpus.titleCount())
 }
 
-// Candidates implements Index; repeated queries of the same split are
+// Candidates implements Index with the shared title-level kNN split
+// semantics of knnCandidates; repeated queries of the same split are
 // served from the query memo.
-func (si *ShardedIndex) Candidates(queryIdxs []int) []CandidatePair {
-	si.mu.RLock()
-	defer si.mu.RUnlock()
-	return si.memoQ.get(queryIdxs, func() []CandidatePair {
-		if si.mh != nil {
-			return si.minhashCandidates(queryIdxs)
-		}
-		return si.corpus.knnCandidates(queryIdxs, si.knn.k, si.workers, si.knnNeighbours)
+func (x *ShardedKNNIndex) Candidates(queryIdxs []int) []CandidatePair {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return x.memoQ.get(queryIdxs, func() []CandidatePair {
+		return x.corpus.knnCandidates(queryIdxs, x.k, x.workers, x.neighbours)
 	})
 }
 
-// minhashCandidates merges the per-shard band buckets over the query's
-// titles: for each band, titles group by their band key — identical
-// across shards because every shard signs with the same hash family — so
-// two titles pair iff they would share a bucket in one corpus-wide index.
-func (si *ShardedIndex) minhashCandidates(queryIdxs []int) []CandidatePair {
-	v := si.corpus.view(queryIdxs)
-	var slotPairs [][2]int
-	seen := map[uint64]bool{}
-	byKey := make(map[uint64][]int, len(v.titles))
-	for band := 0; band < si.mh.cfg.Bands; band++ {
-		for k := range byKey {
-			delete(byKey, k)
-		}
-		for slot, tid := range v.titles {
-			key := si.mh.ix[si.shardOf[tid]].BandKey(int(si.local[tid]), band)
-			byKey[key] = append(byKey[key], slot)
-		}
-		for _, slots := range byKey {
-			for x := 0; x < len(slots); x++ {
-				for y := x + 1; y < len(slots); y++ {
-					// Slots were appended in ascending order, so a < b.
-					a, b := slots[x], slots[y]
-					k := uint64(uint32(a))<<32 | uint64(uint32(b))
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
-					slotPairs = append(slotPairs, [2]int{a, b})
-				}
-			}
-		}
-	}
-	return expandTitlePairs(v.groups, slotPairs)
-}
-
-// knnNeighbours returns title tid's memoized ranked neighbour ids: every
+// neighbours returns title tid's memoized ranked neighbour ids: every
 // shard answers top-(K+1) for tid's vector, and the union merges by
 // (similarity descending, title id ascending) — the deterministic
-// distributed-kNN merge — truncated to K+1 like the unsharded indexes
-// (the query title itself ranks first from its home shard).
-func (si *ShardedIndex) knnNeighbours(tid int) []int32 {
-	return si.knn.memo.get(tid, func() []int32 {
-		q := si.vecs[tid]
-		type scored struct {
-			id  int32
-			sim float64
-		}
-		var all []scored
-		for s := 0; s < si.shards; s++ {
-			if si.knn.graphs != nil {
-				for _, r := range si.knn.graphs[s].Search(q, si.knn.k+1) {
-					all = append(all, scored{si.members[s][r.ID], r.Sim})
-				}
-			} else {
-				for _, r := range si.knn.ivfs[s].Search(q, si.knn.k+1) {
-					all = append(all, scored{si.members[s][r.ID], r.Sim})
-				}
+// distributed-kNN merge — truncated to K+1 (the query title itself ranks
+// first from its home shard).
+func (x *ShardedKNNIndex) neighbours(tid int) []int32 {
+	return x.memo.get(tid, func() []int32 {
+		var all []scoredTitle
+		for s, e := range x.engines {
+			for _, r := range e.search(x.vecs[tid], x.k+1) {
+				all = append(all, scoredTitle{x.members[s][r.id], r.sim})
 			}
 		}
 		sort.Slice(all, func(a, b int) bool {
@@ -368,8 +441,8 @@ func (si *ShardedIndex) knnNeighbours(tid int) []int32 {
 			}
 			return all[a].id < all[b].id
 		})
-		if len(all) > si.knn.k+1 {
-			all = all[:si.knn.k+1]
+		if len(all) > x.k+1 {
+			all = all[:x.k+1]
 		}
 		ids := make([]int32, len(all))
 		for i, s := range all {

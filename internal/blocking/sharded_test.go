@@ -26,22 +26,6 @@ func TestShardedMinHashMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedSingleShardMatchesUnsharded: at shards=1 the per-shard seed
-// stream collapses to the unsharded stream name, so the kNN engines too
-// must reproduce the unsharded candidate set exactly — the sharded layer
-// adds no noise of its own.
-func TestShardedSingleShardMatchesUnsharded(t *testing.T) {
-	offers, idxs, _ := fixture(t)
-	hb := NewHNSWBlocker(model, 6)
-	hb.Config.Workers = 1
-	ib := NewIVFBlocker(model, 6)
-	ib.Config.Workers = 1
-	for _, bl := range []ShardedIndexBuilder{hb, ib} {
-		si := bl.BuildShardedIndex(offers, idxs, 1)
-		samePairs(t, bl.Name(), si.Candidates(idxs), bl.BuildIndex(offers, idxs).Candidates(idxs))
-	}
-}
-
 // TestShardedKNNRecall bounds the cost of partitioning the approximate
 // engines: at every shard count the sharded index must keep at least 0.99
 // of the unsharded index's recall of the exhaustive (exact-kNN) pair set.
@@ -74,14 +58,14 @@ func TestShardedKNNRecall(t *testing.T) {
 // merge are all pure functions of corpus and seed.
 func TestShardedDeterministic(t *testing.T) {
 	offers, idxs, _ := fixture(t)
-	build := func(workers int) []*ShardedIndex {
+	build := func(workers int) []Index {
 		mh := NewMinHashBlocker()
 		mh.Config.Workers = workers
 		hb := NewHNSWBlocker(model, 6)
 		hb.Config.Workers = workers
 		ib := NewIVFBlocker(model, 6)
 		ib.Config.Workers = workers
-		return []*ShardedIndex{
+		return []Index{
 			BuildShardedMinHashIndex(offers, idxs, 3, mh.Config.resolve(len(idxs)), mh.Seed),
 			BuildShardedHNSWIndex(offers, idxs, 3, hb.Model, hb.K, hb.Config, hb.Seed),
 			BuildShardedIVFIndex(offers, idxs, 3, ib.Model, ib.K, ib.Config, ib.Seed),

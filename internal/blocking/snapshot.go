@@ -34,12 +34,9 @@ import (
 	"wdcproducts/internal/xrand"
 )
 
-// Snapshot kind strings, one per persistable index shape.
-const (
-	snapKindMinHash = "blocking/minhash-lsh"
-	snapKindHNSW    = "blocking/hnsw-knn"
-	snapKindIVF     = "blocking/ivf-knn"
-)
+// snapKindMinHash is the kind string of an unsharded MinHash snapshot;
+// every other index snapshots under shardedKind.
+const snapKindMinHash = "blocking/minhash-lsh"
 
 // shardedKind is the kind string of a sharded snapshot of the named
 // engine.
@@ -167,251 +164,155 @@ func readVecs(r *persist.Reader, kind string, titleCount int) ([][]float32, erro
 	return vecs, nil
 }
 
-// SnapshotFingerprint implements SnapshotIndex.
-func (h *HNSWIndex) SnapshotFingerprint() uint64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.corpus.fingerprint(hnswWords(h.model, h.k, h.cfg, h.seed)...)
+// SnapshotFingerprint implements SnapshotIndex (past one shard the
+// shard count is part of the address: a 4-shard snapshot never loads
+// into a 2-shard index).
+func (ss *shardSet) SnapshotFingerprint() uint64 {
+	ss.mu.RLock()
+	defer ss.mu.RUnlock()
+	return ss.corpus.fingerprint(ss.cfgWords...)
 }
 
-// EncodeSnapshot implements SnapshotIndex: the payload is the title
-// encodings plus the graph structure (levels, adjacency, batch state).
-// The read lock keeps the encoded state consistent with the stamped
-// fingerprint when Adds are landing concurrently.
-func (h *HNSWIndex) EncodeSnapshot() []byte {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
+// encode wraps a sharded payload — the shard count, then what body
+// writes — in the persist envelope. Shard membership is not stored: it
+// is a pure function of the title bytes, recomputed at load. The caller
+// holds the read lock, which keeps the encoded state consistent with the
+// stamped fingerprint when Adds are landing concurrently.
+func (ss *shardSet) encode(body func(b *persist.Buffer)) []byte {
 	var b persist.Buffer
-	appendVecs(&b, h.vecs)
-	h.graph.AppendSnapshot(&b)
-	return persist.Encode(snapKindHNSW, h.corpus.fingerprint(hnswWords(h.model, h.k, h.cfg, h.seed)...), b.Bytes())
-}
-
-// LoadHNSWIndex restores an HNSWIndex from snapshot bytes; the same trust
-// rule as LoadMinHashIndex applies (model included: its content hash is
-// part of the fingerprint). Loading skips tokenization, encoding, and
-// graph construction — the dominant build costs.
-func LoadHNSWIndex(data []byte, offers []schemaorg.Offer, idxs []int, model *embed.Model, k int, cfg hnsw.Config, seed int64) (*HNSWIndex, error) {
-	want := corpusFingerprint(offers, idxs, hnswWords(model, k, cfg, seed)...)
-	payload, err := persist.Decode(data, snapKindHNSW, want)
-	if err != nil {
-		return nil, err
-	}
-	h := &HNSWIndex{corpus: newIndexedCorpus(), model: model, k: k, cfg: cfg, seed: seed}
-	h.corpus.add(offers, idxs)
-	r := persist.NewReader(payload)
-	vecs, err := readVecs(r, snapKindHNSW, h.corpus.titleCount())
-	if err != nil {
-		return nil, err
-	}
-	graph, err := hnsw.Restore(vecs, cfg, xrand.New(seed).Stream("hnsw-knn"), r)
-	if err != nil {
-		return nil, persist.Corrupt(snapKindHNSW, "%v", err)
-	}
-	if r.Remaining() != 0 {
-		return nil, persist.Corrupt(snapKindHNSW, "%d trailing payload bytes", r.Remaining())
-	}
-	h.vecs = vecs
-	h.graph = graph
-	h.memo = newMemoSlots[int32](len(vecs))
-	return h, nil
-}
-
-// SnapshotFingerprint implements SnapshotIndex.
-func (x *IVFIndex) SnapshotFingerprint() uint64 {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.corpus.fingerprint(ivfWords(x.model, x.k, x.cfg, x.seed)...)
-}
-
-// EncodeSnapshot implements SnapshotIndex: the payload is the title
-// encodings plus the trained quantizer and inverted lists. The read lock
-// keeps the encoded state consistent with the stamped fingerprint when
-// Adds are landing concurrently.
-func (x *IVFIndex) EncodeSnapshot() []byte {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	var b persist.Buffer
-	appendVecs(&b, x.vecs)
-	x.ix.AppendSnapshot(&b)
-	return persist.Encode(snapKindIVF, x.corpus.fingerprint(ivfWords(x.model, x.k, x.cfg, x.seed)...), b.Bytes())
-}
-
-// LoadIVFIndex restores an IVFIndex from snapshot bytes; the same trust
-// rule as LoadHNSWIndex applies. Loading skips tokenization, encoding,
-// and the k-means fit.
-func LoadIVFIndex(data []byte, offers []schemaorg.Offer, idxs []int, model *embed.Model, k int, cfg ivf.Config, seed int64) (*IVFIndex, error) {
-	want := corpusFingerprint(offers, idxs, ivfWords(model, k, cfg, seed)...)
-	payload, err := persist.Decode(data, snapKindIVF, want)
-	if err != nil {
-		return nil, err
-	}
-	x := &IVFIndex{corpus: newIndexedCorpus(), model: model, k: k, cfg: cfg, seed: seed}
-	x.corpus.add(offers, idxs)
-	r := persist.NewReader(payload)
-	vecs, err := readVecs(r, snapKindIVF, x.corpus.titleCount())
-	if err != nil {
-		return nil, err
-	}
-	ix, err := ivf.Restore(vecs, cfg, r)
-	if err != nil {
-		return nil, persist.Corrupt(snapKindIVF, "%v", err)
-	}
-	if r.Remaining() != 0 {
-		return nil, persist.Corrupt(snapKindIVF, "%d trailing payload bytes", r.Remaining())
-	}
-	x.vecs = vecs
-	x.ix = ix
-	x.memo = newMemoSlots[int32](len(vecs))
-	x.primed = make([]bool, len(vecs))
-	return x, nil
-}
-
-// SnapshotFingerprint implements SnapshotIndex (the shard count is part
-// of the address: a 4-shard snapshot never loads into a 2-shard index).
-func (si *ShardedIndex) SnapshotFingerprint() uint64 {
-	si.mu.RLock()
-	defer si.mu.RUnlock()
-	return si.corpus.fingerprint(si.cfgWords...)
-}
-
-// EncodeSnapshot implements SnapshotIndex: the payload concatenates the
-// per-shard engine snapshots (plus the title encodings for the kNN
-// engines). Shard membership is not stored — it is a pure function of the
-// title bytes, recomputed at load. The read lock keeps the encoded state
-// consistent with the stamped fingerprint when Adds are landing
-// concurrently.
-func (si *ShardedIndex) EncodeSnapshot() []byte {
-	si.mu.RLock()
-	defer si.mu.RUnlock()
-	var b persist.Buffer
-	b.Int(si.shards)
-	if si.knn != nil {
-		appendVecs(&b, si.vecs)
-	}
-	for s := 0; s < si.shards; s++ {
-		switch {
-		case si.mh != nil:
-			si.mh.ix[s].AppendSnapshot(&b)
-		case si.knn.graphs != nil:
-			si.knn.graphs[s].AppendSnapshot(&b)
-		default:
-			si.knn.ivfs[s].AppendSnapshot(&b)
-		}
-	}
-	return persist.Encode(shardedKind(si.name), si.corpus.fingerprint(si.cfgWords...), b.Bytes())
+	b.Int(ss.shards)
+	body(&b)
+	return persist.Encode(shardedKind(ss.name), ss.corpus.fingerprint(ss.cfgWords...), b.Bytes())
 }
 
 // openShardedPayload validates the envelope and shard count shared by the
 // sharded loaders and returns the payload reader.
-func (si *ShardedIndex) openShardedPayload(data []byte, shards int) (*persist.Reader, error) {
-	kind := shardedKind(si.name)
-	payload, err := persist.Decode(data, kind, si.SnapshotFingerprint())
+func (ss *shardSet) openShardedPayload(data []byte) (*persist.Reader, error) {
+	kind := shardedKind(ss.name)
+	payload, err := persist.Decode(data, kind, ss.SnapshotFingerprint())
 	if err != nil {
 		return nil, err
 	}
 	r := persist.NewReader(payload)
-	if got := r.Int(); r.Err() != nil || got != shards {
-		return nil, persist.Corrupt(kind, "snapshot holds %d shards, want %d", got, shards)
+	if got := r.Int(); r.Err() != nil || got != ss.shards {
+		return nil, persist.Corrupt(kind, "snapshot holds %d shards, want %d", got, ss.shards)
 	}
 	return r, nil
 }
 
 // finishShardedPayload checks that a sharded payload was fully consumed.
-func (si *ShardedIndex) finishShardedPayload(r *persist.Reader) error {
+func (ss *shardSet) finishShardedPayload(r *persist.Reader) error {
 	if r.Remaining() != 0 {
-		return persist.Corrupt(shardedKind(si.name), "%d trailing payload bytes", r.Remaining())
+		return persist.Corrupt(shardedKind(ss.name), "%d trailing payload bytes", r.Remaining())
 	}
 	return nil
+}
+
+// EncodeSnapshot implements SnapshotIndex: the payload concatenates the
+// per-shard LSH signatures.
+func (m *ShardedMinHashIndex) EncodeSnapshot() []byte {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.encode(func(b *persist.Buffer) {
+		for _, ix := range m.ix {
+			ix.AppendSnapshot(b)
+		}
+	})
+}
+
+// EncodeSnapshot implements SnapshotIndex: the payload is the title
+// encodings followed by the per-shard engine structures.
+func (x *ShardedKNNIndex) EncodeSnapshot() []byte {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return x.encode(func(b *persist.Buffer) {
+		appendVecs(b, x.vecs)
+		for _, e := range x.engines {
+			e.AppendSnapshot(b)
+		}
+	})
 }
 
 // LoadShardedMinHashIndex restores a sharded MinHash index from snapshot
 // bytes; the trust rule of LoadMinHashIndex applies, with the shard count
 // part of the content address.
-func LoadShardedMinHashIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, cfg lsh.Config, seed int64) (*ShardedIndex, error) {
-	si := newShardedIndex("minhash-lsh", offers, idxs, shards, cfg.Workers, minhashWords(cfg, seed))
-	r, err := si.openShardedPayload(data, si.shards)
+func LoadShardedMinHashIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, cfg lsh.Config, seed int64) (*ShardedMinHashIndex, error) {
+	m := newShardedMinHash(offers, idxs, shards, cfg, seed)
+	r, err := m.openShardedPayload(data)
 	if err != nil {
 		return nil, err
 	}
-	si.mh = &shardedMinHash{cfg: cfg, seed: seed, ix: make([]*lsh.Index, si.shards)}
-	for s := 0; s < si.shards; s++ {
+	for s := range m.ix {
 		ix, err := lsh.RestoreIndex(cfg, xrand.New(seed).Stream("minhash-lsh"), r)
 		if err != nil {
-			return nil, persist.Corrupt(shardedKind(si.name), "shard %d: %v", s, err)
+			return nil, persist.Corrupt(shardedKind(m.name), "shard %d: %v", s, err)
 		}
-		if ix.Len() != len(si.members[s]) {
-			return nil, persist.Corrupt(shardedKind(si.name), "shard %d holds %d titles, want %d", s, ix.Len(), len(si.members[s]))
+		if ix.Len() != len(m.members[s]) {
+			return nil, persist.Corrupt(shardedKind(m.name), "shard %d holds %d titles, want %d", s, ix.Len(), len(m.members[s]))
 		}
-		si.mh.ix[s] = ix
+		m.ix[s] = ix
 	}
-	if err := si.finishShardedPayload(r); err != nil {
+	if err := m.finishShardedPayload(r); err != nil {
 		return nil, err
 	}
-	return si, nil
+	return m, nil
+}
+
+// load restores the title encodings and every shard's engine from
+// snapshot bytes; restore decodes shard s's engine over its vectors.
+func (x *ShardedKNNIndex) load(data []byte, restore func(s int, r *persist.Reader) (knnShard, error)) error {
+	r, err := x.openShardedPayload(data)
+	if err != nil {
+		return err
+	}
+	kind := shardedKind(x.name)
+	if x.vecs, err = readVecs(r, kind, x.corpus.titleCount()); err != nil {
+		return err
+	}
+	for s := range x.engines {
+		if x.engines[s], err = restore(s, r); err != nil {
+			return persist.Corrupt(kind, "shard %d: %v", s, err)
+		}
+	}
+	return x.finishShardedPayload(r)
 }
 
 // LoadShardedHNSWIndex restores a sharded HNSW index from snapshot bytes;
-// the trust rule of LoadHNSWIndex applies, with the shard count part of
-// the content address.
-func LoadShardedHNSWIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg hnsw.Config, seed int64) (*ShardedIndex, error) {
-	si := newShardedIndex("hnsw-knn", offers, idxs, shards, cfg.Workers, hnswWords(model, k, cfg, seed))
-	r, err := si.openShardedPayload(data, si.shards)
+// the trust rule of LoadMinHashIndex applies (model included: its content
+// hash is part of the fingerprint), with the shard count part of the
+// content address past one shard. Loading skips tokenization, encoding,
+// and graph construction — the dominant build costs.
+func LoadShardedHNSWIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg hnsw.Config, seed int64) (*ShardedKNNIndex, error) {
+	x := newShardedKNN("hnsw-knn", offers, idxs, shards, model, k, cfg.Workers, hnswWords(model, k, cfg, seed))
+	err := x.load(data, func(s int, r *persist.Reader) (knnShard, error) {
+		g, err := hnsw.Restore(x.shardVecs(s), cfg, xrand.New(seed).Stream(shardStream("hnsw-knn", x.shards, s)), r)
+		return hnswShard{g}, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	vecs, err := readVecs(r, shardedKind(si.name), si.corpus.titleCount())
-	if err != nil {
-		return nil, err
-	}
-	si.vecs = vecs
-	si.knn = &shardedKNN{model: model, k: k, hcfg: cfg, seed: seed, graphs: make([]*hnsw.Graph, si.shards)}
-	for s := 0; s < si.shards; s++ {
-		g, err := hnsw.Restore(si.shardVecs(s), cfg, xrand.New(seed).Stream(shardStream("hnsw-knn", si.shards, s)), r)
-		if err != nil {
-			return nil, persist.Corrupt(shardedKind(si.name), "shard %d: %v", s, err)
-		}
-		si.knn.graphs[s] = g
-	}
-	if err := si.finishShardedPayload(r); err != nil {
-		return nil, err
-	}
-	si.knn.memo = newMemoSlots[int32](si.corpus.titleCount())
-	return si, nil
+	return x, nil
 }
 
 // LoadShardedIVFIndex restores a sharded IVF index from snapshot bytes;
-// the trust rule of LoadIVFIndex applies, with the shard count part of
-// the content address.
-func LoadShardedIVFIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg ivf.Config, seed int64) (*ShardedIndex, error) {
-	si := newShardedIndex("ivf-knn", offers, idxs, shards, cfg.Workers, ivfWords(model, k, cfg, seed))
-	r, err := si.openShardedPayload(data, si.shards)
+// the trust rule of LoadShardedHNSWIndex applies. Loading skips
+// tokenization, encoding, and the k-means fit.
+func LoadShardedIVFIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg ivf.Config, seed int64) (*ShardedKNNIndex, error) {
+	x := newShardedKNN("ivf-knn", offers, idxs, shards, model, k, cfg.Workers, ivfWords(model, k, cfg, seed))
+	err := x.load(data, func(s int, r *persist.Reader) (knnShard, error) {
+		ix, err := ivf.Restore(x.shardVecs(s), cfg, r)
+		return ivfShard{ix}, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	vecs, err := readVecs(r, shardedKind(si.name), si.corpus.titleCount())
-	if err != nil {
-		return nil, err
-	}
-	si.vecs = vecs
-	si.knn = &shardedKNN{model: model, k: k, icfg: cfg, seed: seed, ivfs: make([]*ivf.Index, si.shards)}
-	for s := 0; s < si.shards; s++ {
-		ix, err := ivf.Restore(si.shardVecs(s), cfg, r)
-		if err != nil {
-			return nil, persist.Corrupt(shardedKind(si.name), "shard %d: %v", s, err)
-		}
-		si.knn.ivfs[s] = ix
-	}
-	if err := si.finishShardedPayload(r); err != nil {
-		return nil, err
-	}
-	si.knn.memo = newMemoSlots[int32](si.corpus.titleCount())
-	return si, nil
+	return x, nil
 }
 
 // snapshotBlocker is implemented by blockers whose indexes persist: it
 // exposes the content address (for snapshot file naming and trust) and
-// the matching typed loader. shards < 2 addresses the unsharded index.
+// the matching typed loader. shards < 2 addresses the unsharded index
+// (for the kNN blockers, the single-shard ShardedKNNIndex).
 type snapshotBlocker interface {
 	IndexedBlocker
 	snapshotFingerprint(offers []schemaorg.Offer, idxs []int, shards int) uint64
@@ -444,10 +345,7 @@ func (h *HNSWBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int, 
 }
 
 func (h *HNSWBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int, shards int) (Index, error) {
-	if shards > 1 {
-		return LoadShardedHNSWIndex(data, offers, idxs, shards, h.Model, h.K, h.Config, h.Seed)
-	}
-	return LoadHNSWIndex(data, offers, idxs, h.Model, h.K, h.Config, h.Seed)
+	return LoadShardedHNSWIndex(data, offers, idxs, shards, h.Model, h.K, h.Config, h.Seed)
 }
 
 func (b *IVFBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int, shards int) uint64 {
@@ -455,10 +353,7 @@ func (b *IVFBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int, s
 }
 
 func (b *IVFBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int, shards int) (Index, error) {
-	if shards > 1 {
-		return LoadShardedIVFIndex(data, offers, idxs, shards, b.Model, b.K, b.Config, b.Seed)
-	}
-	return LoadIVFIndex(data, offers, idxs, b.Model, b.K, b.Config, b.Seed)
+	return LoadShardedIVFIndex(data, offers, idxs, shards, b.Model, b.K, b.Config, b.Seed)
 }
 
 // IndexOptions parameterizes OpenIndex.

@@ -12,9 +12,8 @@ import (
 // Compile-time checks: every sublinear index persists.
 var (
 	_ SnapshotIndex = (*MinHashIndex)(nil)
-	_ SnapshotIndex = (*HNSWIndex)(nil)
-	_ SnapshotIndex = (*IVFIndex)(nil)
-	_ SnapshotIndex = (*ShardedIndex)(nil)
+	_ SnapshotIndex = (*ShardedMinHashIndex)(nil)
+	_ SnapshotIndex = (*ShardedKNNIndex)(nil)
 
 	_ snapshotBlocker = (*MinHashBlocker)(nil)
 	_ snapshotBlocker = (*HNSWBlocker)(nil)
@@ -53,6 +52,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				snap, ok := ix.(SnapshotIndex)
 				if !ok {
 					t.Fatalf("%s: index does not persist", name)
+				}
+				// SaveIndex refuses an index whose own address differs
+				// from the one OpenIndex derives for the blocker.
+				if got, want := snap.SnapshotFingerprint(), bl.snapshotFingerprint(offers, idxs, shards); got != want {
+					t.Fatalf("%s: index fingerprint %016x, blocker addresses %016x", name, got, want)
 				}
 				data := snap.EncodeSnapshot()
 				loaded, err := bl.loadSnapshot(data, offers, idxs, shards)
@@ -163,7 +167,7 @@ func TestOpenIndexSaveThenLoad(t *testing.T) {
 			}
 			samePairs(t, name, loaded.Candidates(idxs), built.Candidates(idxs))
 			if shards > 1 {
-				si, ok := loaded.(*ShardedIndex)
+				si, ok := loaded.(interface{ Shards() int })
 				if !ok || si.Shards() != shards {
 					t.Fatalf("%s: loaded index is not %d-sharded", name, shards)
 				}
@@ -205,6 +209,32 @@ func TestOpenIndexRebuildsOnCorruptSnapshot(t *testing.T) {
 	samePairs(t, "rebuilt after corruption", cands, want)
 	if _, again := OpenIndex(bl, offers, idxs, opts); !again.Loaded {
 		t.Fatal("re-saved snapshot did not load")
+	}
+}
+
+// TestOpenIndexRebuildsLegacyKNNSnapshot: older builds snapshotted the
+// unsharded HNSW and IVF indexes under the kinds "blocking/hnsw-knn" and
+// "blocking/ivf-knn", at the same path the single-shard ShardedKNNIndex
+// now uses. Such a file is refused with a typed
+// *persist.CorruptSnapshotError, rebuilt and overwritten, so the next
+// open loads.
+func TestOpenIndexRebuildsLegacyKNNSnapshot(t *testing.T) {
+	offers, idxs, _ := fixture(t)
+	for _, bl := range persistableBlockers(1)[1:] {
+		dir := t.TempDir()
+		fp := bl.snapshotFingerprint(offers, idxs, 1)
+		path := snapshotPath(dir, bl.Name(), 1, fp)
+		if err := os.WriteFile(path, persist.Encode("blocking/"+bl.Name(), fp, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, stats := OpenIndex(bl, offers, idxs, IndexOptions{SnapshotDir: dir})
+		var corrupt *persist.CorruptSnapshotError
+		if !errors.As(stats.LoadErr, &corrupt) || stats.Loaded || !stats.Saved || stats.Path != path {
+			t.Fatalf("%s: legacy snapshot: %+v, want a typed refusal, rebuild and re-save at %s", bl.Name(), stats, path)
+		}
+		if _, again := OpenIndex(bl, offers, idxs, IndexOptions{SnapshotDir: dir}); !again.Loaded {
+			t.Fatalf("%s: re-saved snapshot did not load: %+v", bl.Name(), again)
+		}
 	}
 }
 

@@ -180,9 +180,10 @@ func NewHNSWBlocker(model *embed.Model, k int) *HNSWBlocker {
 // Name implements Blocker.
 func (h *HNSWBlocker) Name() string { return "hnsw-knn" }
 
-// BuildIndex implements IndexedBlocker.
+// BuildIndex implements IndexedBlocker with the single-shard
+// ShardedKNNIndex.
 func (h *HNSWBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index {
-	return BuildHNSWIndex(offers, idxs, h.Model, h.K, h.Config, h.Seed)
+	return BuildShardedHNSWIndex(offers, idxs, 1, h.Model, h.K, h.Config, h.Seed)
 }
 
 // Candidates implements Blocker through the cached index. Encoding, graph

@@ -147,7 +147,7 @@ type Index struct {
 	pq *pqRows
 
 	// scratch pools the per-query search buffers (probe order, lookup
-	// tables, candidate heaps) so batched searches amortize their
+	// tables, candidate heaps) so concurrent searches reuse their
 	// allocations; pooled state never influences results.
 	scratch sync.Pool
 }
@@ -350,30 +350,6 @@ func (ix *Index) Search(q []float32, k int) []Result {
 	}
 	out := []Result(heap)
 	sort.Slice(out, func(a, b int) bool { return resultWorse(out[b], out[a]) })
-	return out
-}
-
-// SearchBatch answers every query of qs, returning one Search(q, k) result
-// slice per query in input order. The batch dispatches across the
-// configured worker pool and shares the pooled per-query scratch (probe
-// scores, ADC lookup tables, candidate heaps), amortizing allocations a
-// per-query loop pays on every call; results are byte-identical to
-// per-query Search at any worker count. Dimension mismatches panic before
-// any work is dispatched.
-func (ix *Index) SearchBatch(qs [][]float32, k int) [][]Result {
-	out := make([][]Result, len(qs))
-	if k <= 0 || len(ix.vecs) == 0 {
-		return out
-	}
-	for _, q := range qs {
-		if len(q) != ix.dim {
-			panic("ivf: query dimension does not match the indexed vectors")
-		}
-	}
-	parallel.Run(len(qs), ix.cfg.Workers, func(i int) error {
-		out[i] = ix.Search(qs[i], k)
-		return nil
-	}, nil)
 	return out
 }
 

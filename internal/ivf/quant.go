@@ -579,8 +579,8 @@ func growLUT(s []lutRow, n int) []lutRow {
 // tiers: score every centroid exactly, probe the NProbe nearest lists with
 // the approximate scan, keep the rerankDepth best approximately, then
 // re-rank those with exact f32 dots and return the top k. Every step is a
-// pure function of the (normalized) query, so batched and per-query
-// searches agree bit for bit.
+// pure function of the (normalized) query, so searches agree bit for bit
+// at any worker count and whatever the pooled scratch held before.
 func (ix *Index) searchQuant(nq []float32, k int) []Result {
 	sc := ix.getScratch()
 	defer ix.scratch.Put(sc)
@@ -636,8 +636,7 @@ func (ix *Index) searchQuant(nq []float32, k int) []Result {
 // the sum runs 4-way unrolled in two int32 accumulators, and a row
 // strictly below a full heap's root is rejected on one comparison
 // without the offer call. Scores exactly match adcQuant — the
-// equivalence the ADC error-bound and batch/per-query property tests
-// pin.
+// equivalence the ADC error-bound property test pins.
 func (ix *Index) scanPQList(h *resultHeap, list []int32, base float64, qlut []lutRow, step float64, rr int) {
 	m := ix.pq.m
 	codes := ix.pq.codes

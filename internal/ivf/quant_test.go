@@ -1,7 +1,6 @@
 package ivf
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -57,49 +56,9 @@ func TestParsePrecision(t *testing.T) {
 	}
 }
 
-// TestSearchBatchMatchesSearch is the batched ≡ sequential equivalence
-// property: over random query sets — indexed vectors (duplicates
-// included), perturbed vectors, and fresh random ones — SearchBatch must
-// return rank- and score-identical results to per-query Search on every
-// precision tier at workers 1, 2 and 8, both on a freshly built index and
-// after incremental Adds.
-func TestSearchBatchMatchesSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	base := dupVecs(clusteredVecs(rng, 150, 6, 16))
-	qs := make([][]float32, 0, 40)
-	for i := 0; i < 20; i++ {
-		qs = append(qs, base[rng.Intn(len(base))])
-	}
-	for i := 0; i < 20; i++ {
-		q := make([]float32, 16)
-		for d := range q {
-			q[d] = float32(rng.NormFloat64())
-		}
-		qs = append(qs, q)
-	}
-	for _, p := range allPrecisions {
-		for _, workers := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/w%d", p, workers), func(t *testing.T) {
-				ix := Build(base[:120], quantCfg(p, workers), xrand.New(3).Stream("ivf"))
-				for _, v := range base[120:] {
-					ix.Add(v)
-				}
-				for _, k := range []int{1, 5} {
-					batch := ix.SearchBatch(qs, k)
-					for i, q := range qs {
-						if !sameResults(batch[i], ix.Search(q, k)) {
-							t.Fatalf("k=%d query %d: batch diverged from per-query Search", k, i)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestQuantizedWorkerInvariant: quantized indexes and their searches are
 // byte-identical at any worker count — the PQ training, encoding, and
-// batched search all dispatch over internal/parallel.
+// assignment passes all dispatch over internal/parallel.
 func TestQuantizedWorkerInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	vecs := clusteredVecs(rng, 120, 5, 12)

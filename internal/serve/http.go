@@ -26,6 +26,11 @@ import (
 	"wdcproducts/internal/schemaorg"
 )
 
+// maxBodyBytes caps a POST body. A larger body is refused with
+// CodeBadRequest before it is decoded, so one oversized request cannot
+// exhaust the daemon's memory.
+const maxBodyBytes = 4 << 20
+
 // ingestRequest is the POST /v1/offers body.
 type ingestRequest struct {
 	// Offers are the offers to ingest.
@@ -136,7 +141,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, Errorf(CodeBadRequest, "bad ingest body: %v", err))
 		return
 	}
@@ -158,7 +163,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	var req candidatesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, Errorf(CodeBadRequest, "bad candidates body: %v", err))
 		return
 	}

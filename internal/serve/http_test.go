@@ -14,6 +14,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,6 +189,30 @@ func TestHTTPIngestAndBackpressure(t *testing.T) {
 	}
 	if e := decodeError(t, resp); e.Code != CodeBadRequest {
 		t.Fatalf("empty ingest code = %s", e.Code)
+	}
+}
+
+// TestHTTPBodyTooLarge: a POST body past maxBodyBytes is refused with
+// CodeBadRequest before it is decoded. Each body is valid JSON (the
+// payload sits behind whitespace padding), so only the cap rejects it.
+func TestHTTPBodyTooLarge(t *testing.T) {
+	_, ts, offers := httpFixture(t, nil)
+	offer, _ := json.Marshal(offers[300])
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for path, body := range map[string]string{
+		"/v1/offers":     `{"offers":` + pad + `[` + string(offer) + `]}`,
+		"/v1/candidates": `{"ids":` + pad + fmt.Sprintf("[%d]}", offers[0].ID),
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: oversized body status = %d, want 400", path, resp.StatusCode)
+		}
+		if e := decodeError(t, resp); e.Code != CodeBadRequest || !strings.Contains(e.Message, "too large") {
+			t.Errorf("%s: oversized body -> %s %q, want %s (too large)", path, e.Code, e.Message, CodeBadRequest)
+		}
 	}
 }
 

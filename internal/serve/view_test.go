@@ -1,7 +1,7 @@
-// The layered-view suite: the delta-publication equivalence property
-// (after every applied batch, the layered view answers byte-identically
-// to a from-scratch adjacency rebuild, across worker and shard counts,
-// through forced compactions), plus the publication-dedup regression —
+// The layered-view suite: the publication equivalence property (after
+// every applied batch, the published view answers byte-identically to a
+// from-scratch adjacency rebuild, across engines, worker and shard
+// counts, through forced compactions), plus the publication-dedup regression —
 // engines that emit a candidate pair more than once must still yield
 // sorted, duplicate-free partner lists — on both the delta layer path
 // and the ErrNoDelta full-rebuild fallback.
@@ -16,56 +16,101 @@ import (
 	"testing"
 
 	"wdcproducts/internal/blocking"
+	"wdcproducts/internal/embed"
 	"wdcproducts/internal/schemaorg"
+	"wdcproducts/internal/xrand"
 )
 
 // TestLayeredViewEquivalence is the core property of the incremental
 // write path: stream batches through applyBatch and, after every single
 // publication, compare the layered view against s.buildView run fresh
 // over the same index — every offer's match list and corpus position
-// must agree exactly. CompactLayers is forced low so the walk crosses
-// several compactions, and the matrix covers the engine worker pool and
-// the sharded fan-in.
+// must agree exactly. The MinHash rows force CompactLayers low so the
+// walk crosses several compactions, and the matrix covers the engine
+// worker pool and the sharded fan-in. The kNN rows (hnsw and ivf at the
+// same worker and shard counts, the exhaustive embedding index
+// unsharded) pin the other publish path: kNN adjacency is not monotone
+// under Add, so every kNN batch must republish a full view with no delta
+// layers instead of stacking pairs on partners the index has evicted.
 func TestLayeredViewEquivalence(t *testing.T) {
 	all := fixture(t)
+	titles := make([]string, 145)
+	for i := range titles {
+		titles[i] = all[i].Title
+	}
+	ecfg := embed.DefaultConfig()
+	ecfg.Epochs = 2
+	model := embed.Train(titles, ecfg, xrand.New(1).Stream("view-embed"))
+
+	type row struct {
+		name    string
+		blocker blocking.IndexedBlocker
+		shards  int
+		knn     bool
+	}
+	var rows []row
 	for _, workers := range []int{1, 2, 8} {
 		for _, shards := range []int{1, 4} {
-			workers, shards := workers, shards
-			t.Run(fmt.Sprintf("workers=%d/shards=%d", workers, shards), func(t *testing.T) {
-				t.Parallel()
-				cfg := testConfig(all[:40])
-				cfg.Blocker = &blocking.MinHashBlocker{
+			rows = append(rows, row{
+				name: fmt.Sprintf("workers=%d/shards=%d", workers, shards),
+				blocker: &blocking.MinHashBlocker{
 					Config: blocking.MinHashConfig{Bands: 48, Rows: 2, Workers: workers},
 					Seed:   1,
-				}
-				cfg.Index = blocking.IndexOptions{Shards: shards}
-				cfg.CompactLayers = 3
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkViewEquivalence(t, s)
-
-				rng := rand.New(rand.NewSource(1))
-				stream := all[40:145]
-				for len(stream) > 0 {
-					n := 7
-					if n > len(stream) {
-						n = len(stream)
-					}
-					s.applyBatch(context.Background(), stream[:n], rng)
-					stream = stream[n:]
-					checkViewEquivalence(t, s)
-				}
-				v := s.view.Load()
-				if len(v.offers) != 145 {
-					t.Fatalf("streamed corpus has %d offers, want 145", len(v.offers))
-				}
-				if got := s.Stats().Compactions; got == 0 {
-					t.Fatal("the walk crossed no compaction; CompactLayers=3 should have forced several")
-				}
+				},
+				shards: shards,
 			})
+			hb := blocking.NewHNSWBlocker(model, 6)
+			hb.Config.Workers = workers
+			ib := blocking.NewIVFBlocker(model, 6)
+			ib.Config.Workers = workers
+			for _, bl := range []blocking.IndexedBlocker{hb, ib} {
+				rows = append(rows, row{
+					name:    fmt.Sprintf("%s/workers=%d/shards=%d", bl.Name(), workers, shards),
+					blocker: bl,
+					shards:  shards,
+					knn:     true,
+				})
+			}
 		}
+	}
+	rows = append(rows, row{name: "embedding-knn", blocker: blocking.NewEmbeddingBlocker(model, 6), knn: true})
+
+	for _, r := range rows {
+		r := r
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := testConfig(all[:40])
+			cfg.Blocker = r.blocker
+			cfg.Index = blocking.IndexOptions{Shards: r.shards}
+			cfg.CompactLayers = 3
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkViewEquivalence(t, s)
+
+			rng := rand.New(rand.NewSource(1))
+			stream := all[40:145]
+			for len(stream) > 0 {
+				n := 7
+				if n > len(stream) {
+					n = len(stream)
+				}
+				s.applyBatch(context.Background(), stream[:n], rng)
+				stream = stream[n:]
+				checkViewEquivalence(t, s)
+				if st := s.Stats(); r.knn && st.Layers != 0 {
+					t.Fatalf("epoch %d: kNN view has %d delta layers, want a full republish", st.Epoch, st.Layers)
+				}
+			}
+			v := s.view.Load()
+			if len(v.offers) != 145 {
+				t.Fatalf("streamed corpus has %d offers, want 145", len(v.offers))
+			}
+			if got := s.Stats().Compactions; !r.knn && got == 0 {
+				t.Fatal("the walk crossed no compaction; CompactLayers=3 should have forced several")
+			}
+		})
 	}
 }
 
