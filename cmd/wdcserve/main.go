@@ -24,7 +24,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -33,45 +32,8 @@ import (
 
 	"wdcproducts"
 	"wdcproducts/internal/blocking"
-	"wdcproducts/internal/embed"
-	"wdcproducts/internal/ivf"
-	"wdcproducts/internal/schemaorg"
 	"wdcproducts/internal/serve"
-	"wdcproducts/internal/xrand"
 )
-
-// newIndexedBlocker constructs the named sublinear blocker, training
-// the title encoder when the blocker searches the embedding space.
-// ivfPrecision selects the IVF blocker's scan representation (f32, int8
-// or pq; empty = f32).
-func newIndexedBlocker(name string, offers []schemaorg.Offer, seed int64, ivfPrecision string) (blocking.IndexedBlocker, error) {
-	const k = 6
-	model := func() *embed.Model {
-		titles := make([]string, len(offers))
-		for i := range offers {
-			titles[i] = offers[i].Title
-		}
-		return embed.Train(titles, embed.DefaultConfig(), xrand.New(seed).Stream("embed"))
-	}
-	switch name {
-	case "minhash":
-		return blocking.NewMinHashBlocker(), nil
-	case "embedding":
-		return blocking.NewEmbeddingBlocker(model(), k), nil
-	case "hnsw":
-		return blocking.NewHNSWBlocker(model(), k), nil
-	case "ivf":
-		prec, err := ivf.ParsePrecision(ivfPrecision)
-		if err != nil {
-			return nil, err
-		}
-		ib := blocking.NewIVFBlocker(model(), k)
-		ib.Config.Precision = prec
-		return ib, nil
-	default:
-		return nil, fmt.Errorf("unknown blocker %q", name)
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -106,16 +68,11 @@ func main() {
 	default:
 		log.Fatalf("unknown scale %q", *scale)
 	}
-	switch *blockerName {
-	case "minhash", "embedding", "hnsw", "ivf":
-	default:
-		log.Fatalf("unknown blocker %q (valid: minhash, embedding, hnsw, ivf)", *blockerName)
-	}
 	b, err := wdcproducts.Build(cfg)
 	if err != nil {
 		log.Fatalf("build corpus: %v", err)
 	}
-	bl, err := newIndexedBlocker(*blockerName, b.Offers, *seed, *ivfPrecision)
+	bl, err := wdcproducts.NewIndexedBlocker(b, *blockerName, *seed, wdcproducts.BlockingOptions{IVFPrecision: *ivfPrecision})
 	if err != nil {
 		log.Fatalf("blocker: %v", err)
 	}

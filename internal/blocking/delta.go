@@ -24,8 +24,7 @@ import "errors"
 // DeltaIndex is an Index whose adjacency is monotone under Add and that
 // can report the candidate pairs a batch of newly applied offers
 // introduced, without the caller re-querying the whole corpus. In this
-// package the MinHash indexes (MinHashIndex, ShardedMinHashIndex)
-// implement it.
+// package ShardedMinHashIndex, and so MinHashIndex, implements it.
 type DeltaIndex interface {
 	Index
 	// DeltaCandidates returns exactly the candidate pairs with at least
@@ -63,16 +62,6 @@ func QueryDeltaCandidates(ix Index, newIdxs []int) (cands []CandidatePair, err e
 	return di.DeltaCandidates(newIdxs), nil
 }
 
-// mustIndexed panics with *UnindexedQueryError on the first offer index
-// that was never indexed.
-func (c *indexedCorpus) mustIndexed(idxs []int) {
-	for _, i := range idxs {
-		if _, ok := c.titleOf[i]; !ok {
-			panic(&UnindexedQueryError{Offer: i})
-		}
-	}
-}
-
 // expandDelta turns title-level adjacency incident to a batch of newly
 // applied offers into exactly the offer pairs with at least one endpoint
 // in the batch: each batch offer's identical-title clique pairs, plus,
@@ -80,12 +69,16 @@ func (c *indexedCorpus) mustIndexed(idxs []int) {
 // with the full offer group on the far side. mates(tid) must return
 // every title that pairs with tid over the whole indexed corpus (self
 // entries are ignored); edges between two batch titles are discovered
-// from both sides and deduplicated here. Every batch offer must be
-// indexed; repeated batch entries are harmless.
+// from both sides and deduplicated here. The first batch offer that was
+// never indexed panics with *UnindexedQueryError; repeated batch entries
+// are harmless.
 func (c *indexedCorpus) expandDelta(batch []int, mates func(tid int) []int) []CandidatePair {
 	near := map[int][]int{} // batch title id -> batch offers carrying it
 	for _, i := range batch {
-		tid := c.titleOf[i]
+		tid, ok := c.titleOf[i]
+		if !ok {
+			panic(&UnindexedQueryError{Offer: i})
+		}
 		near[tid] = append(near[tid], i)
 	}
 	set := map[CandidatePair]bool{}
@@ -120,40 +113,12 @@ func (c *indexedCorpus) expandDelta(batch []int, mates func(tid int) []int) []Ca
 // each batch title's band buckets name every title it collides with —
 // collisions are pairwise properties of fixed signatures, so old edges
 // never change under Add — and only those incident edges are expanded.
-// Cost tracks the batch and its collisions, not the corpus.
-func (m *MinHashIndex) DeltaCandidates(newIdxs []int) []CandidatePair {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	m.corpus.mustIndexed(newIdxs)
-	return m.corpus.expandDelta(newIdxs, m.titleMates)
-}
-
-// titleMates returns every title sharing at least one band bucket with
-// tid, via direct bucket lookups (title ids coincide with lsh set
-// indices: titles are added to the index in interning order).
-func (m *MinHashIndex) titleMates(tid int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for band := 0; band < m.ix.Config().Bands; band++ {
-		key := m.ix.BandKey(tid, band)
-		for _, u := range m.ix.Bucket(band, key) {
-			if int(u) != tid && !seen[int(u)] {
-				seen[int(u)] = true
-				out = append(out, int(u))
-			}
-		}
-	}
-	return out
-}
-
-// DeltaCandidates implements DeltaIndex. Every shard signs with the same
-// hash family, so a batch title's band keys address the matching bucket
-// in each shard directly, keeping the sublinear cost of the unsharded
-// path.
+// Every shard signs with the same hash family, so a batch title's band
+// keys address the matching bucket in each shard directly. Cost tracks
+// the batch and its collisions, not the corpus.
 func (m *ShardedMinHashIndex) DeltaCandidates(newIdxs []int) []CandidatePair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	m.corpus.mustIndexed(newIdxs)
 	return m.corpus.expandDelta(newIdxs, m.minhashMates)
 }
 

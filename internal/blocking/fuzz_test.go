@@ -79,7 +79,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	offers, idxs, model := fuzzFixture()
 	lcfg, hcfg, icfg := fuzzLSHConfig(), fuzzHNSWConfig(), fuzzIVFConfig()
 	const seed = 1
-	f.Add(BuildMinHashIndex(offers, idxs, lcfg, seed).EncodeSnapshot())
+	f.Add(BuildShardedMinHashIndex(offers, idxs, 1, lcfg, seed).EncodeSnapshot())
 	f.Add(BuildShardedHNSWIndex(offers, idxs, 1, model, 2, hcfg, seed).EncodeSnapshot())
 	f.Add(BuildShardedIVFIndex(offers, idxs, 1, model, 2, icfg, seed).EncodeSnapshot())
 	f.Add(BuildShardedMinHashIndex(offers, idxs, 2, lcfg, seed).EncodeSnapshot())
@@ -98,7 +98,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 				t.Fatalf("%s: untyped load error %T: %v", name, err, err)
 			}
 		}
-		_, err := LoadMinHashIndex(data, offers, idxs, lcfg, seed)
+		_, err := LoadShardedMinHashIndex(data, offers, idxs, 1, lcfg, seed)
 		check("minhash", err)
 		_, err = LoadShardedHNSWIndex(data, offers, idxs, 1, model, 2, hcfg, seed)
 		check("hnsw", err)

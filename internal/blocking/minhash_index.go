@@ -1,50 +1,26 @@
-// MinHashIndex: the reusable form of the MinHash-LSH blocker. Signatures
-// and band buckets are computed once per distinct title at Build (or Add)
-// time; a split query is one pass over the buckets restricted to the
-// split's titles — a band collision is a pairwise property, so the
-// restriction is exact, not approximate.
+// MinHashIndex: the unsharded MinHash-LSH index is the single-shard
+// ShardedMinHashIndex — one build, Add, delta path and snapshot format —
+// with a bucket-sweep Candidates in place of the band-key grouping.
 
 package blocking
 
 import (
-	"sync"
-
 	"wdcproducts/internal/lsh"
 	"wdcproducts/internal/schemaorg"
-	"wdcproducts/internal/xrand"
 )
 
-// MinHashIndex is a reusable banded MinHash-LSH index over offer titles.
-// Add and Candidates are safe to interleave from any number of
+// MinHashIndex is the banded MinHash-LSH index MinHashBlocker builds: a
+// ShardedMinHashIndex over one shard whose Candidates sweeps the shard's
+// buckets. Add and Candidates are safe to interleave from any number of
 // goroutines (see the Index contract).
-type MinHashIndex struct {
-	mu     sync.RWMutex // Add writes, Candidates reads
-	corpus *indexedCorpus
-	ix     *lsh.Index
-	// cfgWords are the configuration words of the index's content address
-	// (bands, rows, seed), fixed at Build/Load.
-	cfgWords []uint64
-	memoQ    queryMemo
-}
+type MinHashIndex struct{ *ShardedMinHashIndex }
 
 // BuildMinHashIndex interns the titles of the offers at idxs and builds
 // the banded LSH index over their distinct token sets. Signature
 // computation fans out across cfg.Workers; the index contents are
 // identical at any worker count for a fixed seed.
 func BuildMinHashIndex(offers []schemaorg.Offer, idxs []int, cfg lsh.Config, seed int64) *MinHashIndex {
-	m := &MinHashIndex{
-		corpus:   newIndexedCorpus(),
-		ix:       lsh.NewIndex(cfg, xrand.New(seed).Stream("minhash-lsh")),
-		cfgWords: minhashWords(cfg, seed),
-	}
-	m.corpus.add(offers, idxs)
-	prep := m.corpus.prep()
-	sets := make([][]int32, prep.Len())
-	for t := range sets {
-		sets[t] = prep.TokenSet(t)
-	}
-	m.ix.Build(sets)
-	return m
+	return &MinHashIndex{BuildShardedMinHashIndex(offers, idxs, 1, cfg, seed)}
 }
 
 // minhashWords returns the configuration words of a MinHash index's
@@ -53,39 +29,20 @@ func minhashWords(cfg lsh.Config, seed int64) []uint64 {
 	return []uint64{uint64(cfg.Bands), uint64(cfg.Rows), uint64(seed)}
 }
 
-// Name implements Index.
-func (m *MinHashIndex) Name() string { return "minhash-lsh" }
-
-// Len implements Index.
-func (m *MinHashIndex) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.corpus.len()
-}
-
-// Add implements Index: new distinct titles are signed and bucketed
-// incrementally; the result is identical to a fresh Build over the union.
-func (m *MinHashIndex) Add(offers []schemaorg.Offer, idxs []int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	newTitles := m.corpus.add(offers, idxs)
-	for _, tid := range newTitles {
-		m.ix.Add(m.corpus.prep().TokenSet(tid))
-	}
-	m.memoQ.reset()
-}
-
 // Candidates implements Index: titles of the query offers that share at
 // least one band bucket are expanded to offer pairs, plus the clique of
-// every identical-title group inside the query. Repeated queries of the
-// same split are served from the query memo.
+// every identical-title group inside the query. One sweep over the
+// shard's buckets, restricted to the query's titles, finds them: a band
+// collision is a pairwise property, so the restriction is exact, and at
+// one shard local ids are title ids. Repeated queries of the same split
+// are served from the query memo.
 func (m *MinHashIndex) Candidates(queryIdxs []int) []CandidatePair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.memoQ.get(queryIdxs, func() []CandidatePair {
 		v := m.corpus.view(queryIdxs)
 		include := func(t int) bool { _, ok := v.slotOf[t]; return ok }
-		titlePairs := m.ix.CandidatePairsAmong(include)
+		titlePairs := m.ix[0].CandidatePairsAmong(include)
 		slotPairs := make([][2]int, len(titlePairs))
 		for i, tp := range titlePairs {
 			slotPairs[i] = [2]int{v.slotOf[tp[0]], v.slotOf[tp[1]]}

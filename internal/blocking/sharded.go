@@ -16,6 +16,8 @@
 //     keys — is independent of its shard. A query groups its titles by
 //     band key across shards, which reproduces the single-index bucket
 //     restriction EXACTLY (tested in sharded_test.go, pinned by golden).
+//     At one shard this is the unsharded MinHash index, whose
+//     MinHashIndex wrapper only swaps in the bucket-sweep Candidates.
 //   - HNSW/IVF: each shard answers top-(K+1) for the query title; the
 //     per-shard results merge by (similarity descending, title id
 //     ascending) and truncate — the standard distributed-kNN merge. The
@@ -36,6 +38,7 @@ package blocking
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 
@@ -56,8 +59,13 @@ const shardWordMarker = 0x7368617264 // "shard"
 
 // shardForTitle assigns a title to one of shards partitions by an FNV-1a
 // hash of its bytes. The assignment depends only on the title, so a title
-// lands on the same shard in every process and at every corpus size.
+// lands on the same shard in every process and at every corpus size. One
+// shard skips the hash: every single-shard build and load pays this per
+// title.
 func shardForTitle(title string, shards int) int {
+	if shards == 1 {
+		return 0
+	}
 	h := fnv.New64a()
 	h.Write([]byte(title))
 	return int(h.Sum64() % uint64(shards))
@@ -121,8 +129,15 @@ func (ss *shardSet) init(name string, offers []schemaorg.Offer, idxs []int, shar
 	ss.assign(0)
 }
 
-// assign places every title id >= from on its shard.
+// assign places every title id >= from on its shard. Capacity is reserved
+// up front because a build or load assigns its whole corpus in one call.
 func (ss *shardSet) assign(from int) {
+	n := ss.corpus.titleCount() - from
+	ss.shardOf = slices.Grow(ss.shardOf, n)
+	ss.local = slices.Grow(ss.local, n)
+	for s := range ss.members {
+		ss.members[s] = slices.Grow(ss.members[s], n/ss.shards+1)
+	}
 	for tid := from; tid < ss.corpus.titleCount(); tid++ {
 		s := shardForTitle(ss.corpus.titles[tid], ss.shards)
 		ss.shardOf = append(ss.shardOf, int32(s))

@@ -34,12 +34,8 @@ import (
 	"wdcproducts/internal/xrand"
 )
 
-// snapKindMinHash is the kind string of an unsharded MinHash snapshot;
-// every other index snapshots under shardedKind.
-const snapKindMinHash = "blocking/minhash-lsh"
-
-// shardedKind is the kind string of a sharded snapshot of the named
-// engine.
+// shardedKind is the kind string of a snapshot of the named engine at
+// any shard count.
 func shardedKind(name string) string { return "blocking/sharded/" + name }
 
 // SnapshotIndex is implemented by indexes that can serialize themselves
@@ -83,54 +79,6 @@ func ivfWords(model *embed.Model, k int, cfg ivf.Config, seed int64) []uint64 {
 		uint64(cfg.TrainSize), uint64(cfg.Iters), uint64(seed),
 		uint64(cfg.Precision.Ordinal()), uint64(cfg.M), uint64(cfg.RerankK),
 		modelFingerprint(model)}
-}
-
-// SnapshotFingerprint implements SnapshotIndex.
-func (m *MinHashIndex) SnapshotFingerprint() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.corpus.fingerprint(m.cfgWords...)
-}
-
-// EncodeSnapshot implements SnapshotIndex: the payload is the LSH
-// engine's signatures (hash family and buckets are re-derived at load).
-// The read lock keeps the encoded state consistent with the stamped
-// fingerprint when Adds are landing concurrently.
-func (m *MinHashIndex) EncodeSnapshot() []byte {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var b persist.Buffer
-	m.ix.AppendSnapshot(&b)
-	return persist.Encode(snapKindMinHash, m.corpus.fingerprint(m.cfgWords...), b.Bytes())
-}
-
-// LoadMinHashIndex restores a MinHashIndex from snapshot bytes. offers,
-// idxs, cfg and seed must be the ones the snapshot was built from — the
-// load is refused with a *persist.FingerprintMismatchError otherwise —
-// and damaged bytes are refused with a *persist.CorruptSnapshotError.
-// The loaded index answers every Candidates query byte-identically to the
-// index that was saved, including after further Adds.
-func LoadMinHashIndex(data []byte, offers []schemaorg.Offer, idxs []int, cfg lsh.Config, seed int64) (*MinHashIndex, error) {
-	want := corpusFingerprint(offers, idxs, minhashWords(cfg, seed)...)
-	payload, err := persist.Decode(data, snapKindMinHash, want)
-	if err != nil {
-		return nil, err
-	}
-	m := &MinHashIndex{corpus: newIndexedCorpus(), cfgWords: minhashWords(cfg, seed)}
-	m.corpus.add(offers, idxs)
-	r := persist.NewReader(payload)
-	ix, err := lsh.RestoreIndex(cfg, xrand.New(seed).Stream("minhash-lsh"), r)
-	if err != nil {
-		return nil, persist.Corrupt(snapKindMinHash, "%v", err)
-	}
-	if ix.Len() != m.corpus.titleCount() {
-		return nil, persist.Corrupt(snapKindMinHash, "snapshot holds %d titles, corpus has %d", ix.Len(), m.corpus.titleCount())
-	}
-	if r.Remaining() != 0 {
-		return nil, persist.Corrupt(snapKindMinHash, "%d trailing payload bytes", r.Remaining())
-	}
-	m.ix = ix
-	return m, nil
 }
 
 // appendVecs writes the per-title encodings into b.
@@ -186,10 +134,13 @@ func (ss *shardSet) encode(body func(b *persist.Buffer)) []byte {
 }
 
 // openShardedPayload validates the envelope and shard count shared by the
-// sharded loaders and returns the payload reader.
-func (ss *shardSet) openShardedPayload(data []byte) (*persist.Reader, error) {
+// sharded loaders and returns the payload reader. The expected address is
+// hashed from the caller's offers/idxs, as the blocker's own address is:
+// that skips the per-offer title lookups of the corpus fingerprint, a
+// measurable slice of a cold load.
+func (ss *shardSet) openShardedPayload(data []byte, offers []schemaorg.Offer, idxs []int) (*persist.Reader, error) {
 	kind := shardedKind(ss.name)
-	payload, err := persist.Decode(data, kind, ss.SnapshotFingerprint())
+	payload, err := persist.Decode(data, kind, corpusFingerprint(offers, idxs, ss.cfgWords...))
 	if err != nil {
 		return nil, err
 	}
@@ -234,11 +185,15 @@ func (x *ShardedKNNIndex) EncodeSnapshot() []byte {
 }
 
 // LoadShardedMinHashIndex restores a sharded MinHash index from snapshot
-// bytes; the trust rule of LoadMinHashIndex applies, with the shard count
-// part of the content address.
+// bytes. offers, idxs, shards, cfg and seed must be the ones the snapshot
+// was built from — the load is refused with a
+// *persist.FingerprintMismatchError otherwise — and damaged bytes are
+// refused with a *persist.CorruptSnapshotError. The loaded index answers
+// every Candidates query byte-identically to the index that was saved,
+// including after further Adds.
 func LoadShardedMinHashIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, cfg lsh.Config, seed int64) (*ShardedMinHashIndex, error) {
 	m := newShardedMinHash(offers, idxs, shards, cfg, seed)
-	r, err := m.openShardedPayload(data)
+	r, err := m.openShardedPayload(data, offers, idxs)
 	if err != nil {
 		return nil, err
 	}
@@ -260,8 +215,8 @@ func LoadShardedMinHashIndex(data []byte, offers []schemaorg.Offer, idxs []int, 
 
 // load restores the title encodings and every shard's engine from
 // snapshot bytes; restore decodes shard s's engine over its vectors.
-func (x *ShardedKNNIndex) load(data []byte, restore func(s int, r *persist.Reader) (knnShard, error)) error {
-	r, err := x.openShardedPayload(data)
+func (x *ShardedKNNIndex) load(data []byte, offers []schemaorg.Offer, idxs []int, restore func(s int, r *persist.Reader) (knnShard, error)) error {
+	r, err := x.openShardedPayload(data, offers, idxs)
 	if err != nil {
 		return err
 	}
@@ -278,13 +233,12 @@ func (x *ShardedKNNIndex) load(data []byte, restore func(s int, r *persist.Reade
 }
 
 // LoadShardedHNSWIndex restores a sharded HNSW index from snapshot bytes;
-// the trust rule of LoadMinHashIndex applies (model included: its content
-// hash is part of the fingerprint), with the shard count part of the
-// content address past one shard. Loading skips tokenization, encoding,
-// and graph construction — the dominant build costs.
+// the trust rule of LoadShardedMinHashIndex applies (model included: its
+// content hash is part of the fingerprint). Loading skips tokenization,
+// encoding, and graph construction — the dominant build costs.
 func LoadShardedHNSWIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg hnsw.Config, seed int64) (*ShardedKNNIndex, error) {
 	x := newShardedKNN("hnsw-knn", offers, idxs, shards, model, k, cfg.Workers, hnswWords(model, k, cfg, seed))
-	err := x.load(data, func(s int, r *persist.Reader) (knnShard, error) {
+	err := x.load(data, offers, idxs, func(s int, r *persist.Reader) (knnShard, error) {
 		g, err := hnsw.Restore(x.shardVecs(s), cfg, xrand.New(seed).Stream(shardStream("hnsw-knn", x.shards, s)), r)
 		return hnswShard{g}, err
 	})
@@ -299,7 +253,7 @@ func LoadShardedHNSWIndex(data []byte, offers []schemaorg.Offer, idxs []int, sha
 // tokenization, encoding, and the k-means fit.
 func LoadShardedIVFIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg ivf.Config, seed int64) (*ShardedKNNIndex, error) {
 	x := newShardedKNN("ivf-knn", offers, idxs, shards, model, k, cfg.Workers, ivfWords(model, k, cfg, seed))
-	err := x.load(data, func(s int, r *persist.Reader) (knnShard, error) {
+	err := x.load(data, offers, idxs, func(s int, r *persist.Reader) (knnShard, error) {
 		ix, err := ivf.Restore(x.shardVecs(s), cfg, r)
 		return ivfShard{ix}, err
 	})
@@ -312,7 +266,7 @@ func LoadShardedIVFIndex(data []byte, offers []schemaorg.Offer, idxs []int, shar
 // snapshotBlocker is implemented by blockers whose indexes persist: it
 // exposes the content address (for snapshot file naming and trust) and
 // the matching typed loader. shards < 2 addresses the unsharded index
-// (for the kNN blockers, the single-shard ShardedKNNIndex).
+// (the single-shard sharded index; for MinHash, wrapped in MinHashIndex).
 type snapshotBlocker interface {
 	IndexedBlocker
 	snapshotFingerprint(offers []schemaorg.Offer, idxs []int, shards int) uint64
@@ -333,11 +287,14 @@ func (m *MinHashBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []in
 }
 
 func (m *MinHashBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int, shards int) (Index, error) {
-	rc := m.Config.resolve(len(idxs))
-	if shards > 1 {
-		return LoadShardedMinHashIndex(data, offers, idxs, shards, rc, m.Seed)
+	ix, err := LoadShardedMinHashIndex(data, offers, idxs, shards, m.Config.resolve(len(idxs)), m.Seed)
+	if err != nil {
+		return nil, err
 	}
-	return LoadMinHashIndex(data, offers, idxs, rc, m.Seed)
+	if shards <= 1 {
+		return &MinHashIndex{ix}, nil
+	}
+	return ix, nil
 }
 
 func (h *HNSWBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int, shards int) uint64 {

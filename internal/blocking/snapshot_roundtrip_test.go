@@ -9,9 +9,11 @@ import (
 	"wdcproducts/internal/persist"
 )
 
-// Compile-time checks: every sublinear index persists.
+// Compile-time checks: every sublinear index persists, and the MinHash
+// indexes report deltas.
 var (
 	_ SnapshotIndex = (*MinHashIndex)(nil)
+	_ DeltaIndex    = (*MinHashIndex)(nil)
 	_ SnapshotIndex = (*ShardedMinHashIndex)(nil)
 	_ SnapshotIndex = (*ShardedKNNIndex)(nil)
 
@@ -212,19 +214,25 @@ func TestOpenIndexRebuildsOnCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestOpenIndexRebuildsLegacyKNNSnapshot: older builds snapshotted the
-// unsharded HNSW and IVF indexes under the kinds "blocking/hnsw-knn" and
-// "blocking/ivf-knn", at the same path the single-shard ShardedKNNIndex
-// now uses. Such a file is refused with a typed
-// *persist.CorruptSnapshotError, rebuilt and overwritten, so the next
-// open loads.
-func TestOpenIndexRebuildsLegacyKNNSnapshot(t *testing.T) {
+// TestOpenIndexRebuildsLegacySnapshot: older builds snapshotted the
+// unsharded MinHash, HNSW and IVF indexes under the kinds
+// "blocking/minhash-lsh", "blocking/hnsw-knn" and "blocking/ivf-knn", at
+// the same path the single-shard sharded index now uses. Such a file is
+// refused with a typed *persist.CorruptSnapshotError, rebuilt and
+// overwritten, so the next open loads. The MinHash file carries a
+// well-formed legacy payload (the bare LSH signatures), so only its kind
+// retires it.
+func TestOpenIndexRebuildsLegacySnapshot(t *testing.T) {
 	offers, idxs, _ := fixture(t)
-	for _, bl := range persistableBlockers(1)[1:] {
+	for _, bl := range persistableBlockers(1) {
 		dir := t.TempDir()
 		fp := bl.snapshotFingerprint(offers, idxs, 1)
 		path := snapshotPath(dir, bl.Name(), 1, fp)
-		if err := os.WriteFile(path, persist.Encode("blocking/"+bl.Name(), fp, nil), 0o644); err != nil {
+		var payload persist.Buffer
+		if mh, ok := bl.(*MinHashBlocker); ok {
+			mh.BuildIndex(offers, idxs).(*MinHashIndex).ix[0].AppendSnapshot(&payload)
+		}
+		if err := os.WriteFile(path, persist.Encode("blocking/"+bl.Name(), fp, payload.Bytes()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, stats := OpenIndex(bl, offers, idxs, IndexOptions{SnapshotDir: dir})

@@ -146,8 +146,7 @@ func (m *MinHashBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index 
 // configured worker pool.
 func (m *MinHashBlocker) Candidates(offers []schemaorg.Offer, idxs []int) []CandidatePair {
 	rc := m.Config.resolve(len(idxs))
-	fp := corpusFingerprint(offers, idxs,
-		uint64(rc.Bands), uint64(rc.Rows), uint64(m.Seed))
+	fp := corpusFingerprint(offers, idxs, minhashWords(rc, m.Seed)...)
 	ix := m.cache.get(fp, func() Index { return m.BuildIndex(offers, idxs) })
 	return ix.Candidates(idxs)
 }

@@ -31,7 +31,6 @@ func BenchmarkServeLoad(b *testing.B) {
 	cfg := testConfig(seed)
 	cfg.BatchSize = 64
 	cfg.FlushEvery = 50 * time.Millisecond
-	cfg.MaxQueries = 32
 	conn := NewChanConnector(64)
 	cfg.Connector = conn
 	s, err := New(cfg)
@@ -251,9 +250,8 @@ func BenchmarkServeLoadScale(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := Config{
-				Blocker:    &blocking.MinHashBlocker{Config: blocking.MinHashConfig{Bands: 16, Rows: 4}, Seed: 1},
-				Offers:     c.Offers,
-				MaxQueries: 32,
+				Blocker: &blocking.MinHashBlocker{Config: blocking.MinHashConfig{Bands: 16, Rows: 4}, Seed: 1},
+				Offers:  c.Offers,
 			}
 			s, err := New(cfg)
 			if err != nil {

@@ -69,9 +69,6 @@ type Config struct {
 	// FlushEvery bounds how long a queued offer waits for a partial
 	// batch to be applied (default 200ms).
 	FlushEvery time.Duration
-	// MaxQueries bounds concurrently executing queries (default 16);
-	// excess requests wait inside their own deadline.
-	MaxQueries int
 	// QueryTimeout caps every query's deadline (default 2s). Requests
 	// may ask for less, never more.
 	QueryTimeout time.Duration
@@ -111,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushEvery <= 0 {
 		c.FlushEvery = 200 * time.Millisecond
-	}
-	if c.MaxQueries <= 0 {
-		c.MaxQueries = 16
 	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 2 * time.Second
@@ -320,7 +314,7 @@ func New(cfg Config) (*Server, error) {
 		ix:          ix,
 		open:        open,
 		ingest:      make(chan schemaorg.Offer, cfg.QueueCap),
-		slots:       make(chan struct{}, cfg.MaxQueries),
+		slots:       make(chan struct{}, maxQueries),
 		readerDone:  make(chan struct{}),
 		applierDone: make(chan struct{}),
 	}
@@ -443,6 +437,10 @@ func (s *Server) backpressure(n int) *Error {
 	e.RetryAfter = s.cfg.FlushEvery
 	return e
 }
+
+// maxQueries bounds concurrently executing queries; excess requests wait
+// for a slot inside their own deadline.
+const maxQueries = 16
 
 // withBudget runs fn inside the request deadline and the query-slot
 // semaphore: the caller gets its answer or a typed context error by the

@@ -359,6 +359,24 @@ func newBlocker(name string, model *embed.Model, workers int, opts BlockingOptio
 	}
 }
 
+// NewIndexedBlocker constructs the named §6 blocker whose index can be
+// opened once and grown (every name in BlockerNames but "token"), for a
+// process that serves one index over b's offers. The embedding-space
+// blockers get the title encoder trained over b's offers from seed, and
+// opts.IVFPrecision selects the IVF scan tier; the other options are the
+// caller's to apply when it opens the index.
+func NewIndexedBlocker(b *Benchmark, name string, seed int64, opts BlockingOptions) (blocking.IndexedBlocker, error) {
+	bl, err := newBlocker(name, blockerModel(b, []string{name}, seed), 0, opts)
+	if err != nil {
+		return nil, err
+	}
+	ib, ok := bl.(blocking.IndexedBlocker)
+	if !ok {
+		return nil, fmt.Errorf("wdcproducts: blocker %q keeps no reusable index", name)
+	}
+	return ib, nil
+}
+
 // blockerModel trains the shared title encoder when any of the names needs
 // the embedding space, so the exhaustive, HNSW and IVF rows compare the
 // same geometry.

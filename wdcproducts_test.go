@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"wdcproducts"
+	"wdcproducts/internal/blocking"
+	"wdcproducts/internal/ivf"
 	"wdcproducts/internal/matchers"
 )
 
@@ -212,6 +214,29 @@ func TestFacadeMatcherBlockingReportErrors(t *testing.T) {
 	}
 	if _, err := wdcproducts.MatcherBlockingReport(benchB, []string{"token"}, []string{"bogus"}, 42, 1, 1); err == nil {
 		t.Fatal("unknown system name did not error")
+	}
+}
+
+// TestFacadeNewIndexedBlocker: the daemon's blocker factory builds every
+// indexed §6 blocker, applies the IVF precision, and refuses the
+// non-indexed token blocker, unknown names and unknown precisions.
+func TestFacadeNewIndexedBlocker(t *testing.T) {
+	ensureBuild(t)
+	mh, err := wdcproducts.NewIndexedBlocker(benchB, "minhash", 42, wdcproducts.BlockingOptions{})
+	if err != nil || mh.Name() != "minhash-lsh" {
+		t.Fatalf("minhash: %v, %v", mh, err)
+	}
+	ib, err := wdcproducts.NewIndexedBlocker(benchB, "ivf", 42, wdcproducts.BlockingOptions{IVFPrecision: "int8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ib.(*blocking.IVFBlocker).Config.Precision; got != ivf.PrecisionInt8 {
+		t.Fatalf("ivf precision = %v, want int8", got)
+	}
+	for _, c := range []struct{ name, prec string }{{"token", ""}, {"bogus", ""}, {"ivf", "bogus"}} {
+		if _, err := wdcproducts.NewIndexedBlocker(benchB, c.name, 42, wdcproducts.BlockingOptions{IVFPrecision: c.prec}); err == nil {
+			t.Fatalf("%s (precision %q) did not error", c.name, c.prec)
+		}
 	}
 }
 
