@@ -30,7 +30,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -short ./internal/experiments ./internal/matchers ./internal/embed ./internal/parallel ./internal/blocking ./internal/serve ./internal/serve/faults ./internal/synth
+	$(GO) test -race -short ./internal/experiments ./internal/matchers ./internal/embed ./internal/parallel ./internal/blocking ./internal/lsh ./internal/hnsw ./internal/ivf ./internal/persist ./internal/serve ./internal/serve/faults ./internal/synth
 
 vet:
 	$(GO) vet ./...

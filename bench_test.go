@@ -591,12 +591,12 @@ func BenchmarkBlockingScale_IVF(b *testing.B) {
 // construction (pay once per corpus) vs split querying (pay per split and
 // seed). Each sub-bench builds one index (build-ms), runs the first query
 // against it (query-cold-ms — this one materializes the lazily computed
-// neighbour lists and the query memo), then measures steady-state repeat
-// queries (query-ms — the cost the §6 study pays when the same split
-// returns across seeds and repetitions). rebuild-ms is the legacy
-// rebuild-per-call cost of Candidates on a fresh blocker over the same
-// universe, and reuse-speedup = rebuild-ms / query-ms is the factor the
-// reusable index saves per repeated query.
+// neighbour lists), then measures repeat queries (query-ms — each repeat
+// recomputes the candidate set against the frozen index, the cost the §6
+// study pays when the same split returns across seeds and repetitions).
+// rebuild-ms is the legacy rebuild-per-call cost of Candidates on a fresh
+// blocker over the same universe, and reuse-speedup = rebuild-ms /
+// query-ms is the factor the reusable index saves per repeated query.
 func benchIndexReuse(b *testing.B, mk func() blocking.IndexedBlocker, n int) {
 	b.Helper()
 	idxs := make([]int, n)
@@ -763,7 +763,7 @@ func BenchmarkSnapshotReload_IVF(b *testing.B) {
 // The sharded benches measure the hash-partitioned indexes over the full
 // tiny corpus at 1, 2 and 4 shards: build-ms (concurrent per-shard
 // construction), query-cold-ms (first full-universe query: fan-out plus
-// merge), query-ms (steady-state repeats from the query memo), the pair
+// merge), query-ms (repeat queries over the materialized lists), the pair
 // count, and exhaustive-recall — the fraction of the exhaustive embedding
 // blocker's pair set the sharded index recovers, the number the 4-shard
 // acceptance floor is read from.

@@ -8,9 +8,10 @@
 // Usage:
 //
 //	wdcserve [-addr :8080] [-scale tiny] [-seed 42] [-blocker minhash]
-//	         [-shards 0] [-snapshot-dir DIR] [-stream 0.2] [-ingest FILE]
-//	         [-dead-letter FILE] [-queue 256] [-batch 64]
-//	         [-compact-layers 32] [-compact-pairs 0] [-v]
+//	         [-ivf-precision f32] [-shards 0] [-snapshot-dir DIR]
+//	         [-stream 0.2] [-ingest FILE] [-dead-letter FILE] [-queue 256]
+//	         [-batch 64] [-flush 200ms] [-compact-layers 32]
+//	         [-compact-pairs 0] [-query-timeout 2s] [-drain-timeout 10s] [-v]
 //
 // By default the daemon seeds its index with all but a -stream fraction
 // of the benchmark offers and replays the held-out remainder through

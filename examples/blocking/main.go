@@ -76,8 +76,8 @@ func main() {
 
 	// The reusable-index layer: the §6 study queries the same corpus once
 	// per split and seed, so each blocker's index is built once and every
-	// split is a query against it. Repeat queries of a split are served
-	// from the index's result memo.
+	// split is a query against it. The first query materializes the
+	// neighbour lists it touches; a repeat query filters the frozen lists.
 	fmt.Println("\nbuild once, query per split (hnsw-knn):")
 	hb := blocking.NewHNSWBlocker(model, 6)
 	start := time.Now()

@@ -91,8 +91,6 @@ type EmbeddingBlocker struct {
 	// neighbour lists (<= 0 selects all cores; results are identical at any
 	// value).
 	Workers int
-
-	cache indexCache
 }
 
 // NewEmbeddingBlocker wraps a trained embedding model.
@@ -108,15 +106,13 @@ func (e *EmbeddingBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Inde
 	return BuildEmbeddingIndex(offers, idxs, e.Model, e.K, e.Workers)
 }
 
-// Candidates implements Blocker through the cached index. Titles are
+// Candidates implements Blocker through a one-shot index. Titles are
 // interned so each distinct title is tokenized and encoded exactly once,
 // and the per-offer neighbour search keeps a bounded top-K heap instead of
 // sorting the full scored list — O(n log K) per offer instead of
 // O(n log n).
 func (e *EmbeddingBlocker) Candidates(offers []schemaorg.Offer, idxs []int) []CandidatePair {
-	fp := corpusFingerprint(offers, idxs, uint64(e.K), modelWord(e.Model))
-	ix := e.cache.get(fp, func() Index { return e.BuildIndex(offers, idxs) })
-	return ix.Candidates(idxs)
+	return e.BuildIndex(offers, idxs).Candidates(idxs)
 }
 
 // scoredPos is one neighbour candidate of the embedding blocker.

@@ -18,10 +18,8 @@ package blocking
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 
-	"wdcproducts/internal/embed"
 	"wdcproducts/internal/parallel"
 	"wdcproducts/internal/schemaorg"
 	"wdcproducts/internal/simlib"
@@ -52,8 +50,8 @@ type Index interface {
 
 // IndexedBlocker is a Blocker whose index can be split from its queries:
 // BuildIndex returns a fresh reusable Index over the given offers, and
-// Candidates remains the one-shot convenience path (internally served by a
-// cached index keyed by corpus fingerprint).
+// Candidates remains the one-shot convenience path (it builds an index
+// over the offers and queries it once).
 type IndexedBlocker interface {
 	Blocker
 	BuildIndex(offers []schemaorg.Offer, idxs []int) Index
@@ -258,17 +256,6 @@ func (c *indexedCorpus) knnCandidates(queryIdxs []int, k, workers int, neighbour
 	return expandTitlePairs(v.groups, titlePairs)
 }
 
-// modelWord is the fingerprint word of an embedding model: its pointer
-// identity. A cached index keeps its model reachable, so while a cache
-// entry is alive an equal pointer can only mean the same live model —
-// swapping a blocker's Model field therefore always misses the cache.
-func modelWord(m *embed.Model) uint64 {
-	if m == nil {
-		return 0
-	}
-	return uint64(reflect.ValueOf(m).Pointer())
-}
-
 // fpHash accumulates a word-wide FNV-1a variant fingerprint: fixed words
 // fold in 8 bytes per multiply instead of one. Fingerprints sit on the
 // snapshot open path (every OpenIndex hashes every title, twice — once
@@ -306,9 +293,10 @@ func (h *fpHash) str(s string) {
 
 // corpusFingerprint hashes the offer universe a blocker was asked to block
 // — the idxs and their title bytes — together with the configuration words
-// that shape index contents. Two Candidates calls with equal fingerprints
-// can share one index; worker counts are deliberately excluded because
-// they never change blocker output.
+// that shape index contents: the content address OpenIndex looks a
+// snapshot up by. Equal fingerprints mean identical index contents; worker
+// counts are deliberately excluded because they never change blocker
+// output.
 func corpusFingerprint(offers []schemaorg.Offer, idxs []int, cfgWords ...uint64) uint64 {
 	h := newFPHash()
 	for _, w := range cfgWords {
@@ -320,79 +308,4 @@ func corpusFingerprint(offers []schemaorg.Offer, idxs []int, cfgWords ...uint64)
 		h.str(offers[i].Title)
 	}
 	return uint64(h)
-}
-
-// maxQueryMemo bounds the per-index query-result cache; the §6 study asks
-// for nine splits per corpus, so the bound is generous, and on overflow
-// the whole cache is dropped rather than tracking recency.
-const maxQueryMemo = 64
-
-// queryFingerprint hashes a query's offer-index set.
-func queryFingerprint(queryIdxs []int) uint64 {
-	h := newFPHash()
-	for _, i := range queryIdxs {
-		h.word(uint64(i))
-	}
-	return uint64(h)
-}
-
-// queryMemo caches candidate sets per query fingerprint. An index is
-// frozen between Adds, so a query is a pure function of the query set and
-// repeated split queries — the §6 study runs every split once per seed and
-// repetition — collapse to a lookup and a defensive copy. Indexes reset
-// the memo on Add. Concurrent lookups are safe; a cache miss may be
-// computed by several goroutines at once, which is harmless because the
-// computation is deterministic.
-type queryMemo struct {
-	mu sync.RWMutex
-	m  map[uint64][]CandidatePair
-}
-
-// get returns the cached candidates for the query, computing and caching
-// them on miss. The caller always receives a fresh copy.
-func (qm *queryMemo) get(queryIdxs []int, compute func() []CandidatePair) []CandidatePair {
-	fp := queryFingerprint(queryIdxs)
-	qm.mu.RLock()
-	cached, ok := qm.m[fp]
-	qm.mu.RUnlock()
-	if !ok {
-		cached = compute()
-		qm.mu.Lock()
-		if qm.m == nil || len(qm.m) >= maxQueryMemo {
-			qm.m = make(map[uint64][]CandidatePair, 16)
-		}
-		qm.m[fp] = cached
-		qm.mu.Unlock()
-	}
-	return append([]CandidatePair(nil), cached...)
-}
-
-// reset discards the cached results (called on Add).
-func (qm *queryMemo) reset() {
-	qm.mu.Lock()
-	qm.m = nil
-	qm.mu.Unlock()
-}
-
-// indexCache memoizes the last index an adapter blocker built, keyed by
-// corpus fingerprint: repeated Candidates calls over the same universe
-// (different seeds, repeated reports) reuse the index and pay only the
-// query. It deliberately holds a single entry — blockers iterate one
-// corpus at a time, and a deeper cache would pin large indexes alive.
-type indexCache struct {
-	mu sync.Mutex
-	fp uint64
-	ix Index
-}
-
-// get returns the cached index for fingerprint fp, building and caching a
-// fresh one on miss.
-func (c *indexCache) get(fp uint64, build func() Index) Index {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ix == nil || c.fp != fp {
-		c.ix = build()
-		c.fp = fp
-	}
-	return c.ix
 }

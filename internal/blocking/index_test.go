@@ -195,8 +195,8 @@ func TestConcurrentQueriesHammer(t *testing.T) {
 }
 
 // TestBlockerCandidatesCacheReuse: repeated Candidates calls over the same
-// corpus are served by the cached index and must stay byte-identical;
-// switching corpora must refresh the cache rather than serve stale pairs.
+// corpus must stay byte-identical, and switching corpora must never serve
+// pairs from the previous universe.
 func TestBlockerCandidatesCacheReuse(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	half := idxs[:len(idxs)/2]
@@ -208,16 +208,16 @@ func TestBlockerCandidatesCacheReuse(t *testing.T) {
 		universe := pairUniverse(half)
 		for _, p := range halfCands {
 			if !universe[p] {
-				t.Fatalf("%s: stale cache leaked pair %+v outside the half universe", bl.Name(), p)
+				t.Fatalf("%s: stale index leaked pair %+v outside the half universe", bl.Name(), p)
 			}
 		}
 		samePairs(t, bl.Name()+" after switch", bl.Candidates(offers, idxs), full1)
 	}
 }
 
-// TestBlockerCacheMissesOnModelSwap: the cache fingerprint must cover the
-// model identity, so reassigning the exported Model field rebuilds the
-// index instead of serving candidates computed in the old geometry.
+// TestBlockerCacheMissesOnModelSwap: reassigning the exported Model field
+// must rebuild the index instead of serving candidates computed in the
+// old geometry.
 func TestBlockerCacheMissesOnModelSwap(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	titles := make([]string, len(offers))

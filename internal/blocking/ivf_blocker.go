@@ -29,8 +29,6 @@ type IVFBlocker struct {
 	Config ivf.Config
 	// Seed roots the xrand stream behind the quantizer seeding.
 	Seed int64
-
-	cache indexCache
 }
 
 // NewIVFBlocker wraps a trained embedding model with the default IVF
@@ -48,14 +46,8 @@ func (b *IVFBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index {
 	return BuildShardedIVFIndex(offers, idxs, 1, b.Model, b.K, b.Config, b.Seed)
 }
 
-// Candidates implements Blocker through the cached index: repeated calls
-// over the same corpus reuse the built quantizer and lists.
+// Candidates implements Blocker through a one-shot index; callers that
+// query one corpus repeatedly keep the BuildIndex result instead.
 func (b *IVFBlocker) Candidates(offers []schemaorg.Offer, idxs []int) []CandidatePair {
-	fp := corpusFingerprint(offers, idxs,
-		uint64(b.K), uint64(b.Config.NLists), uint64(b.Config.NProbe),
-		uint64(b.Config.TrainSize), uint64(b.Config.Iters), uint64(b.Seed),
-		uint64(b.Config.Precision.Ordinal()), uint64(b.Config.M), uint64(b.Config.RerankK),
-		modelWord(b.Model))
-	ix := b.cache.get(fp, func() Index { return b.BuildIndex(offers, idxs) })
-	return ix.Candidates(idxs)
+	return b.BuildIndex(offers, idxs).Candidates(idxs)
 }

@@ -52,7 +52,6 @@ type EmbeddingIndex struct {
 	slotOf  map[int]int // offer idx -> slot
 	vecs    [][]float32 // slot -> encoding (shared per distinct title)
 	memo    *memoSlots[int32]
-	memoQ   queryMemo
 }
 
 // BuildEmbeddingIndex interns and encodes each distinct title once and
@@ -121,7 +120,6 @@ func (e *EmbeddingIndex) Add(offers []schemaorg.Offer, idxs []int) {
 	}
 	if grown {
 		e.memo = newMemoSlots[int32](len(e.order))
-		e.memoQ.reset()
 	}
 }
 
@@ -150,14 +148,6 @@ func (e *EmbeddingIndex) neighbourSlots(a int) []int32 {
 func (e *EmbeddingIndex) Candidates(queryIdxs []int) []CandidatePair {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.memoQ.get(queryIdxs, func() []CandidatePair {
-		return e.scanCandidates(queryIdxs)
-	})
-}
-
-// scanCandidates computes a query's candidate set against the frozen
-// neighbour lists; callers hold the read lock and the query memo.
-func (e *EmbeddingIndex) scanCandidates(queryIdxs []int) []CandidatePair {
 	slots := make([]int, len(queryIdxs))
 	inQuery := make(map[int32]bool, len(queryIdxs))
 	for q, i := range queryIdxs {

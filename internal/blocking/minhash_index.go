@@ -34,19 +34,16 @@ func minhashWords(cfg lsh.Config, seed int64) []uint64 {
 // every identical-title group inside the query. One sweep over the
 // shard's buckets, restricted to the query's titles, finds them: a band
 // collision is a pairwise property, so the restriction is exact, and at
-// one shard local ids are title ids. Repeated queries of the same split
-// are served from the query memo.
+// one shard local ids are title ids.
 func (m *MinHashIndex) Candidates(queryIdxs []int) []CandidatePair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.memoQ.get(queryIdxs, func() []CandidatePair {
-		v := m.corpus.view(queryIdxs)
-		include := func(t int) bool { _, ok := v.slotOf[t]; return ok }
-		titlePairs := m.ix[0].CandidatePairsAmong(include)
-		slotPairs := make([][2]int, len(titlePairs))
-		for i, tp := range titlePairs {
-			slotPairs[i] = [2]int{v.slotOf[tp[0]], v.slotOf[tp[1]]}
-		}
-		return expandTitlePairs(v.groups, slotPairs)
-	})
+	v := m.corpus.view(queryIdxs)
+	include := func(t int) bool { _, ok := v.slotOf[t]; return ok }
+	titlePairs := m.ix[0].CandidatePairsAmong(include)
+	slotPairs := make([][2]int, len(titlePairs))
+	for i, tp := range titlePairs {
+		slotPairs[i] = [2]int{v.slotOf[tp[0]], v.slotOf[tp[1]]}
+	}
+	return expandTitlePairs(v.groups, slotPairs)
 }

@@ -43,8 +43,7 @@ func TestIVFQuantizedCandidateRecall(t *testing.T) {
 
 // TestIVFQuantizedDeterministic: quantized candidate sets are identical
 // at any worker count — the search path's pooled scratch never leaks
-// into results — and across repeated queries
-// (memo on/off paths agree).
+// into results — and across repeated queries.
 func TestIVFQuantizedDeterministic(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	subset := idxs[:len(idxs)/2]

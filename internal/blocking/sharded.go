@@ -5,9 +5,8 @@
 // id, so the identical-title cliques every blocker guarantees are
 // unaffected by where the title lands — and each shard runs an ordinary
 // lsh/hnsw/ivf engine over its own slice of the corpus, built
-// concurrently over internal/parallel. The shard assignment, corpus and
-// query memo live in one shardSet that ShardedMinHashIndex and
-// ShardedKNNIndex embed.
+// concurrently over internal/parallel. The shard assignment and corpus
+// live in one shardSet that ShardedMinHashIndex and ShardedKNNIndex embed.
 //
 // Queries fan out and merge deterministically:
 //
@@ -93,10 +92,10 @@ func shardWorkers(workers, shards int) int {
 	return w
 }
 
-// shardSet is the state every sharded index shares: the indexed corpus,
-// the title -> shard assignment, and the query memo. mu guards the set
-// and the engines of the index that embeds it: Add holds it for writing,
-// Candidates for reading.
+// shardSet is the state every sharded index shares: the indexed corpus
+// and the title -> shard assignment. mu guards the set and the engines of
+// the index that embeds it: Add holds it for writing, Candidates for
+// reading.
 type shardSet struct {
 	mu       sync.RWMutex // Add writes, Candidates reads
 	name     string
@@ -108,8 +107,6 @@ type shardSet struct {
 	shardOf []int32   // title id -> shard
 	local   []int32   // title id -> local id within its shard
 	members [][]int32 // shard -> local id -> title id
-
-	memoQ queryMemo
 }
 
 // init indexes the offers at idxs and places every title on its shard.
@@ -150,11 +147,8 @@ func (ss *shardSet) assign(from int) {
 // shards, returning the new title ids for the caller's engines. The
 // caller holds mu for writing.
 func (ss *shardSet) addOffers(offers []schemaorg.Offer, idxs []int) []int {
-	before, from := ss.corpus.len(), ss.corpus.titleCount()
+	from := ss.corpus.titleCount()
 	newTitles := ss.corpus.add(offers, idxs)
-	if ss.corpus.len() != before {
-		ss.memoQ.reset()
-	}
 	ss.assign(from)
 	return newTitles
 }
@@ -235,41 +229,38 @@ func (m *ShardedMinHashIndex) Add(offers []schemaorg.Offer, idxs []int) {
 // the query's titles: for each band, titles group by their band key —
 // identical across shards because every shard signs with the same hash
 // family — so two titles pair iff they would share a bucket in one
-// corpus-wide index. Repeated queries of the same split are served from
-// the query memo.
+// corpus-wide index.
 func (m *ShardedMinHashIndex) Candidates(queryIdxs []int) []CandidatePair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.memoQ.get(queryIdxs, func() []CandidatePair {
-		v := m.corpus.view(queryIdxs)
-		var slotPairs [][2]int
-		seen := map[uint64]bool{}
-		byKey := make(map[uint64][]int, len(v.titles))
-		for band := 0; band < m.cfg.Bands; band++ {
-			for k := range byKey {
-				delete(byKey, k)
-			}
-			for slot, tid := range v.titles {
-				key := m.ix[m.shardOf[tid]].BandKey(int(m.local[tid]), band)
-				byKey[key] = append(byKey[key], slot)
-			}
-			for _, slots := range byKey {
-				for x := 0; x < len(slots); x++ {
-					for y := x + 1; y < len(slots); y++ {
-						// Slots were appended in ascending order, so a < b.
-						a, b := slots[x], slots[y]
-						k := uint64(uint32(a))<<32 | uint64(uint32(b))
-						if seen[k] {
-							continue
-						}
-						seen[k] = true
-						slotPairs = append(slotPairs, [2]int{a, b})
+	v := m.corpus.view(queryIdxs)
+	var slotPairs [][2]int
+	seen := map[uint64]bool{}
+	byKey := make(map[uint64][]int, len(v.titles))
+	for band := 0; band < m.cfg.Bands; band++ {
+		for k := range byKey {
+			delete(byKey, k)
+		}
+		for slot, tid := range v.titles {
+			key := m.ix[m.shardOf[tid]].BandKey(int(m.local[tid]), band)
+			byKey[key] = append(byKey[key], slot)
+		}
+		for _, slots := range byKey {
+			for x := 0; x < len(slots); x++ {
+				for y := x + 1; y < len(slots); y++ {
+					// Slots were appended in ascending order, so a < b.
+					a, b := slots[x], slots[y]
+					k := uint64(uint32(a))<<32 | uint64(uint32(b))
+					if seen[k] {
+						continue
 					}
+					seen[k] = true
+					slotPairs = append(slotPairs, [2]int{a, b})
 				}
 			}
 		}
-		return expandTitlePairs(v.groups, slotPairs)
-	})
+	}
+	return expandTitlePairs(v.groups, slotPairs)
 }
 
 // knnShard is one shard's approximate-kNN engine — an HNSW graph or an
@@ -427,14 +418,11 @@ func (x *ShardedKNNIndex) Add(offers []schemaorg.Offer, idxs []int) {
 }
 
 // Candidates implements Index with the shared title-level kNN split
-// semantics of knnCandidates; repeated queries of the same split are
-// served from the query memo.
+// semantics of knnCandidates.
 func (x *ShardedKNNIndex) Candidates(queryIdxs []int) []CandidatePair {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return x.memoQ.get(queryIdxs, func() []CandidatePair {
-		return x.corpus.knnCandidates(queryIdxs, x.k, x.workers, x.neighbours)
-	})
+	return x.corpus.knnCandidates(queryIdxs, x.k, x.workers, x.neighbours)
 }
 
 // neighbours returns title tid's memoized ranked neighbour ids: every

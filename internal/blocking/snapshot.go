@@ -53,9 +53,9 @@ type SnapshotIndex interface {
 }
 
 // modelFingerprint is the content-hash fingerprint word of an embedding
-// model (0 for nil). Unlike modelWord — pointer identity, used by the
-// in-process index cache — it survives process boundaries, which is what
-// snapshot content addressing needs.
+// model (0 for nil). It hashes the weights rather than the pointer, so it
+// survives process boundaries, which is what snapshot content addressing
+// needs.
 func modelFingerprint(m *embed.Model) uint64 {
 	if m == nil {
 		return 0

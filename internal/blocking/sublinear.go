@@ -10,10 +10,9 @@
 // lost to indexing approximation.
 //
 // Since the reusable-index layer (index.go) the blockers are thin
-// adapters: Candidates is served by a cached Index keyed by corpus
-// fingerprint, so repeated calls over the same offer universe rebuild
-// nothing, and BuildIndex hands out a fresh index for callers that manage
-// reuse themselves (the §6 build-once/query-per-split study).
+// adapters: BuildIndex hands out a fresh index for callers that manage
+// reuse themselves (the §6 build-once/query-per-split study), and
+// Candidates builds one over the offers and queries it once.
 
 package blocking
 
@@ -116,8 +115,6 @@ type MinHashBlocker struct {
 	Config MinHashConfig
 	// Seed roots the xrand stream the hash family is drawn from.
 	Seed int64
-
-	cache indexCache
 }
 
 // NewMinHashBlocker returns the standard blocking configuration: 48 bands
@@ -141,14 +138,11 @@ func (m *MinHashBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index 
 	return BuildMinHashIndex(offers, idxs, m.Config.resolve(len(idxs)), m.Seed)
 }
 
-// Candidates implements Blocker through the cached index. Each distinct
+// Candidates implements Blocker through a one-shot index. Each distinct
 // title is signed once; signature computation fans out across the
 // configured worker pool.
 func (m *MinHashBlocker) Candidates(offers []schemaorg.Offer, idxs []int) []CandidatePair {
-	rc := m.Config.resolve(len(idxs))
-	fp := corpusFingerprint(offers, idxs, minhashWords(rc, m.Seed)...)
-	ix := m.cache.get(fp, func() Index { return m.BuildIndex(offers, idxs) })
-	return ix.Candidates(idxs)
+	return m.BuildIndex(offers, idxs).Candidates(idxs)
 }
 
 // HNSWBlocker proposes, for each offer, the offers carrying its K
@@ -166,8 +160,6 @@ type HNSWBlocker struct {
 	Config hnsw.Config
 	// Seed roots the xrand stream behind the graph's level draws.
 	Seed int64
-
-	cache indexCache
 }
 
 // NewHNSWBlocker wraps a trained embedding model with the default graph
@@ -185,14 +177,9 @@ func (h *HNSWBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index {
 	return BuildShardedHNSWIndex(offers, idxs, 1, h.Model, h.K, h.Config, h.Seed)
 }
 
-// Candidates implements Blocker through the cached index. Encoding, graph
+// Candidates implements Blocker through a one-shot index. Encoding, graph
 // construction and the per-title queries all run across the configured
 // worker pool; results are identical at any worker count.
 func (h *HNSWBlocker) Candidates(offers []schemaorg.Offer, idxs []int) []CandidatePair {
-	fp := corpusFingerprint(offers, idxs,
-		uint64(h.K), uint64(h.Config.M), uint64(h.Config.EfConstruction),
-		uint64(h.Config.EfSearch), uint64(h.Config.BatchSize), uint64(h.Seed),
-		modelWord(h.Model))
-	ix := h.cache.get(fp, func() Index { return h.BuildIndex(offers, idxs) })
-	return ix.Candidates(idxs)
+	return h.BuildIndex(offers, idxs).Candidates(idxs)
 }

@@ -105,13 +105,13 @@ func writeError(w http.ResponseWriter, e *Error) {
 }
 
 // queryContext derives the request's deadline: the server's
-// QueryTimeout, tightened by a positive timeoutMS.
+// QueryTimeout, tightened by a positive timeoutMS. The comparison runs in
+// milliseconds so a huge timeoutMS cannot overflow the Duration
+// conversion into a negative (already expired) deadline.
 func (s *Server) queryContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.QueryTimeout
-	if timeoutMS > 0 {
-		if req := time.Duration(timeoutMS) * time.Millisecond; req < d {
-			d = req
-		}
+	if timeoutMS > 0 && timeoutMS <= d.Milliseconds() {
+		d = time.Duration(timeoutMS) * time.Millisecond
 	}
 	return context.WithTimeout(r.Context(), d)
 }

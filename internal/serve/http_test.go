@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -97,6 +98,28 @@ func TestHTTPMatch(t *testing.T) {
 	resp.Body.Close()
 	if m.ID != offers[0].ID || m.Partners == nil {
 		t.Fatalf("match body = %+v", m)
+	}
+
+	// A timeout_ms past the server's QueryTimeout falls back to it, even
+	// when converting it to a Duration would overflow.
+	for _, tm := range []string{"9223372036854775807", "9300000000000"} {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/match?id=%d&timeout_ms=%s", ts.URL, offers[0].ID, tm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("match timeout_ms=%s status = %d, want 200", tm, resp.StatusCode)
+		}
+	}
+	body, _ := json.Marshal(candidatesRequest{IDs: []int64{offers[0].ID, offers[1].ID}, TimeoutMS: math.MaxInt64})
+	resp, err = http.Post(ts.URL+"/v1/candidates", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("candidates timeout_ms=MaxInt64 status = %d, want 200", resp.StatusCode)
 	}
 
 	for query, wantCode := range map[string]Code{
