@@ -5,7 +5,8 @@ GO ?= go
 # The perf-trajectory benchmarks recorded in BENCH_10.json: the
 # end-to-end pipeline build, the corner-selection microbenchmarks, the
 # sigmoid lookup-table comparison, the blocking-scale / index-reuse /
-# matcher / persistence / serving / synthetic scale-out / quantized IVF
+# matcher / persistence / sharded kNN (HNSW and IVF only; MinHash
+# builds one index) / serving / synthetic scale-out / quantized IVF
 # benches carried over from PRs 4-9, and the PR 10 serve ingest-scale
 # bench — per-batch publication latency and sustained ingest QPS through
 # the incremental delta write path at n=10k/100k, against the

@@ -760,8 +760,8 @@ func BenchmarkSnapshotReload_IVF(b *testing.B) {
 	}
 }
 
-// The sharded benches measure the hash-partitioned indexes over the full
-// tiny corpus at 1, 2 and 4 shards: build-ms (concurrent per-shard
+// The sharded benches measure the hash-partitioned kNN indexes over the
+// full tiny corpus at 1, 2 and 4 shards: build-ms (concurrent per-shard
 // construction), query-cold-ms (first full-universe query: fan-out plus
 // merge), query-ms (repeat queries over the materialized lists), the pair
 // count, and exhaustive-recall — the fraction of the exhaustive embedding
@@ -791,16 +791,6 @@ func benchShardedBlocking(b *testing.B, bl blocking.ShardedIndexBuilder, shards,
 	b.ReportMetric(queryMS, "query-ms")
 	b.ReportMetric(float64(len(cands)), "pairs")
 	b.ReportMetric(pairRecall(cands, exhaustivePairs(n))*100, "exhaustive-recall")
-}
-
-func BenchmarkShardedBlocking_MinHash(b *testing.B) {
-	blockingBenchSetup(b)
-	n := len(benchB.Offers)
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchShardedBlocking(b, blocking.NewMinHashBlocker(), shards, n)
-		})
-	}
 }
 
 func BenchmarkShardedBlocking_HNSW(b *testing.B) {

@@ -61,7 +61,7 @@ func main() {
 	snapshotDir := flag.String("snapshot-dir", "",
 		"persist blocking indexes: load each index from this directory when a snapshot matches the corpus/config fingerprint, save it after a fresh build (empty = rebuild every run)")
 	shards := flag.Int("shards", 0,
-		"hash-partition the blocking indexes across this many shards (<= 1 = single index; only the minhash/hnsw/ivf blockers shard)")
+		"hash-partition the blocking indexes across this many shards (<= 1 = single index; hnsw and ivf; minhash builds one index)")
 	ivfPrecision := flag.String("ivf-precision", "",
 		"IVF blocker scan precision: f32 (default, exact), int8 (symmetric 8-bit rows), or pq (product-quantized residuals); quantized tiers re-rank with exact dots")
 	synthScale := flag.Int("synth-scale", 0,

@@ -24,7 +24,7 @@ import "errors"
 // DeltaIndex is an Index whose adjacency is monotone under Add and that
 // can report the candidate pairs a batch of newly applied offers
 // introduced, without the caller re-querying the whole corpus. In this
-// package ShardedMinHashIndex, and so MinHashIndex, implements it.
+// package MinHashIndex implements it.
 type DeltaIndex interface {
 	Index
 	// DeltaCandidates returns exactly the candidate pairs with at least
@@ -113,32 +113,24 @@ func (c *indexedCorpus) expandDelta(batch []int, mates func(tid int) []int) []Ca
 // each batch title's band buckets name every title it collides with —
 // collisions are pairwise properties of fixed signatures, so old edges
 // never change under Add — and only those incident edges are expanded.
-// Every shard signs with the same hash family, so a batch title's band
-// keys address the matching bucket in each shard directly. Cost tracks
-// the batch and its collisions, not the corpus.
-func (m *ShardedMinHashIndex) DeltaCandidates(newIdxs []int) []CandidatePair {
+// Cost tracks the batch and its collisions, not the corpus.
+func (m *MinHashIndex) DeltaCandidates(newIdxs []int) []CandidatePair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.corpus.expandDelta(newIdxs, m.minhashMates)
 }
 
 // minhashMates returns every title sharing at least one band bucket with
-// tid across all shards: tid's home shard computes the band key, and
-// every shard's bucket for that key contributes its members (mapped from
-// shard-local ids back to title ids).
-func (m *ShardedMinHashIndex) minhashMates(tid int) []int {
-	home := m.ix[m.shardOf[tid]]
+// tid.
+func (m *MinHashIndex) minhashMates(tid int) []int {
 	seen := map[int]bool{}
 	var out []int
 	for band := 0; band < m.cfg.Bands; band++ {
-		key := home.BandKey(int(m.local[tid]), band)
-		for s, ix := range m.ix {
-			for _, l := range ix.Bucket(band, key) {
-				u := int(m.members[s][l])
-				if u != tid && !seen[u] {
-					seen[u] = true
-					out = append(out, u)
-				}
+		for _, member := range m.ix.Bucket(band, m.ix.BandKey(tid, band)) {
+			u := int(member)
+			if u != tid && !seen[u] {
+				seen[u] = true
+				out = append(out, u)
 			}
 		}
 	}

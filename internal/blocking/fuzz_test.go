@@ -79,10 +79,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	offers, idxs, model := fuzzFixture()
 	lcfg, hcfg, icfg := fuzzLSHConfig(), fuzzHNSWConfig(), fuzzIVFConfig()
 	const seed = 1
-	f.Add(BuildShardedMinHashIndex(offers, idxs, 1, lcfg, seed).EncodeSnapshot())
+	f.Add(BuildMinHashIndex(offers, idxs, lcfg, seed).EncodeSnapshot())
 	f.Add(BuildShardedHNSWIndex(offers, idxs, 1, model, 2, hcfg, seed).EncodeSnapshot())
 	f.Add(BuildShardedIVFIndex(offers, idxs, 1, model, 2, icfg, seed).EncodeSnapshot())
-	f.Add(BuildShardedMinHashIndex(offers, idxs, 2, lcfg, seed).EncodeSnapshot())
 	f.Add(BuildShardedHNSWIndex(offers, idxs, 2, model, 2, hcfg, seed).EncodeSnapshot())
 	f.Add(BuildShardedIVFIndex(offers, idxs, 2, model, 2, icfg, seed).EncodeSnapshot())
 	f.Add([]byte(persist.Magic))
@@ -98,14 +97,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 				t.Fatalf("%s: untyped load error %T: %v", name, err, err)
 			}
 		}
-		_, err := LoadShardedMinHashIndex(data, offers, idxs, 1, lcfg, seed)
+		_, err := LoadMinHashIndex(data, offers, idxs, lcfg, seed)
 		check("minhash", err)
 		_, err = LoadShardedHNSWIndex(data, offers, idxs, 1, model, 2, hcfg, seed)
 		check("hnsw", err)
 		_, err = LoadShardedIVFIndex(data, offers, idxs, 1, model, 2, icfg, seed)
 		check("ivf", err)
-		_, err = LoadShardedMinHashIndex(data, offers, idxs, 2, lcfg, seed)
-		check("sharded-minhash", err)
 		_, err = LoadShardedHNSWIndex(data, offers, idxs, 2, model, 2, hcfg, seed)
 		check("sharded-hnsw", err)
 		_, err = LoadShardedIVFIndex(data, offers, idxs, 2, model, 2, icfg, seed)

@@ -1,26 +1,50 @@
-// MinHashIndex: the unsharded MinHash-LSH index is the single-shard
-// ShardedMinHashIndex — one build, Add, delta path and snapshot format —
-// with a bucket-sweep Candidates in place of the band-key grouping.
+// MinHashIndex: the banded MinHash-LSH index, one lsh.Index over the
+// distinct titles of a one-shard shardSet. It is never partitioned: one
+// LSH index already signs titles across the worker pool, and sharding it
+// bought no measured build or query gain. Its delta path lives in
+// delta.go and its snapshot code in snapshot.go.
 
 package blocking
 
 import (
 	"wdcproducts/internal/lsh"
 	"wdcproducts/internal/schemaorg"
+	"wdcproducts/internal/xrand"
 )
 
-// MinHashIndex is the banded MinHash-LSH index MinHashBlocker builds: a
-// ShardedMinHashIndex over one shard whose Candidates sweeps the shard's
-// buckets. Add and Candidates are safe to interleave from any number of
-// goroutines (see the Index contract).
-type MinHashIndex struct{ *ShardedMinHashIndex }
+// MinHashIndex is the banded MinHash-LSH index MinHashBlocker builds. It
+// honours the full Index contract — grown indexes equal fresh builds,
+// queries only restrict the reported pairs, Add and Candidates are safe
+// to interleave from any number of goroutines — and implements
+// DeltaIndex.
+type MinHashIndex struct {
+	shardSet
+	cfg lsh.Config
+	ix  *lsh.Index
+}
+
+// newMinHashIndex indexes the corpus of a MinHash index whose engine the
+// caller fills in.
+func newMinHashIndex(offers []schemaorg.Offer, idxs []int, cfg lsh.Config, seed int64) *MinHashIndex {
+	m := &MinHashIndex{cfg: cfg}
+	m.init("minhash-lsh", offers, idxs, 1, cfg.Workers, minhashWords(cfg, seed))
+	return m
+}
 
 // BuildMinHashIndex interns the titles of the offers at idxs and builds
 // the banded LSH index over their distinct token sets. Signature
 // computation fans out across cfg.Workers; the index contents are
 // identical at any worker count for a fixed seed.
 func BuildMinHashIndex(offers []schemaorg.Offer, idxs []int, cfg lsh.Config, seed int64) *MinHashIndex {
-	return &MinHashIndex{BuildShardedMinHashIndex(offers, idxs, 1, cfg, seed)}
+	m := newMinHashIndex(offers, idxs, cfg, seed)
+	prep := m.corpus.prep()
+	sets := make([][]int32, m.corpus.titleCount())
+	for t := range sets {
+		sets[t] = prep.TokenSet(t)
+	}
+	m.ix = lsh.NewIndex(cfg, xrand.New(seed).Stream("minhash-lsh"))
+	m.ix.Build(sets)
+	return m
 }
 
 // minhashWords returns the configuration words of a MinHash index's
@@ -29,18 +53,28 @@ func minhashWords(cfg lsh.Config, seed int64) []uint64 {
 	return []uint64{uint64(cfg.Bands), uint64(cfg.Rows), uint64(seed)}
 }
 
+// Add implements Index: new distinct titles are signed into the index
+// incrementally in interning order, so a grown index is identical to a
+// fresh build over the union.
+func (m *MinHashIndex) Add(offers []schemaorg.Offer, idxs []int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, tid := range m.addOffers(offers, idxs) {
+		m.ix.Add(m.corpus.prep().TokenSet(tid))
+	}
+}
+
 // Candidates implements Index: titles of the query offers that share at
 // least one band bucket are expanded to offer pairs, plus the clique of
 // every identical-title group inside the query. One sweep over the
-// shard's buckets, restricted to the query's titles, finds them: a band
-// collision is a pairwise property, so the restriction is exact, and at
-// one shard local ids are title ids.
+// buckets, restricted to the query's titles, finds them: a band
+// collision is a pairwise property, so the restriction is exact.
 func (m *MinHashIndex) Candidates(queryIdxs []int) []CandidatePair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	v := m.corpus.view(queryIdxs)
 	include := func(t int) bool { _, ok := v.slotOf[t]; return ok }
-	titlePairs := m.ix[0].CandidatePairsAmong(include)
+	titlePairs := m.ix.CandidatePairsAmong(include)
 	slotPairs := make([][2]int, len(titlePairs))
 	for i, tp := range titlePairs {
 		slotPairs[i] = [2]int{v.slotOf[tp[0]], v.slotOf[tp[1]]}

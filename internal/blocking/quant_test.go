@@ -1,7 +1,6 @@
-// Blocking-layer tests of the quantized IVF tiers and the scale-aware
-// MinHash banding: candidate equivalence and worker invariance of the
-// quantized path, snapshot round-trips of quantized indexes with
-// the stale-fingerprint refusal, and the AutoBand boundary.
+// Blocking-layer tests of the quantized IVF tiers: candidate equivalence
+// and worker invariance of the quantized path, and snapshot round-trips
+// of quantized indexes with the stale-fingerprint refusal.
 
 package blocking
 
@@ -118,53 +117,6 @@ func TestIVFQuantizedStaleFingerprint(t *testing.T) {
 	if _, err := quantIVFBlocker(ivf.PrecisionPQ, 1).loadSnapshot(data, offers, idxs, 1); err != nil {
 		t.Fatalf("matching config refused its own snapshot: %v", err)
 	}
-}
-
-// TestMinHashAutoBandBoundary pins the AutoBand switch at its boundary:
-// off by default, inactive at and below the threshold, 16x4 strictly
-// above it, and respecting a custom threshold. Workers pass through
-// untouched.
-func TestMinHashAutoBandBoundary(t *testing.T) {
-	base := MinHashConfig{Bands: 48, Rows: 2, Workers: 3}
-	for _, tc := range []struct {
-		name     string
-		cfg      MinHashConfig
-		universe int
-		bands    int
-		rows     int
-	}{
-		{"default-off-small", base, 100, 48, 2},
-		{"default-off-huge", base, 10 * DefaultAutoBandAbove, 48, 2},
-		{"auto-below", MinHashConfig{Bands: 48, Rows: 2, Workers: 3, AutoBand: true}, DefaultAutoBandAbove - 1, 48, 2},
-		{"auto-at", MinHashConfig{Bands: 48, Rows: 2, Workers: 3, AutoBand: true}, DefaultAutoBandAbove, 48, 2},
-		{"auto-above", MinHashConfig{Bands: 48, Rows: 2, Workers: 3, AutoBand: true}, DefaultAutoBandAbove + 1, 16, 4},
-		{"custom-at", MinHashConfig{Bands: 48, Rows: 2, Workers: 3, AutoBand: true, AutoBandAbove: 500}, 500, 48, 2},
-		{"custom-above", MinHashConfig{Bands: 48, Rows: 2, Workers: 3, AutoBand: true, AutoBandAbove: 500}, 501, 16, 4},
-	} {
-		got := tc.cfg.resolve(tc.universe)
-		if got.Bands != tc.bands || got.Rows != tc.rows || got.Workers != 3 {
-			t.Fatalf("%s: resolve(%d) = %dx%d workers=%d, want %dx%d workers=3",
-				tc.name, tc.universe, got.Bands, got.Rows, got.Workers, tc.bands, tc.rows)
-		}
-	}
-}
-
-// TestMinHashAutoBandEndToEnd: an AutoBand blocker over a universe above
-// a tiny custom threshold must produce exactly the candidates of an
-// explicit 16x4 blocker — the switch changes banding, nothing else.
-func TestMinHashAutoBandEndToEnd(t *testing.T) {
-	offers, idxs, _ := fixture(t)
-	auto := NewMinHashBlocker()
-	auto.Config.AutoBand = true
-	auto.Config.AutoBandAbove = len(idxs) - 1
-	tuned := &MinHashBlocker{Config: MinHashConfig{Bands: 16, Rows: 4}, Seed: 1}
-	samePairs(t, "auto==16x4", auto.Candidates(offers, idxs), tuned.Candidates(offers, idxs))
-
-	below := NewMinHashBlocker()
-	below.Config.AutoBand = true
-	below.Config.AutoBandAbove = len(idxs)
-	deflt := NewMinHashBlocker()
-	samePairs(t, "auto-below==48x2", below.Candidates(offers, idxs), deflt.Candidates(offers, idxs))
 }
 
 // TestIVFPrecisionScaleReportNames: the quantized blockers keep the

@@ -1,30 +1,22 @@
-// Sharded indexes: hash-partitioned variants of the three sublinear
-// blocking engines, the layer that lets a corpus outgrow one index (and,
-// with the snapshot format, one machine). Distinct titles are assigned to
-// shards by a hash of their bytes — identical titles always share a title
-// id, so the identical-title cliques every blocker guarantees are
-// unaffected by where the title lands — and each shard runs an ordinary
-// lsh/hnsw/ivf engine over its own slice of the corpus, built
-// concurrently over internal/parallel. The shard assignment and corpus
-// live in one shardSet that ShardedMinHashIndex and ShardedKNNIndex embed.
+// Sharded indexes: hash-partitioned variants of the two approximate-kNN
+// blocking engines (HNSW and IVF), the layer that lets a corpus outgrow
+// one index (and, with the snapshot format, one machine). Distinct titles
+// are assigned to shards by a hash of their bytes — identical titles
+// always share a title id, so the identical-title cliques every blocker
+// guarantees are unaffected by where the title lands — and each shard
+// runs an ordinary hnsw/ivf engine over its own slice of the corpus,
+// built concurrently over internal/parallel. The shard assignment and
+// corpus live in one shardSet that ShardedKNNIndex embeds; MinHashIndex
+// embeds a one-shard shardSet for its corpus, lock and snapshot envelope.
 //
-// Queries fan out and merge deterministically:
-//
-//   - MinHash: every shard draws its hash family from the same seed
-//     stream, so a title's signature — and therefore its per-band bucket
-//     keys — is independent of its shard. A query groups its titles by
-//     band key across shards, which reproduces the single-index bucket
-//     restriction EXACTLY (tested in sharded_test.go, pinned by golden).
-//     At one shard this is the unsharded MinHash index, whose
-//     MinHashIndex wrapper only swaps in the bucket-sweep Candidates.
-//   - HNSW/IVF: each shard answers top-(K+1) for the query title; the
-//     per-shard results merge by (similarity descending, title id
-//     ascending) and truncate — the standard distributed-kNN merge. The
-//     per-title budget is spent against slightly different neighbour pools
-//     than a single index would see, so recall can differ within the
-//     approximation's usual tolerance (the equivalence suite bounds it).
-//     At one shard the merge is the single index's own ranking, so
-//     ShardedKNNIndex is also the unsharded HNSW and IVF index.
+// Queries fan out and merge deterministically: each shard answers
+// top-(K+1) for the query title; the per-shard results merge by
+// (similarity descending, title id ascending) and truncate — the standard
+// distributed-kNN merge. The per-title budget is spent against slightly
+// different neighbour pools than a single index would see, so recall can
+// differ within the approximation's usual tolerance (the equivalence
+// suite bounds it). At one shard the merge is the single index's own
+// ranking, so ShardedKNNIndex is also the unsharded HNSW and IVF index.
 //
 // Shard assignment, merge order, and per-shard engine contents are all
 // pure functions of the corpus and seed, so sharded candidate sets are
@@ -44,7 +36,6 @@ import (
 	"wdcproducts/internal/embed"
 	"wdcproducts/internal/hnsw"
 	"wdcproducts/internal/ivf"
-	"wdcproducts/internal/lsh"
 	"wdcproducts/internal/parallel"
 	"wdcproducts/internal/persist"
 	"wdcproducts/internal/schemaorg"
@@ -93,9 +84,9 @@ func shardWorkers(workers, shards int) int {
 }
 
 // shardSet is the state every sharded index shares: the indexed corpus
-// and the title -> shard assignment. mu guards the set and the engines of
-// the index that embeds it: Add holds it for writing, Candidates for
-// reading.
+// and the title -> shard assignment (MinHashIndex embeds a one-shard
+// set). mu guards the set and the engines of the index that embeds it:
+// Add holds it for writing, Candidates for reading.
 type shardSet struct {
 	mu       sync.RWMutex // Add writes, Candidates reads
 	name     string
@@ -105,7 +96,6 @@ type shardSet struct {
 	cfgWords []uint64
 
 	shardOf []int32   // title id -> shard
-	local   []int32   // title id -> local id within its shard
 	members [][]int32 // shard -> local id -> title id
 }
 
@@ -131,14 +121,12 @@ func (ss *shardSet) init(name string, offers []schemaorg.Offer, idxs []int, shar
 func (ss *shardSet) assign(from int) {
 	n := ss.corpus.titleCount() - from
 	ss.shardOf = slices.Grow(ss.shardOf, n)
-	ss.local = slices.Grow(ss.local, n)
 	for s := range ss.members {
 		ss.members[s] = slices.Grow(ss.members[s], n/ss.shards+1)
 	}
 	for tid := from; tid < ss.corpus.titleCount(); tid++ {
 		s := shardForTitle(ss.corpus.titles[tid], ss.shards)
 		ss.shardOf = append(ss.shardOf, int32(s))
-		ss.local = append(ss.local, int32(len(ss.members[s])))
 		ss.members[s] = append(ss.members[s], int32(tid))
 	}
 }
@@ -165,102 +153,6 @@ func (ss *shardSet) Len() int {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	return ss.corpus.len()
-}
-
-// ShardedMinHashIndex is the MinHash-LSH Index hash-partitioned across
-// per-shard LSH indexes that all draw one hash family. Build one with
-// BuildShardedMinHashIndex or MinHashBlocker.BuildShardedIndex. It
-// honours the full Index contract — grown indexes equal fresh builds,
-// queries only restrict the reported pairs, Add and Candidates are safe
-// to interleave from any number of goroutines — and implements
-// DeltaIndex.
-type ShardedMinHashIndex struct {
-	shardSet
-	cfg lsh.Config
-	ix  []*lsh.Index // shard -> engine
-}
-
-// newShardedMinHash indexes the corpus and shard assignment of a sharded
-// MinHash index whose engines the caller fills in.
-func newShardedMinHash(offers []schemaorg.Offer, idxs []int, shards int, cfg lsh.Config, seed int64) *ShardedMinHashIndex {
-	m := &ShardedMinHashIndex{cfg: cfg}
-	m.init("minhash-lsh", offers, idxs, shards, cfg.Workers, minhashWords(cfg, seed))
-	m.ix = make([]*lsh.Index, m.shards)
-	return m
-}
-
-// BuildShardedMinHashIndex hash-partitions the distinct titles of the
-// offers at idxs across shards and builds one banded LSH index per shard
-// concurrently. Every shard draws the identical hash family from seed, so
-// query merges reproduce the unsharded candidate set exactly.
-func BuildShardedMinHashIndex(offers []schemaorg.Offer, idxs []int, shards int, cfg lsh.Config, seed int64) *ShardedMinHashIndex {
-	m := newShardedMinHash(offers, idxs, shards, cfg, seed)
-	prep := m.corpus.prep()
-	inner := cfg
-	inner.Workers = shardWorkers(cfg.Workers, m.shards)
-	parallel.Run(m.shards, cfg.Workers, func(s int) error {
-		// Every shard draws from the SAME stream name: band keys are only
-		// comparable across shards when all shards share one hash family.
-		ix := lsh.NewIndex(inner, xrand.New(seed).Stream("minhash-lsh"))
-		sets := make([][]int32, len(m.members[s]))
-		for l, tid := range m.members[s] {
-			sets[l] = prep.TokenSet(int(tid))
-		}
-		ix.Build(sets)
-		m.ix[s] = ix
-		return nil
-	}, nil)
-	return m
-}
-
-// Add implements Index: new distinct titles are signed into their
-// shard's engine incrementally. Per-shard insertion order is the global
-// interning order restricted to the shard, so a grown index is identical
-// to a fresh sharded build over the union.
-func (m *ShardedMinHashIndex) Add(offers []schemaorg.Offer, idxs []int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, tid := range m.addOffers(offers, idxs) {
-		m.ix[m.shardOf[tid]].Add(m.corpus.prep().TokenSet(tid))
-	}
-}
-
-// Candidates implements Index by merging the per-shard band buckets over
-// the query's titles: for each band, titles group by their band key —
-// identical across shards because every shard signs with the same hash
-// family — so two titles pair iff they would share a bucket in one
-// corpus-wide index.
-func (m *ShardedMinHashIndex) Candidates(queryIdxs []int) []CandidatePair {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	v := m.corpus.view(queryIdxs)
-	var slotPairs [][2]int
-	seen := map[uint64]bool{}
-	byKey := make(map[uint64][]int, len(v.titles))
-	for band := 0; band < m.cfg.Bands; band++ {
-		for k := range byKey {
-			delete(byKey, k)
-		}
-		for slot, tid := range v.titles {
-			key := m.ix[m.shardOf[tid]].BandKey(int(m.local[tid]), band)
-			byKey[key] = append(byKey[key], slot)
-		}
-		for _, slots := range byKey {
-			for x := 0; x < len(slots); x++ {
-				for y := x + 1; y < len(slots); y++ {
-					// Slots were appended in ascending order, so a < b.
-					a, b := slots[x], slots[y]
-					k := uint64(uint32(a))<<32 | uint64(uint32(b))
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
-					slotPairs = append(slotPairs, [2]int{a, b})
-				}
-			}
-		}
-	}
-	return expandTitlePairs(v.groups, slotPairs)
 }
 
 // knnShard is one shard's approximate-kNN engine — an HNSW graph or an
@@ -455,13 +347,6 @@ func (x *ShardedKNNIndex) neighbours(tid int) []int32 {
 	})
 }
 
-// BuildShardedIndex implements ShardedIndexBuilder. The banding is
-// resolved from the whole universe's size, not per shard, so sharded and
-// unsharded builds of one corpus agree on it.
-func (m *MinHashBlocker) BuildShardedIndex(offers []schemaorg.Offer, idxs []int, shards int) Index {
-	return BuildShardedMinHashIndex(offers, idxs, shards, m.Config.resolve(len(idxs)), m.Seed)
-}
-
 // BuildShardedIndex implements ShardedIndexBuilder.
 func (h *HNSWBlocker) BuildShardedIndex(offers []schemaorg.Offer, idxs []int, shards int) Index {
 	return BuildShardedHNSWIndex(offers, idxs, shards, h.Model, h.K, h.Config, h.Seed)
@@ -473,7 +358,8 @@ func (b *IVFBlocker) BuildShardedIndex(offers []schemaorg.Offer, idxs []int, sha
 }
 
 // ShardedIndexBuilder is implemented by blockers whose index can be
-// hash-partitioned; OpenIndex routes Shards > 1 through it.
+// hash-partitioned (HNSW and IVF); OpenIndex routes Shards > 1 through
+// it and builds one index for every other blocker.
 type ShardedIndexBuilder interface {
 	IndexedBlocker
 	// BuildShardedIndex returns a fresh index partitioned across shards

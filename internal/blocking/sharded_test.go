@@ -1,30 +1,13 @@
 package blocking
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// TestShardedMinHashMatchesUnsharded is the exactness guarantee: because
-// every shard signs with the identical hash family, the cross-shard
-// band-key merge must reproduce the single-index candidate set byte for
-// byte — at every shard count, full universe and subsets.
-func TestShardedMinHashMatchesUnsharded(t *testing.T) {
-	offers, idxs, _ := fixture(t)
-	subset := idxs[:len(idxs)/2]
-	mh := NewMinHashBlocker()
-	mh.Config.Workers = 2
-	want := mh.BuildIndex(offers, idxs)
-	for _, shards := range []int{1, 2, 3, 4} {
-		si := BuildShardedMinHashIndex(offers, idxs, shards, mh.Config.resolve(len(idxs)), mh.Seed)
-		name := fmt.Sprintf("minhash shards=%d", shards)
-		samePairs(t, name+" full", si.Candidates(idxs), want.Candidates(idxs))
-		samePairs(t, name+" subset", si.Candidates(subset), want.Candidates(subset))
-	}
-}
 
 // TestShardedKNNRecall bounds the cost of partitioning the approximate
 // engines: at every shard count the sharded index must keep at least 0.99
@@ -59,14 +42,11 @@ func TestShardedKNNRecall(t *testing.T) {
 func TestShardedDeterministic(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	build := func(workers int) []Index {
-		mh := NewMinHashBlocker()
-		mh.Config.Workers = workers
 		hb := NewHNSWBlocker(model, 6)
 		hb.Config.Workers = workers
 		ib := NewIVFBlocker(model, 6)
 		ib.Config.Workers = workers
 		return []Index{
-			BuildShardedMinHashIndex(offers, idxs, 3, mh.Config.resolve(len(idxs)), mh.Seed),
 			BuildShardedHNSWIndex(offers, idxs, 3, hb.Model, hb.K, hb.Config, hb.Seed),
 			BuildShardedIVFIndex(offers, idxs, 3, ib.Model, ib.K, ib.Config, ib.Seed),
 		}
@@ -84,8 +64,6 @@ func TestShardedDeterministic(t *testing.T) {
 func TestShardedIncrementalAdd(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	cut := len(idxs) * 2 / 3
-	mh := NewMinHashBlocker()
-	mh.Config.Workers = 1
 	hb := NewHNSWBlocker(model, 6)
 	hb.Config.Workers = 1
 	ib := NewIVFBlocker(model, 6)
@@ -93,7 +71,7 @@ func TestShardedIncrementalAdd(t *testing.T) {
 	// Each shard trains its own quantizer on its first TrainSize titles;
 	// keep that prefix inside the initial two-thirds build on every shard.
 	ib.Config.TrainSize = 8
-	for _, bl := range []ShardedIndexBuilder{mh, hb, ib} {
+	for _, bl := range []ShardedIndexBuilder{hb, ib} {
 		grown := bl.BuildShardedIndex(offers, idxs[:cut], 3)
 		for _, i := range idxs[cut:] {
 			grown.Add(offers, []int{i})
@@ -112,17 +90,21 @@ func TestShardedIncrementalAdd(t *testing.T) {
 // under-reporting.
 func TestShardedQueryUnindexedOfferPanics(t *testing.T) {
 	offers, idxs, _ := fixture(t)
-	mh := NewMinHashBlocker()
-	mh.Config.Workers = 1
-	si := BuildShardedMinHashIndex(offers, idxs[:len(idxs)-1], 2, mh.Config.resolve(len(idxs)-1), mh.Seed)
-	if _, err := QueryCandidates(si, idxs); err == nil {
-		t.Fatal("unindexed query offer did not error")
+	hb := NewHNSWBlocker(model, 6)
+	hb.Config.Workers = 1
+	ib := NewIVFBlocker(model, 6)
+	ib.Config.Workers = 1
+	for _, bl := range []ShardedIndexBuilder{hb, ib} {
+		si := bl.BuildShardedIndex(offers, idxs[:len(idxs)-1], 2)
+		var qe *UnindexedQueryError
+		if _, err := QueryCandidates(si, idxs); !errors.As(err, &qe) {
+			t.Fatalf("%s: unindexed query offer: got %v, want *UnindexedQueryError", bl.Name(), err)
+		}
 	}
 }
 
 // TestGoldenShardedCandidates pins the exact sharded candidate sets on
-// the tiny-benchmark fixture, alongside the other golden files. The
-// MinHash rows double as a cross-check of the exactness test; the kNN
+// the tiny-benchmark fixture, alongside the other golden files: the kNN
 // rows pin the distributed merge byte for byte (per platform, like every
 // embedding-space golden: encoder float accumulation order is
 // architecture-sensitive).
@@ -134,11 +116,6 @@ func TestGoldenShardedCandidates(t *testing.T) {
 		for _, p := range cands {
 			fmt.Fprintf(&sb, "%d %d\n", p.A, p.B)
 		}
-	}
-	mh := NewMinHashBlocker()
-	for _, shards := range []int{2, 4} {
-		dump(fmt.Sprintf("minhash-s%d", shards),
-			BuildShardedMinHashIndex(offers, idxs, shards, mh.Config.resolve(len(idxs)), mh.Seed).Candidates(idxs))
 	}
 	hb := NewHNSWBlocker(model, 6)
 	dump("hnsw-k6-s2", BuildShardedHNSWIndex(offers, idxs, 2, hb.Model, hb.K, hb.Config, hb.Seed).Candidates(idxs))

@@ -159,16 +159,12 @@ func (ss *shardSet) finishShardedPayload(r *persist.Reader) error {
 	return nil
 }
 
-// EncodeSnapshot implements SnapshotIndex: the payload concatenates the
-// per-shard LSH signatures.
-func (m *ShardedMinHashIndex) EncodeSnapshot() []byte {
+// EncodeSnapshot implements SnapshotIndex: the payload is the LSH
+// signatures.
+func (m *MinHashIndex) EncodeSnapshot() []byte {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.encode(func(b *persist.Buffer) {
-		for _, ix := range m.ix {
-			ix.AppendSnapshot(b)
-		}
-	})
+	return m.encode(m.ix.AppendSnapshot)
 }
 
 // EncodeSnapshot implements SnapshotIndex: the payload is the title
@@ -184,28 +180,24 @@ func (x *ShardedKNNIndex) EncodeSnapshot() []byte {
 	})
 }
 
-// LoadShardedMinHashIndex restores a sharded MinHash index from snapshot
-// bytes. offers, idxs, shards, cfg and seed must be the ones the snapshot
-// was built from — the load is refused with a
-// *persist.FingerprintMismatchError otherwise — and damaged bytes are
-// refused with a *persist.CorruptSnapshotError. The loaded index answers
-// every Candidates query byte-identically to the index that was saved,
-// including after further Adds.
-func LoadShardedMinHashIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, cfg lsh.Config, seed int64) (*ShardedMinHashIndex, error) {
-	m := newShardedMinHash(offers, idxs, shards, cfg, seed)
+// LoadMinHashIndex restores a MinHash index from snapshot bytes. offers,
+// idxs, cfg and seed must be the ones the snapshot was built from — the
+// load is refused with a *persist.FingerprintMismatchError otherwise —
+// and damaged bytes are refused with a *persist.CorruptSnapshotError. The
+// loaded index answers every Candidates query byte-identically to the
+// index that was saved, including after further Adds.
+func LoadMinHashIndex(data []byte, offers []schemaorg.Offer, idxs []int, cfg lsh.Config, seed int64) (*MinHashIndex, error) {
+	m := newMinHashIndex(offers, idxs, cfg, seed)
 	r, err := m.openShardedPayload(data, offers, idxs)
 	if err != nil {
 		return nil, err
 	}
-	for s := range m.ix {
-		ix, err := lsh.RestoreIndex(cfg, xrand.New(seed).Stream("minhash-lsh"), r)
-		if err != nil {
-			return nil, persist.Corrupt(shardedKind(m.name), "shard %d: %v", s, err)
-		}
-		if ix.Len() != len(m.members[s]) {
-			return nil, persist.Corrupt(shardedKind(m.name), "shard %d holds %d titles, want %d", s, ix.Len(), len(m.members[s]))
-		}
-		m.ix[s] = ix
+	kind := shardedKind(m.name)
+	if m.ix, err = lsh.RestoreIndex(cfg, xrand.New(seed).Stream("minhash-lsh"), r); err != nil {
+		return nil, persist.Corrupt(kind, "%v", err)
+	}
+	if m.ix.Len() != m.corpus.titleCount() {
+		return nil, persist.Corrupt(kind, "snapshot holds %d titles, corpus has %d titles", m.ix.Len(), m.corpus.titleCount())
 	}
 	if err := m.finishShardedPayload(r); err != nil {
 		return nil, err
@@ -233,7 +225,7 @@ func (x *ShardedKNNIndex) load(data []byte, offers []schemaorg.Offer, idxs []int
 }
 
 // LoadShardedHNSWIndex restores a sharded HNSW index from snapshot bytes;
-// the trust rule of LoadShardedMinHashIndex applies (model included: its
+// the trust rule of LoadMinHashIndex applies (model included: its
 // content hash is part of the fingerprint). Loading skips tokenization,
 // encoding, and graph construction — the dominant build costs.
 func LoadShardedHNSWIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg hnsw.Config, seed int64) (*ShardedKNNIndex, error) {
@@ -265,8 +257,8 @@ func LoadShardedIVFIndex(data []byte, offers []schemaorg.Offer, idxs []int, shar
 
 // snapshotBlocker is implemented by blockers whose indexes persist: it
 // exposes the content address (for snapshot file naming and trust) and
-// the matching typed loader. shards < 2 addresses the unsharded index
-// (the single-shard sharded index; for MinHash, wrapped in MinHashIndex).
+// the matching typed loader. shards < 2 addresses the unsharded index;
+// MinHash has no other (see indexShards), so it ignores shards.
 type snapshotBlocker interface {
 	IndexedBlocker
 	snapshotFingerprint(offers []schemaorg.Offer, idxs []int, shards int) uint64
@@ -282,19 +274,12 @@ func shardedSnapshotWords(words []uint64, shards int) []uint64 {
 	return words
 }
 
-func (m *MinHashBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int, shards int) uint64 {
-	return corpusFingerprint(offers, idxs, shardedSnapshotWords(minhashWords(m.Config.resolve(len(idxs)), m.Seed), shards)...)
+func (m *MinHashBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int, _ int) uint64 {
+	return corpusFingerprint(offers, idxs, minhashWords(m.Config, m.Seed)...)
 }
 
-func (m *MinHashBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int, shards int) (Index, error) {
-	ix, err := LoadShardedMinHashIndex(data, offers, idxs, shards, m.Config.resolve(len(idxs)), m.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if shards <= 1 {
-		return &MinHashIndex{ix}, nil
-	}
-	return ix, nil
+func (m *MinHashBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int, _ int) (Index, error) {
+	return LoadMinHashIndex(data, offers, idxs, m.Config, m.Seed)
 }
 
 func (h *HNSWBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int, shards int) uint64 {
@@ -320,7 +305,8 @@ type IndexOptions struct {
 	// saves a fresh snapshot after any build. Empty disables both.
 	SnapshotDir string
 	// Shards > 1 hash-partitions the index across that many per-shard
-	// engines (blockers that cannot shard build unpartitioned).
+	// engines. Only the HNSW and IVF blockers shard; every other blocker,
+	// MinHash included, builds, saves and loads one index at any Shards.
 	Shards int
 }
 
@@ -353,21 +339,16 @@ type OpenStats struct {
 // negotiable, only observable.
 func OpenIndex(bl IndexedBlocker, offers []schemaorg.Offer, idxs []int, opts IndexOptions) (Index, OpenStats) {
 	var stats OpenStats
+	shards := indexShards(bl, opts)
 	build := func() Index {
-		if opts.Shards > 1 {
-			if sb, ok := bl.(ShardedIndexBuilder); ok {
-				return sb.BuildShardedIndex(offers, idxs, opts.Shards)
-			}
+		if shards > 1 {
+			return bl.(ShardedIndexBuilder).BuildShardedIndex(offers, idxs, shards)
 		}
 		return bl.BuildIndex(offers, idxs)
 	}
 	sb, persistable := bl.(snapshotBlocker)
 	if opts.SnapshotDir == "" || !persistable {
 		return build(), stats
-	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
 	}
 	fp := sb.snapshotFingerprint(offers, idxs, shards)
 	stats.Path = snapshotPath(opts.SnapshotDir, bl.Name(), shards, fp)
@@ -392,6 +373,16 @@ func OpenIndex(bl IndexedBlocker, offers []schemaorg.Offer, idxs []int, opts Ind
 	return ix, stats
 }
 
+// indexShards is the partition count OpenIndex builds and SaveIndex
+// addresses: opts.Shards for a ShardedIndexBuilder, one for every other
+// blocker.
+func indexShards(bl IndexedBlocker, opts IndexOptions) int {
+	if _, ok := bl.(ShardedIndexBuilder); !ok || opts.Shards < 1 {
+		return 1
+	}
+	return opts.Shards
+}
+
 // snapshotPath is the content-addressed snapshot file for the named
 // engine at the given shard count and fingerprint.
 func snapshotPath(dir, name string, shards int, fp uint64) string {
@@ -414,10 +405,7 @@ func SaveIndex(bl IndexedBlocker, ix Index, offers []schemaorg.Offer, idxs []int
 	if opts.SnapshotDir == "" || !persistable || !encodable {
 		return "", nil
 	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
+	shards := indexShards(bl, opts)
 	fp := sb.snapshotFingerprint(offers, idxs, shards)
 	if got := snap.SnapshotFingerprint(); got != fp {
 		return "", fmt.Errorf("blocking: index fingerprint %016x does not match the %d given offers (%016x): snapshot refused",

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"wdcproducts/internal/persist"
@@ -14,7 +16,6 @@ import (
 var (
 	_ SnapshotIndex = (*MinHashIndex)(nil)
 	_ DeltaIndex    = (*MinHashIndex)(nil)
-	_ SnapshotIndex = (*ShardedMinHashIndex)(nil)
 	_ SnapshotIndex = (*ShardedKNNIndex)(nil)
 
 	_ snapshotBlocker = (*MinHashBlocker)(nil)
@@ -34,16 +35,25 @@ func persistableBlockers(workers int) []snapshotBlocker {
 	return []snapshotBlocker{mh, hb, ib}
 }
 
+// snapshotShardCounts returns the shard counts the snapshot tests cover
+// for bl: one and three for the blockers that shard, one for MinHash.
+func snapshotShardCounts(bl IndexedBlocker) []int {
+	if _, ok := bl.(ShardedIndexBuilder); ok {
+		return []int{1, 3}
+	}
+	return []int{1}
+}
+
 // TestSnapshotRoundTrip is the central persistence property: encoding an
 // index and loading it back must answer every query byte-identically to
 // the index that was saved — full universe and subsets, at any worker
-// count, for the unsharded and sharded form of every engine.
+// count, for every engine and the sharded form of HNSW and IVF.
 func TestSnapshotRoundTrip(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	subset := idxs[:len(idxs)/2]
 	for _, workers := range []int{1, 2, 8} {
 		for _, bl := range persistableBlockers(workers) {
-			for _, shards := range []int{1, 3} {
+			for _, shards := range snapshotShardCounts(bl) {
 				name := fmt.Sprintf("%s/workers=%d/shards=%d", bl.Name(), workers, shards)
 				var ix Index
 				if shards > 1 {
@@ -90,7 +100,7 @@ func TestSnapshotRoundTripThenAdd(t *testing.T) {
 	ib.Config.Workers = 1
 	ib.Config.TrainSize = 32 // covered by the initial two-thirds build
 	for _, bl := range []snapshotBlocker{mh, hb, ib} {
-		for _, shards := range []int{1, 3} {
+		for _, shards := range snapshotShardCounts(bl) {
 			name := fmt.Sprintf("%s/shards=%d", bl.Name(), shards)
 			build := func(universe []int) Index {
 				if shards > 1 {
@@ -127,6 +137,9 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 		if _, err := bl.loadSnapshot(data, offers, idxs[:len(idxs)-1], 1); !errors.As(err, &fp) {
 			t.Fatalf("%s: corpus change loaded anyway (err = %v)", bl.Name(), err)
 		}
+		if _, sharded := bl.(ShardedIndexBuilder); !sharded {
+			continue // MinHash has no 2-shard form to refuse
+		}
 		if _, err := bl.loadSnapshot(data, offers, idxs, 2); err == nil {
 			t.Fatalf("%s: unsharded snapshot loaded as 2-shard index", bl.Name())
 		}
@@ -146,7 +159,8 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 // TestOpenIndexSaveThenLoad: the first OpenIndex over an empty snapshot
 // directory builds and saves; the second loads, skips the build, and
 // answers queries byte-identically — for every engine, unsharded and
-// sharded.
+// sharded. MinHash never shards: at Shards 3 it writes and reloads the
+// one-shard minhash-lsh-s1-*.snap.
 func TestOpenIndexSaveThenLoad(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	for _, bl := range persistableBlockers(2) {
@@ -168,11 +182,15 @@ func TestOpenIndexSaveThenLoad(t *testing.T) {
 				t.Fatalf("%s: path changed between opens: %q vs %q", name, lstats.Path, bstats.Path)
 			}
 			samePairs(t, name, loaded.Candidates(idxs), built.Candidates(idxs))
-			if shards > 1 {
-				si, ok := loaded.(interface{ Shards() int })
-				if !ok || si.Shards() != shards {
-					t.Fatalf("%s: loaded index is not %d-sharded", name, shards)
-				}
+			want := 1
+			if _, sharded := bl.(ShardedIndexBuilder); sharded && shards > 1 {
+				want = shards
+			}
+			if prefix := fmt.Sprintf("%s-s%d-", bl.Name(), want); !strings.HasPrefix(filepath.Base(bstats.Path), prefix) {
+				t.Fatalf("%s: snapshot %s, want a %s*.snap file", name, bstats.Path, prefix)
+			}
+			if si, ok := loaded.(interface{ Shards() int }); !ok || si.Shards() != want {
+				t.Fatalf("%s: loaded index is not %d-sharded", name, want)
 			}
 		}
 	}
@@ -230,7 +248,7 @@ func TestOpenIndexRebuildsLegacySnapshot(t *testing.T) {
 		path := snapshotPath(dir, bl.Name(), 1, fp)
 		var payload persist.Buffer
 		if mh, ok := bl.(*MinHashBlocker); ok {
-			mh.BuildIndex(offers, idxs).(*MinHashIndex).ix[0].AppendSnapshot(&payload)
+			mh.BuildIndex(offers, idxs).(*MinHashIndex).ix.AppendSnapshot(&payload)
 		}
 		if err := os.WriteFile(path, persist.Encode("blocking/"+bl.Name(), fp, payload.Bytes()), 0o644); err != nil {
 			t.Fatal(err)

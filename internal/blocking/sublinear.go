@@ -52,66 +52,18 @@ func expandTitlePairs(groups [][]int, titlePairs [][2]int) []CandidatePair {
 	return out
 }
 
-// DefaultAutoBandAbove is the indexed-universe size past which
-// MinHashConfig.AutoBand switches the banding from the recall-first 48x2
-// to the scale-tuned 16x4. The PR 8 scale-out measured the crossover: at
-// n=100k near-duplicate synthetic offers the 48x2 banding (candidate
-// threshold ~ Jaccard 0.14) goes quadratic (~250M candidate pairs), while
-// 16x4 (threshold ~ 0.5) blocks the same universe in seconds at 99.8%
-// reduction — and below a few tens of thousands of offers 48x2's extra
-// recall is affordable.
-const DefaultAutoBandAbove = 20000
-
-// MinHashConfig sizes the MinHash-LSH blocker. It mirrors lsh.Config's
-// banding knobs and adds the scale-aware banding switch; resolve turns it
-// into the concrete lsh.Config an index is built with.
-type MinHashConfig struct {
-	// Bands and Rows shape the banded index exactly as in lsh.Config:
-	// signatures of Bands*Rows hashes, one bucket collision per band, a
-	// candidate threshold of roughly (1/Bands)^(1/Rows) Jaccard.
-	Bands int
-	Rows  int
-	// Workers bounds the signature-computation worker pool (<= 0 selects
-	// runtime.NumCPU()).
-	Workers int
-	// AutoBand, when set, replaces Bands x Rows with the scale-tuned 16x4
-	// banding once the indexed universe exceeds AutoBandAbove offers — the
-	// PR 8 footgun (48x2 going quadratic on a 100k near-duplicate corpus)
-	// fixed at the API level. Off by default so the paper-reproduction
-	// goldens, which pin the 48x2 candidate sets, stand unchanged. The
-	// banding is resolved once per index build from the built universe's
-	// size; growing an index past the threshold with Add never re-switches
-	// (a rebuild at the larger size does).
-	AutoBand bool
-	// AutoBandAbove overrides the switch threshold (0 selects
-	// DefaultAutoBandAbove).
-	AutoBandAbove int
-}
-
-// resolve returns the lsh.Config for an index over universe offers: the
-// configured banding, or 16x4 when AutoBand is on and the universe is
-// strictly larger than the threshold.
-func (c MinHashConfig) resolve(universe int) lsh.Config {
-	out := lsh.Config{Bands: c.Bands, Rows: c.Rows, Workers: c.Workers}
-	if c.AutoBand {
-		above := c.AutoBandAbove
-		if above <= 0 {
-			above = DefaultAutoBandAbove
-		}
-		if universe > above {
-			out.Bands, out.Rows = 16, 4
-		}
-	}
-	return out
-}
+// MinHashConfig sizes the MinHash-LSH blocker: Bands x Rows shape the
+// banded index (a candidate threshold of roughly (1/Bands)^(1/Rows)
+// Jaccard) and Workers bounds the signature-computation worker pool.
+type MinHashConfig = lsh.Config
 
 // MinHashBlocker proposes pairs of offers whose title token sets collide
 // in at least one band of a MinHash-LSH index — an approximation of "token
 // Jaccard above the banding threshold" that never enumerates the quadratic
 // pair space. Candidate sets are deterministic for a fixed Seed.
 type MinHashBlocker struct {
-	// Config sizes the LSH index (bands x rows, the construction worker
-	// pool, and the scale-aware AutoBand switch).
+	// Config sizes the LSH index (bands x rows and the construction
+	// worker pool).
 	Config MinHashConfig
 	// Seed roots the xrand stream the hash family is drawn from.
 	Seed int64
@@ -122,9 +74,9 @@ type MinHashBlocker struct {
 // deliberately far below lsh.DefaultConfig's near-duplicate setting: the
 // benchmark's corner-case positives are hard matches with little token
 // overlap, and the low threshold is what keeps pair completeness near 100%
-// while still pruning the bulk of the pair space. Set Config.AutoBand when
-// indexing universes past tens of thousands of offers; see
-// DefaultAutoBandAbove.
+// while still pruning the bulk of the pair space. Past tens of thousands
+// of near-duplicate offers 48x2 goes quadratic; set Config to 16 bands of
+// 4 rows (threshold ~ Jaccard 0.5) there.
 func NewMinHashBlocker() *MinHashBlocker {
 	return &MinHashBlocker{Config: MinHashConfig{Bands: 48, Rows: 2, Workers: 0}, Seed: 1}
 }
@@ -132,10 +84,9 @@ func NewMinHashBlocker() *MinHashBlocker {
 // Name implements Blocker.
 func (m *MinHashBlocker) Name() string { return "minhash-lsh" }
 
-// BuildIndex implements IndexedBlocker. The banding is resolved from the
-// built universe's size (see MinHashConfig.AutoBand).
+// BuildIndex implements IndexedBlocker.
 func (m *MinHashBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index {
-	return BuildMinHashIndex(offers, idxs, m.Config.resolve(len(idxs)), m.Seed)
+	return BuildMinHashIndex(offers, idxs, m.Config, m.Seed)
 }
 
 // Candidates implements Blocker through a one-shot index. Each distinct

@@ -71,8 +71,8 @@ func RestoreIndex(cfg Config, rng *rand.Rand, r *persist.Reader) (*Index, error)
 // BandKey returns the bucket key of indexed set i in the given band. Two
 // sets — even ones held by different Index instances, as long as both
 // indexes share the same hash family — collide in a band iff their
-// BandKeys are equal, which is what lets a sharded deployment merge
-// bucket membership across shards exactly.
+// BandKeys are equal. With Bucket it names every set colliding with set
+// i, the incremental-delta query path.
 func (ix *Index) BandKey(i, band int) uint64 {
 	return bandKey(ix.sigs[i], band, ix.cfg.Rows)
 }

@@ -79,7 +79,8 @@ type deadLetterEntry struct {
 
 // deadLetter writes one entry to the dead-letter log and bumps the
 // counter. Both the connector loop and the applier call it, so writes
-// are serialized.
+// are serialized. A failing sink (a full disk, say) loses the entry, so
+// the failure is logged.
 func (s *Server) deadLetter(e deadLetterEntry) {
 	s.nDeadLettered.Add(1)
 	if s.cfg.DeadLetter == nil {
@@ -92,7 +93,9 @@ func (s *Server) deadLetter(e deadLetterEntry) {
 		s.logf("dead-letter marshal failed: %v", err)
 		return
 	}
-	s.cfg.DeadLetter.Write(append(b, '\n'))
+	if _, err := s.cfg.DeadLetter.Write(append(b, '\n')); err != nil {
+		s.logf("dead-letter write failed; %s record lost: %v", e.Reason, err)
+	}
 }
 
 // readerLoop pulls offers from the connector into the bounded queue.

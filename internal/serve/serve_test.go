@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -378,6 +379,42 @@ func TestPoisonBatchDeadLetters(t *testing.T) {
 	}
 }
 
+// TestDeadLetterWriteFailureLogged: a dead-letter sink that refuses
+// writes (a full disk) must not lose refused records silently — each
+// failed write is logged with its reason and the sink's error.
+func TestDeadLetterWriteFailureLogged(t *testing.T) {
+	offers := fixture(t)
+	var mu sync.Mutex
+	var logs bytes.Buffer
+	cfg := testConfig(offers[:100])
+	cfg.DeadLetter = writerFunc(func(p []byte) (int, error) {
+		return 0, errors.New("no space left on device")
+	})
+	cfg.Log = writerFunc(func(p []byte) (int, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return logs.Write(p)
+	})
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+	if _, qerr := s.Enqueue([]schemaorg.Offer{{ID: 999999, Title: ""}}); qerr != nil {
+		t.Fatal(qerr)
+	}
+	want := "serve: dead-letter write failed; invalid_offer record lost: no space left on device\n"
+	waitFor(t, 10*time.Second, "dead-letter failure log line", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return strings.Contains(logs.String(), want)
+	})
+	if st := s.Stats(); st.DeadLettered != 1 {
+		t.Fatalf("dead-lettered = %d, want 1", st.DeadLettered)
+	}
+}
+
 // writerFunc adapts a function to io.Writer.
 type writerFunc func(p []byte) (int, error)
 
@@ -507,6 +544,53 @@ func TestShutdownDrainsAndSnapshots(t *testing.T) {
 	_, open := blocking.OpenIndex(blocking.NewMinHashBlocker(), union, idxs, cfg.Index)
 	if !open.Loaded {
 		t.Fatalf("shutdown snapshot not loadable over the grown corpus: %+v", open)
+	}
+}
+
+// TestMinHashShardsOptionSnapshotsOneIndex: MinHash never shards, so a
+// daemon configured with Shards 4 builds, saves at shutdown and reloads
+// the one-shard index — SaveIndex addresses the index OpenIndex built.
+func TestMinHashShardsOptionSnapshotsOneIndex(t *testing.T) {
+	offers := fixture(t)
+	dir := t.TempDir()
+	cut := len(offers) - 20
+	cfg := testConfig(offers[:cut])
+	cfg.Index = blocking.IndexOptions{SnapshotDir: dir, Shards: 4}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	if _, qerr := s.Enqueue(offers[cut:]); qerr != nil {
+		t.Fatal(qerr)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if st := s.Stats(); st.Applied != 20 {
+		t.Fatalf("drain applied %d of 20 queued offers", st.Applied)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !strings.HasPrefix(filepath.Base(f), "minhash-lsh-s1-") {
+			t.Fatalf("snapshot %s is not a one-shard MinHash snapshot", f)
+		}
+	}
+
+	next := cfg
+	next.Offers = offers
+	s2, err := New(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown(context.Background())
+	if open := s2.OpenStats(); !open.Loaded {
+		t.Fatalf("shutdown snapshot not loaded over the grown corpus: %+v", open)
 	}
 }
 

@@ -54,7 +54,7 @@ type Config struct {
 	Offers []schemaorg.Offer
 	// Index routes index acquisition through blocking.OpenIndex:
 	// SnapshotDir enables snapshot load/save, Shards > 1 builds a
-	// hash-partitioned index.
+	// hash-partitioned HNSW or IVF index (MinHash builds one index).
 	Index blocking.IndexOptions
 	// Connector, when non-nil, streams offers into the ingest pipeline
 	// once Start is called.

@@ -27,9 +27,9 @@ import (
 // over the same index — every offer's match list and corpus position
 // must agree exactly. The MinHash rows force CompactLayers low so the
 // walk crosses several compactions, and the matrix covers the engine
-// worker pool and the sharded fan-in. The kNN rows (hnsw and ivf at the
-// same worker and shard counts, the exhaustive embedding index
-// unsharded) pin the other publish path: kNN adjacency is not monotone
+// worker pool. The kNN rows (hnsw and ivf at the same worker counts and
+// at one and four shards, the exhaustive embedding index unsharded) pin
+// the other publish path: kNN adjacency is not monotone
 // under Add, so every kNN batch must republish a full view with no delta
 // layers instead of stacking pairs on partners the index has evicted.
 func TestLayeredViewEquivalence(t *testing.T) {
@@ -50,15 +50,16 @@ func TestLayeredViewEquivalence(t *testing.T) {
 	}
 	var rows []row
 	for _, workers := range []int{1, 2, 8} {
+		// MinHash builds one index at any Shards, so it runs at one only.
+		rows = append(rows, row{
+			name: fmt.Sprintf("workers=%d/shards=1", workers),
+			blocker: &blocking.MinHashBlocker{
+				Config: blocking.MinHashConfig{Bands: 48, Rows: 2, Workers: workers},
+				Seed:   1,
+			},
+			shards: 1,
+		})
 		for _, shards := range []int{1, 4} {
-			rows = append(rows, row{
-				name: fmt.Sprintf("workers=%d/shards=%d", workers, shards),
-				blocker: &blocking.MinHashBlocker{
-					Config: blocking.MinHashConfig{Bands: 48, Rows: 2, Workers: workers},
-					Seed:   1,
-				},
-				shards: shards,
-			})
 			hb := blocking.NewHNSWBlocker(model, 6)
 			hb.Config.Workers = workers
 			ib := blocking.NewIVFBlocker(model, 6)

@@ -397,12 +397,13 @@ func blockerModel(b *Benchmark, names []string, seed int64) *embed.Model {
 // through blocking.OpenIndex: a non-empty SnapshotDir loads each
 // blocker's index from a trusted snapshot when one exists for the exact
 // corpus/config fingerprint (and saves a fresh one otherwise), and
-// Shards > 1 hash-partitions the index across that many per-shard
-// engines. The zero value reproduces the plain build-per-run behaviour.
+// Shards > 1 hash-partitions the HNSW and IVF indexes across that many
+// per-shard engines (MinHash builds one index at any Shards). The zero
+// value reproduces the plain build-per-run behaviour.
 type BlockingOptions struct {
 	// SnapshotDir enables index persistence when non-empty.
 	SnapshotDir string
-	// Shards > 1 builds hash-partitioned indexes.
+	// Shards > 1 builds hash-partitioned HNSW and IVF indexes.
 	Shards int
 	// IVFPrecision selects the representation the IVF blocker scans its
 	// inverted lists in: "f32" (or empty — exact, the default), "int8"
@@ -762,8 +763,8 @@ func MatcherBlockingReport(b *Benchmark, names, systems []string, seed int64, re
 // loads/saves each blocker's union index snapshot and opts.Shards > 1
 // partitions the indexes of the blockers that support it. The restricted
 // pair sets — and therefore the whole table — are identical to the plain
-// report's for any options (sharded MinHash exactly; the sharded kNN
-// engines within their usual approximation tolerance).
+// report's for any options (MinHash exactly, since it never shards; the
+// sharded kNN engines within their usual approximation tolerance).
 func MatcherBlockingReportOpts(b *Benchmark, names, systems []string, seed int64, reps, workers int, opts BlockingOptions) (*Table, error) {
 	if len(names) == 0 {
 		names = BlockerNames()
