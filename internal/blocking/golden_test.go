@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -121,5 +122,44 @@ func TestGoldenSublinearCandidates(t *testing.T) {
 	}
 	if sb.String() != string(want) {
 		t.Errorf("candidates differ from golden %s", path)
+	}
+}
+
+// TestGoldenSnapshots pins the snapshot format on the tiny-benchmark
+// fixture: for each persisted engine, the file name OpenIndex writes and
+// the SHA-256 of the index's EncodeSnapshot bytes, once for the freshly
+// built index and once for the index OpenIndex loads back from that
+// file. A refactor of the index or envelope code that changes a single
+// byte, a fingerprint or a file name fails here, so snapshot directories
+// written by earlier builds keep loading. The kNN rows are pinned per
+// platform, like every embedding-space golden.
+func TestGoldenSnapshots(t *testing.T) {
+	offers, idxs, _ := fixture(t)
+	var sb strings.Builder
+	for _, bl := range persistableBlockers(2) {
+		opts := IndexOptions{SnapshotDir: t.TempDir()}
+		built, bstats := OpenIndex(bl, offers, idxs, opts)
+		loaded, lstats := OpenIndex(bl, offers, idxs, opts)
+		if !bstats.Saved || !lstats.Loaded {
+			t.Fatalf("%s: open stats %+v then %+v, want a save then a load", bl.Name(), bstats, lstats)
+		}
+		fmt.Fprintf(&sb, "%s %s\nbuilt %x\nloaded %x\n", bl.Name(), filepath.Base(bstats.Path),
+			sha256.Sum256(built.(SnapshotIndex).EncodeSnapshot()),
+			sha256.Sum256(loaded.(SnapshotIndex).EncodeSnapshot()))
+	}
+	path := filepath.Join("testdata", "snapshot_golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden fixture (run with -update): %v", err)
+	}
+	if sb.String() != string(want) {
+		t.Errorf("snapshots differ from golden %s:\n%s", path, sb.String())
 	}
 }
