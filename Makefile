@@ -5,12 +5,12 @@ GO ?= go
 # The perf-trajectory benchmarks recorded in BENCH_10.json: the
 # end-to-end pipeline build, the corner-selection microbenchmarks, the
 # sigmoid lookup-table comparison, the blocking-scale / index-reuse /
-# matcher / persistence / sharded kNN (HNSW and IVF only; MinHash
-# builds one index) / serving / synthetic scale-out / quantized IVF
-# benches carried over from PRs 4-9, and the PR 10 serve ingest-scale
-# bench — per-batch publication latency and sustained ingest QPS through
-# the incremental delta write path at n=10k/100k, against the
-# full-adjacency-rebuild baseline it replaced.
+# matcher / persistence / serving / synthetic scale-out / quantized IVF
+# benches carried over from PRs 4-9 (every kNN index is one engine; its
+# build and query rows are the BlockingScale and BlockingReuse ones), and
+# the PR 10 serve ingest-scale bench — per-batch publication latency
+# and sustained ingest QPS through the incremental delta write path at
+# n=10k/100k, against the full-adjacency-rebuild baseline it replaced.
 BENCH_OUT ?= BENCH_10.json
 BENCH_NOTE ?= incremental epoch views (PR 10): a 256-offer batch publishes in ~2.4ms at n=10k and ~2.9ms at n=100k (1.2x; write cost tracks the batch, not the corpus) vs the ~26s full adjacency rebuild each batch used to pay at n=100k (~9000x); see BenchmarkServeIngestScale apply-us-per-batch vs full-rebuild-us
 
@@ -84,7 +84,6 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkBlockingReuse' -benchmem -benchtime 3x . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkMatcherBlocking' -benchmem -benchtime 1x . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSnapshotReload' -benchmem -benchtime 20x . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkShardedBlocking' -benchmem -benchtime 2x . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeLoad$$' -benchmem -benchtime 1x ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkSynthGrow$$' -benchmem -benchtime 1x -timeout 30m . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkSynthBlockingScale$$' -benchmem -benchtime 1x -timeout 30m . && \

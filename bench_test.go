@@ -676,7 +676,7 @@ func BenchmarkBlockingReuse_IVF(b *testing.B) {
 	}
 }
 
-// --- Snapshot-reload and sharded benches (§6, PR 6) --------------------------
+// --- Snapshot-reload benches (§6, PR 6) --------------------------------------
 
 // The snapshot-reload benches quantify the persistence tentpole: rebuild-ms
 // is a cold index build over the first n offers, load-ms is what a later
@@ -756,59 +756,6 @@ func BenchmarkSnapshotReload_IVF(b *testing.B) {
 			benchSnapshotReload(b, func() blocking.IndexedBlocker {
 				return blocking.NewIVFBlocker(blockModel, blockKNN)
 			}, n)
-		})
-	}
-}
-
-// The sharded benches measure the hash-partitioned kNN indexes over the
-// full tiny corpus at 1, 2 and 4 shards: build-ms (concurrent per-shard
-// construction), query-cold-ms (first full-universe query: fan-out plus
-// merge), query-ms (repeat queries over the materialized lists), the pair
-// count, and exhaustive-recall — the fraction of the exhaustive embedding
-// blocker's pair set the sharded index recovers, the number the 4-shard
-// acceptance floor is read from.
-func benchShardedBlocking(b *testing.B, bl blocking.ShardedIndexBuilder, shards, n int) {
-	b.Helper()
-	idxs := make([]int, n)
-	for i := range idxs {
-		idxs[i] = i
-	}
-	t0 := time.Now()
-	ix := bl.BuildShardedIndex(benchB.Offers, idxs, shards)
-	buildMS := float64(time.Since(t0).Microseconds()) / 1000
-	t1 := time.Now()
-	ix.Candidates(idxs)
-	coldMS := float64(time.Since(t1).Microseconds()) / 1000
-	var cands []blocking.CandidatePair
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cands = ix.Candidates(idxs)
-	}
-	b.StopTimer()
-	queryMS := float64(b.Elapsed().Microseconds()) / 1000 / float64(b.N)
-	b.ReportMetric(buildMS, "build-ms")
-	b.ReportMetric(coldMS, "query-cold-ms")
-	b.ReportMetric(queryMS, "query-ms")
-	b.ReportMetric(float64(len(cands)), "pairs")
-	b.ReportMetric(pairRecall(cands, exhaustivePairs(n))*100, "exhaustive-recall")
-}
-
-func BenchmarkShardedBlocking_HNSW(b *testing.B) {
-	blockingBenchSetup(b)
-	n := len(benchB.Offers)
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchShardedBlocking(b, blocking.NewHNSWBlocker(blockModel, blockKNN), shards, n)
-		})
-	}
-}
-
-func BenchmarkShardedBlocking_IVF(b *testing.B) {
-	blockingBenchSetup(b)
-	n := len(benchB.Offers)
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchShardedBlocking(b, blocking.NewIVFBlocker(blockModel, blockKNN), shards, n)
 		})
 	}
 }

@@ -75,8 +75,6 @@ func main() {
 		"run the matcher-in-the-loop blocking study: train the -systems matchers on each blocker's candidate-restricted pair sets and report downstream P/R/F1 next to completeness/reduction (uses the -blocking blocker list, default all)")
 	snapshotDir := flag.String("snapshot-dir", "",
 		"persist blocking indexes: load each index from this directory when a snapshot matches the corpus/config fingerprint, save it after a fresh build (empty = rebuild every run)")
-	shards := flag.Int("shards", 0,
-		"hash-partition the blocking indexes across this many shards (<= 1 = single index; hnsw and ivf; minhash builds one index)")
 	ivfPrecision := flag.String("ivf-precision", "",
 		"IVF blocker scan precision: f32 (default, exact), int8 (symmetric 8-bit rows), or pq (product-quantized residuals); quantized tiers re-rank with exact dots")
 	quiet := flag.Bool("q", false, "suppress progress lines")
@@ -102,7 +100,7 @@ func main() {
 
 	if *blockingFlag != "" || *blockScale || *matchBlock {
 		names := wdcproducts.ParseBlockerNames(*blockingFlag)
-		opts := wdcproducts.BlockingOptions{SnapshotDir: *snapshotDir, Shards: *shards, IVFPrecision: *ivfPrecision}
+		opts := wdcproducts.BlockingOptions{SnapshotDir: *snapshotDir, IVFPrecision: *ivfPrecision}
 		if *verbose {
 			opts.Log = os.Stderr
 		}

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	wdcserve [-addr :8080] [-scale tiny] [-seed 42] [-blocker minhash]
-//	         [-ivf-precision f32] [-shards 0] [-snapshot-dir DIR]
+//	         [-ivf-precision f32] [-snapshot-dir DIR]
 //	         [-stream 0.2] [-ingest FILE] [-dead-letter FILE] [-queue 256]
 //	         [-batch 64] [-flush 200ms] [-compact-layers 32]
 //	         [-compact-pairs 0] [-query-timeout 2s] [-drain-timeout 10s] [-v]
@@ -42,7 +42,6 @@ func main() {
 	scale := flag.String("scale", "tiny", "benchmark scale seeding the corpus: default|small|tiny")
 	seed := flag.Int64("seed", 42, "master random seed")
 	blockerName := flag.String("blocker", "minhash", "blocking engine: minhash|embedding|hnsw|ivf")
-	shards := flag.Int("shards", 0, "hash-partition the index across this many shards (<= 1 = single index; hnsw and ivf; minhash builds one index)")
 	snapshotDir := flag.String("snapshot-dir", "", "load the index from this directory when a trusted snapshot exists; save the grown index there at shutdown")
 	stream := flag.Float64("stream", 0.2, "fraction of the corpus held back and replayed through the ingest pipeline (0 = serve everything from the start)")
 	ingest := flag.String("ingest", "", "stream JSONL offers from this file instead of the held-back corpus fraction (- = stdin)")
@@ -102,7 +101,7 @@ func main() {
 	scfg := serve.Config{
 		Blocker:       bl,
 		Offers:        seedOffers,
-		Index:         blocking.IndexOptions{SnapshotDir: *snapshotDir, Shards: *shards},
+		Index:         blocking.IndexOptions{SnapshotDir: *snapshotDir},
 		Connector:     connector,
 		QueueCap:      *queueCap,
 		BatchSize:     *batch,

@@ -150,32 +150,3 @@ func TestConcurrentAddCandidatesHammer(t *testing.T) {
 		})
 	}
 }
-
-// TestConcurrentShardedHammer is the same interleaving for the sharded
-// kNN variants: the quiesced grown index must equal a fresh sharded
-// build over the union at the same shard count.
-func TestConcurrentShardedHammer(t *testing.T) {
-	offers, idxs, _ := fixture(t)
-	cut := 2 * len(idxs) / 3
-	prefix, tail := idxs[:cut], idxs[cut:]
-	hb := NewHNSWBlocker(model, 6)
-	hb.Config.Workers = 2
-	ib := NewIVFBlocker(model, 6)
-	ib.Config.Workers = 2
-	ib.Config.TrainSize = 16 // per-shard training prefixes stay covered by the initial build
-	for _, tc := range []struct {
-		bl     ShardedIndexBuilder
-		shards int
-	}{{hb, 2}, {ib, 2}, {ib, 3}} {
-		tc := tc
-		name := fmt.Sprintf("%s-shards=%d", tc.bl.Name(), tc.shards)
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			ix := tc.bl.BuildShardedIndex(offers, prefix, tc.shards)
-			hammerIndex(t, name, ix, offers, prefix, tail, false)
-			fresh := tc.bl.BuildShardedIndex(offers, idxs, tc.shards)
-			samePairs(t, name+" quiesced union", ix.Candidates(idxs), fresh.Candidates(idxs))
-			samePairs(t, name+" quiesced prefix", ix.Candidates(prefix), fresh.Candidates(prefix))
-		})
-	}
-}

@@ -12,10 +12,10 @@
 // property of two fixed signatures, so new titles never change old
 // edges — which admits a truly sublinear delta: look up each batch
 // title's band buckets and expand only the incident edges. The kNN
-// indexes (ShardedKNNIndex at any shard count, EmbeddingIndex) are not
-// monotone: a new title can evict an old partner from someone's top-K
-// budget, a removal no list of added pairs can express. They do not
-// implement DeltaIndex, so callers fall back to a full query.
+// indexes (KNNIndex, EmbeddingIndex) are not monotone: a new title can
+// evict an old partner from someone's top-K budget, a removal no list of
+// added pairs can express. They do not implement DeltaIndex, so callers
+// fall back to a full query.
 
 package blocking
 

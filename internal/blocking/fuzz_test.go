@@ -80,10 +80,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	lcfg, hcfg, icfg := fuzzLSHConfig(), fuzzHNSWConfig(), fuzzIVFConfig()
 	const seed = 1
 	f.Add(BuildMinHashIndex(offers, idxs, lcfg, seed).EncodeSnapshot())
-	f.Add(BuildShardedHNSWIndex(offers, idxs, 1, model, 2, hcfg, seed).EncodeSnapshot())
-	f.Add(BuildShardedIVFIndex(offers, idxs, 1, model, 2, icfg, seed).EncodeSnapshot())
-	f.Add(BuildShardedHNSWIndex(offers, idxs, 2, model, 2, hcfg, seed).EncodeSnapshot())
-	f.Add(BuildShardedIVFIndex(offers, idxs, 2, model, 2, icfg, seed).EncodeSnapshot())
+	f.Add(BuildHNSWIndex(offers, idxs, model, 2, hcfg, seed).EncodeSnapshot())
+	f.Add(BuildIVFIndex(offers, idxs, model, 2, icfg, seed).EncodeSnapshot())
 	f.Add([]byte(persist.Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -99,14 +97,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		_, err := LoadMinHashIndex(data, offers, idxs, lcfg, seed)
 		check("minhash", err)
-		_, err = LoadShardedHNSWIndex(data, offers, idxs, 1, model, 2, hcfg, seed)
+		_, err = LoadHNSWIndex(data, offers, idxs, model, 2, hcfg, seed)
 		check("hnsw", err)
-		_, err = LoadShardedIVFIndex(data, offers, idxs, 1, model, 2, icfg, seed)
+		_, err = LoadIVFIndex(data, offers, idxs, model, 2, icfg, seed)
 		check("ivf", err)
-		_, err = LoadShardedHNSWIndex(data, offers, idxs, 2, model, 2, hcfg, seed)
-		check("sharded-hnsw", err)
-		_, err = LoadShardedIVFIndex(data, offers, idxs, 2, model, 2, icfg, seed)
-		check("sharded-ivf", err)
 	})
 }
 
@@ -124,17 +118,16 @@ func fuzzQuantIVFConfig(p ivf.Precision) ivf.Config {
 // payload sections: damaged codebook or code bytes — truncated tables,
 // out-of-range entry addresses, implausible shapes, flipped presence
 // flags — must yield typed persist errors, never a panic or an index that
-// panics when searched. The seed corpus holds valid int8 and PQ snapshots
-// (unsharded and sharded), so mutations explore the quantized decode
-// paths specifically.
+// panics when searched. The seed corpus holds valid int8 and PQ
+// snapshots, so mutations explore the quantized decode paths
+// specifically.
 func FuzzPQSnapshotDecode(f *testing.F) {
 	offers, idxs, model := fuzzFixture()
 	const seed = 1
 	i8cfg := fuzzQuantIVFConfig(ivf.PrecisionInt8)
 	pqcfg := fuzzQuantIVFConfig(ivf.PrecisionPQ)
-	f.Add(BuildShardedIVFIndex(offers, idxs, 1, model, 2, i8cfg, seed).EncodeSnapshot())
-	f.Add(BuildShardedIVFIndex(offers, idxs, 1, model, 2, pqcfg, seed).EncodeSnapshot())
-	f.Add(BuildShardedIVFIndex(offers, idxs, 2, model, 2, pqcfg, seed).EncodeSnapshot())
+	f.Add(BuildIVFIndex(offers, idxs, model, 2, i8cfg, seed).EncodeSnapshot())
+	f.Add(BuildIVFIndex(offers, idxs, model, 2, pqcfg, seed).EncodeSnapshot())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(name string, err error) {
@@ -148,15 +141,13 @@ func FuzzPQSnapshotDecode(f *testing.F) {
 			}
 		}
 		for _, cfg := range []ivf.Config{i8cfg, pqcfg} {
-			ix, err := LoadShardedIVFIndex(data, offers, idxs, 1, model, 2, cfg, seed)
+			ix, err := LoadIVFIndex(data, offers, idxs, model, 2, cfg, seed)
 			check(string(cfg.Precision), err)
 			if err == nil {
 				// A load that passed every structural check must be
 				// queryable without panicking.
 				ix.Candidates(idxs)
 			}
-			_, err = LoadShardedIVFIndex(data, offers, idxs, 2, model, 2, cfg, seed)
-			check("sharded-"+string(cfg.Precision), err)
 		}
 	})
 }

@@ -188,6 +188,37 @@ func (c *indexedCorpus) fingerprint(cfgWords ...uint64) uint64 {
 	return uint64(h)
 }
 
+// indexBase is the state MinHashIndex and KNNIndex share: the indexed
+// corpus, the engine name, the worker budget and the configuration words
+// of the snapshot address. mu guards the base and the engine of the index
+// that embeds it: Add holds it for writing, Candidates for reading.
+type indexBase struct {
+	mu       sync.RWMutex // Add writes, Candidates reads
+	name     string
+	corpus   *indexedCorpus
+	workers  int
+	cfgWords []uint64
+}
+
+// init indexes the offers at idxs.
+func (b *indexBase) init(name string, offers []schemaorg.Offer, idxs []int, workers int, cfgWords []uint64) {
+	b.name = name
+	b.corpus = newIndexedCorpus()
+	b.workers = workers
+	b.cfgWords = cfgWords
+	b.corpus.add(offers, idxs)
+}
+
+// Name implements Index.
+func (b *indexBase) Name() string { return b.name }
+
+// Len implements Index.
+func (b *indexBase) Len() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.corpus.len()
+}
+
 // queryView is a split query resolved against an indexed corpus: the
 // distinct title ids the split touches (slots in first-appearance order)
 // and, per slot, the split's offers carrying that title. For a query over
@@ -224,7 +255,7 @@ func (c *indexedCorpus) view(queryIdxs []int) *queryView {
 }
 
 // knnCandidates implements the split-query semantics of the title-level
-// kNN index (ShardedKNNIndex): every query title consumes its
+// kNN index (KNNIndex): every query title consumes its
 // K-neighbour budget from its ranked neighbour list (computed over the
 // full indexed corpus, own title included), pairs whose partner falls
 // outside the query are dropped rather than refilled, and identical-title

@@ -40,10 +40,10 @@ func NewIVFBlocker(model *embed.Model, k int) *IVFBlocker {
 // Name implements Blocker.
 func (b *IVFBlocker) Name() string { return "ivf-knn" }
 
-// BuildIndex implements IndexedBlocker with the single-shard
-// ShardedKNNIndex.
+// BuildIndex implements IndexedBlocker with a KNNIndex over one IVF
+// index.
 func (b *IVFBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index {
-	return BuildShardedIVFIndex(offers, idxs, 1, b.Model, b.K, b.Config, b.Seed)
+	return BuildIVFIndex(offers, idxs, b.Model, b.K, b.Config, b.Seed)
 }
 
 // Candidates implements Blocker through a one-shot index; callers that

@@ -1,7 +1,5 @@
 // MinHashIndex: the banded MinHash-LSH index, one lsh.Index over the
-// distinct titles of a one-shard shardSet. It is never partitioned: one
-// LSH index already signs titles across the worker pool, and sharding it
-// bought no measured build or query gain. Its delta path lives in
+// distinct titles of the indexed corpus. Its delta path lives in
 // delta.go and its snapshot code in snapshot.go.
 
 package blocking
@@ -18,7 +16,7 @@ import (
 // to interleave from any number of goroutines — and implements
 // DeltaIndex.
 type MinHashIndex struct {
-	shardSet
+	indexBase
 	cfg lsh.Config
 	ix  *lsh.Index
 }
@@ -27,7 +25,7 @@ type MinHashIndex struct {
 // caller fills in.
 func newMinHashIndex(offers []schemaorg.Offer, idxs []int, cfg lsh.Config, seed int64) *MinHashIndex {
 	m := &MinHashIndex{cfg: cfg}
-	m.init("minhash-lsh", offers, idxs, 1, cfg.Workers, minhashWords(cfg, seed))
+	m.init("minhash-lsh", offers, idxs, cfg.Workers, minhashWords(cfg, seed))
 	return m
 }
 
@@ -59,7 +57,7 @@ func minhashWords(cfg lsh.Config, seed int64) []uint64 {
 func (m *MinHashIndex) Add(offers []schemaorg.Offer, idxs []int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, tid := range m.addOffers(offers, idxs) {
+	for _, tid := range m.corpus.add(offers, idxs) {
 		m.ix.Add(m.corpus.prep().TokenSet(tid))
 	}
 }

@@ -67,7 +67,7 @@ func TestIVFQuantizedSnapshotRoundTrip(t *testing.T) {
 		bl := quantIVFBlocker(p, 2)
 		ix := bl.BuildIndex(offers, idxs).(SnapshotIndex)
 		data := ix.EncodeSnapshot()
-		loaded, err := bl.loadSnapshot(data, offers, idxs, 1)
+		loaded, err := bl.loadSnapshot(data, offers, idxs)
 		if err != nil {
 			t.Fatalf("%s: load failed: %v", p, err)
 		}
@@ -78,7 +78,7 @@ func TestIVFQuantizedSnapshotRoundTrip(t *testing.T) {
 
 		// Round-trip a prefix build, then grow both sides identically.
 		prefix := bl.BuildIndex(offers, idxs[:cut]).(SnapshotIndex)
-		grown, err := bl.loadSnapshot(prefix.EncodeSnapshot(), offers, idxs[:cut], 1)
+		grown, err := bl.loadSnapshot(prefix.EncodeSnapshot(), offers, idxs[:cut])
 		if err != nil {
 			t.Fatalf("%s: prefix load failed: %v", p, err)
 		}
@@ -108,13 +108,13 @@ func TestIVFQuantizedStaleFingerprint(t *testing.T) {
 	rerank.Config.RerankK = 99
 	stale = append(stale, reshaped, rerank)
 	for i, bl := range stale {
-		_, err := bl.loadSnapshot(data, offers, idxs, 1)
+		_, err := bl.loadSnapshot(data, offers, idxs)
 		var mismatch *persist.FingerprintMismatchError
 		if !errors.As(err, &mismatch) {
 			t.Fatalf("stale config %d: want FingerprintMismatchError, got %v", i, err)
 		}
 	}
-	if _, err := quantIVFBlocker(ivf.PrecisionPQ, 1).loadSnapshot(data, offers, idxs, 1); err != nil {
+	if _, err := quantIVFBlocker(ivf.PrecisionPQ, 1).loadSnapshot(data, offers, idxs); err != nil {
 		t.Fatalf("matching config refused its own snapshot: %v", err)
 	}
 }

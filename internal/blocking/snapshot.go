@@ -34,9 +34,11 @@ import (
 	"wdcproducts/internal/xrand"
 )
 
-// shardedKind is the kind string of a snapshot of the named engine at
-// any shard count.
-func shardedKind(name string) string { return "blocking/sharded/" + name }
+// snapshotKind is the kind string of a snapshot of the named engine. The
+// "sharded" segment and the payload's leading count of 1 (see encode)
+// are kept from the retired sharded format, so snapshots written by
+// earlier builds keep loading.
+func snapshotKind(name string) string { return "blocking/sharded/" + name }
 
 // SnapshotIndex is implemented by indexes that can serialize themselves
 // into the versioned snapshot format. The encoded bytes are self-checking
@@ -112,49 +114,46 @@ func readVecs(r *persist.Reader, kind string, titleCount int) ([][]float32, erro
 	return vecs, nil
 }
 
-// SnapshotFingerprint implements SnapshotIndex (past one shard the
-// shard count is part of the address: a 4-shard snapshot never loads
-// into a 2-shard index).
-func (ss *shardSet) SnapshotFingerprint() uint64 {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return ss.corpus.fingerprint(ss.cfgWords...)
+// SnapshotFingerprint implements SnapshotIndex.
+func (b *indexBase) SnapshotFingerprint() uint64 {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.corpus.fingerprint(b.cfgWords...)
 }
 
-// encode wraps a sharded payload — the shard count, then what body
-// writes — in the persist envelope. Shard membership is not stored: it
-// is a pure function of the title bytes, recomputed at load. The caller
-// holds the read lock, which keeps the encoded state consistent with the
-// stamped fingerprint when Adds are landing concurrently.
-func (ss *shardSet) encode(body func(b *persist.Buffer)) []byte {
-	var b persist.Buffer
-	b.Int(ss.shards)
-	body(&b)
-	return persist.Encode(shardedKind(ss.name), ss.corpus.fingerprint(ss.cfgWords...), b.Bytes())
+// encode wraps a payload — a count of 1, then what body writes — in the
+// persist envelope. The caller holds the read lock, which keeps the
+// encoded state consistent with the stamped fingerprint when Adds are
+// landing concurrently.
+func (b *indexBase) encode(body func(buf *persist.Buffer)) []byte {
+	var buf persist.Buffer
+	buf.Int(1)
+	body(&buf)
+	return persist.Encode(snapshotKind(b.name), b.corpus.fingerprint(b.cfgWords...), buf.Bytes())
 }
 
-// openShardedPayload validates the envelope and shard count shared by the
-// sharded loaders and returns the payload reader. The expected address is
-// hashed from the caller's offers/idxs, as the blocker's own address is:
-// that skips the per-offer title lookups of the corpus fingerprint, a
+// openPayload validates the envelope and the leading count shared by the
+// loaders and returns the payload reader. The expected address is hashed
+// from the caller's offers/idxs, as the blocker's own address is: that
+// skips the per-offer title lookups of the corpus fingerprint, a
 // measurable slice of a cold load.
-func (ss *shardSet) openShardedPayload(data []byte, offers []schemaorg.Offer, idxs []int) (*persist.Reader, error) {
-	kind := shardedKind(ss.name)
-	payload, err := persist.Decode(data, kind, corpusFingerprint(offers, idxs, ss.cfgWords...))
+func (b *indexBase) openPayload(data []byte, offers []schemaorg.Offer, idxs []int) (*persist.Reader, error) {
+	kind := snapshotKind(b.name)
+	payload, err := persist.Decode(data, kind, corpusFingerprint(offers, idxs, b.cfgWords...))
 	if err != nil {
 		return nil, err
 	}
 	r := persist.NewReader(payload)
-	if got := r.Int(); r.Err() != nil || got != ss.shards {
-		return nil, persist.Corrupt(kind, "snapshot holds %d shards, want %d", got, ss.shards)
+	if got := r.Int(); r.Err() != nil || got != 1 {
+		return nil, persist.Corrupt(kind, "snapshot payload count %d, want 1", got)
 	}
 	return r, nil
 }
 
-// finishShardedPayload checks that a sharded payload was fully consumed.
-func (ss *shardSet) finishShardedPayload(r *persist.Reader) error {
+// finishPayload checks that a payload was fully consumed.
+func (b *indexBase) finishPayload(r *persist.Reader) error {
 	if r.Remaining() != 0 {
-		return persist.Corrupt(shardedKind(ss.name), "%d trailing payload bytes", r.Remaining())
+		return persist.Corrupt(snapshotKind(b.name), "%d trailing payload bytes", r.Remaining())
 	}
 	return nil
 }
@@ -168,15 +167,13 @@ func (m *MinHashIndex) EncodeSnapshot() []byte {
 }
 
 // EncodeSnapshot implements SnapshotIndex: the payload is the title
-// encodings followed by the per-shard engine structures.
-func (x *ShardedKNNIndex) EncodeSnapshot() []byte {
+// encodings followed by the engine structure.
+func (x *KNNIndex) EncodeSnapshot() []byte {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return x.encode(func(b *persist.Buffer) {
 		appendVecs(b, x.vecs)
-		for _, e := range x.engines {
-			e.AppendSnapshot(b)
-		}
+		x.engine.AppendSnapshot(b)
 	})
 }
 
@@ -188,51 +185,49 @@ func (x *ShardedKNNIndex) EncodeSnapshot() []byte {
 // index that was saved, including after further Adds.
 func LoadMinHashIndex(data []byte, offers []schemaorg.Offer, idxs []int, cfg lsh.Config, seed int64) (*MinHashIndex, error) {
 	m := newMinHashIndex(offers, idxs, cfg, seed)
-	r, err := m.openShardedPayload(data, offers, idxs)
+	r, err := m.openPayload(data, offers, idxs)
 	if err != nil {
 		return nil, err
 	}
-	kind := shardedKind(m.name)
+	kind := snapshotKind(m.name)
 	if m.ix, err = lsh.RestoreIndex(cfg, xrand.New(seed).Stream("minhash-lsh"), r); err != nil {
 		return nil, persist.Corrupt(kind, "%v", err)
 	}
 	if m.ix.Len() != m.corpus.titleCount() {
 		return nil, persist.Corrupt(kind, "snapshot holds %d titles, corpus has %d titles", m.ix.Len(), m.corpus.titleCount())
 	}
-	if err := m.finishShardedPayload(r); err != nil {
+	if err := m.finishPayload(r); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// load restores the title encodings and every shard's engine from
-// snapshot bytes; restore decodes shard s's engine over its vectors.
-func (x *ShardedKNNIndex) load(data []byte, offers []schemaorg.Offer, idxs []int, restore func(s int, r *persist.Reader) (knnShard, error)) error {
-	r, err := x.openShardedPayload(data, offers, idxs)
+// load restores the title encodings and the engine from snapshot bytes;
+// restore decodes the engine over the encodings.
+func (x *KNNIndex) load(data []byte, offers []schemaorg.Offer, idxs []int, restore func(r *persist.Reader) (knnEngine, error)) error {
+	r, err := x.openPayload(data, offers, idxs)
 	if err != nil {
 		return err
 	}
-	kind := shardedKind(x.name)
+	kind := snapshotKind(x.name)
 	if x.vecs, err = readVecs(r, kind, x.corpus.titleCount()); err != nil {
 		return err
 	}
-	for s := range x.engines {
-		if x.engines[s], err = restore(s, r); err != nil {
-			return persist.Corrupt(kind, "shard %d: %v", s, err)
-		}
+	if x.engine, err = restore(r); err != nil {
+		return persist.Corrupt(kind, "%v", err)
 	}
-	return x.finishShardedPayload(r)
+	return x.finishPayload(r)
 }
 
-// LoadShardedHNSWIndex restores a sharded HNSW index from snapshot bytes;
-// the trust rule of LoadMinHashIndex applies (model included: its
-// content hash is part of the fingerprint). Loading skips tokenization,
-// encoding, and graph construction — the dominant build costs.
-func LoadShardedHNSWIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg hnsw.Config, seed int64) (*ShardedKNNIndex, error) {
-	x := newShardedKNN("hnsw-knn", offers, idxs, shards, model, k, cfg.Workers, hnswWords(model, k, cfg, seed))
-	err := x.load(data, offers, idxs, func(s int, r *persist.Reader) (knnShard, error) {
-		g, err := hnsw.Restore(x.shardVecs(s), cfg, xrand.New(seed).Stream(shardStream("hnsw-knn", x.shards, s)), r)
-		return hnswShard{g}, err
+// LoadHNSWIndex restores an HNSW index from snapshot bytes; the trust
+// rule of LoadMinHashIndex applies (model included: its content hash is
+// part of the fingerprint). Loading skips tokenization, encoding, and
+// graph construction — the dominant build costs.
+func LoadHNSWIndex(data []byte, offers []schemaorg.Offer, idxs []int, model *embed.Model, k int, cfg hnsw.Config, seed int64) (*KNNIndex, error) {
+	x := newKNNIndex("hnsw-knn", offers, idxs, model, k, cfg.Workers, hnswWords(model, k, cfg, seed))
+	err := x.load(data, offers, idxs, func(r *persist.Reader) (knnEngine, error) {
+		g, err := hnsw.Restore(x.vecs, cfg, xrand.New(seed).Stream("hnsw-knn"), r)
+		return hnswEngine{g}, err
 	})
 	if err != nil {
 		return nil, err
@@ -240,14 +235,14 @@ func LoadShardedHNSWIndex(data []byte, offers []schemaorg.Offer, idxs []int, sha
 	return x, nil
 }
 
-// LoadShardedIVFIndex restores a sharded IVF index from snapshot bytes;
-// the trust rule of LoadShardedHNSWIndex applies. Loading skips
-// tokenization, encoding, and the k-means fit.
-func LoadShardedIVFIndex(data []byte, offers []schemaorg.Offer, idxs []int, shards int, model *embed.Model, k int, cfg ivf.Config, seed int64) (*ShardedKNNIndex, error) {
-	x := newShardedKNN("ivf-knn", offers, idxs, shards, model, k, cfg.Workers, ivfWords(model, k, cfg, seed))
-	err := x.load(data, offers, idxs, func(s int, r *persist.Reader) (knnShard, error) {
-		ix, err := ivf.Restore(x.shardVecs(s), cfg, r)
-		return ivfShard{ix}, err
+// LoadIVFIndex restores an IVF index from snapshot bytes; the trust rule
+// of LoadHNSWIndex applies. Loading skips tokenization, encoding, and the
+// k-means fit.
+func LoadIVFIndex(data []byte, offers []schemaorg.Offer, idxs []int, model *embed.Model, k int, cfg ivf.Config, seed int64) (*KNNIndex, error) {
+	x := newKNNIndex("ivf-knn", offers, idxs, model, k, cfg.Workers, ivfWords(model, k, cfg, seed))
+	err := x.load(data, offers, idxs, func(r *persist.Reader) (knnEngine, error) {
+		ix, err := ivf.Restore(x.vecs, cfg, r)
+		return ivfEngine{ix}, err
 	})
 	if err != nil {
 		return nil, err
@@ -257,45 +252,35 @@ func LoadShardedIVFIndex(data []byte, offers []schemaorg.Offer, idxs []int, shar
 
 // snapshotBlocker is implemented by blockers whose indexes persist: it
 // exposes the content address (for snapshot file naming and trust) and
-// the matching typed loader. shards < 2 addresses the unsharded index;
-// MinHash has no other (see indexShards), so it ignores shards.
+// the matching typed loader.
 type snapshotBlocker interface {
 	IndexedBlocker
-	snapshotFingerprint(offers []schemaorg.Offer, idxs []int, shards int) uint64
-	loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int, shards int) (Index, error)
+	snapshotFingerprint(offers []schemaorg.Offer, idxs []int) uint64
+	loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int) (Index, error)
 }
 
-// shardedSnapshotWords appends the shard marker to a word list when the
-// index is actually sharded.
-func shardedSnapshotWords(words []uint64, shards int) []uint64 {
-	if shards > 1 {
-		words = append(words, shardWordMarker, uint64(shards))
-	}
-	return words
-}
-
-func (m *MinHashBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int, _ int) uint64 {
+func (m *MinHashBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int) uint64 {
 	return corpusFingerprint(offers, idxs, minhashWords(m.Config, m.Seed)...)
 }
 
-func (m *MinHashBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int, _ int) (Index, error) {
+func (m *MinHashBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int) (Index, error) {
 	return LoadMinHashIndex(data, offers, idxs, m.Config, m.Seed)
 }
 
-func (h *HNSWBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int, shards int) uint64 {
-	return corpusFingerprint(offers, idxs, shardedSnapshotWords(hnswWords(h.Model, h.K, h.Config, h.Seed), shards)...)
+func (h *HNSWBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int) uint64 {
+	return corpusFingerprint(offers, idxs, hnswWords(h.Model, h.K, h.Config, h.Seed)...)
 }
 
-func (h *HNSWBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int, shards int) (Index, error) {
-	return LoadShardedHNSWIndex(data, offers, idxs, shards, h.Model, h.K, h.Config, h.Seed)
+func (h *HNSWBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int) (Index, error) {
+	return LoadHNSWIndex(data, offers, idxs, h.Model, h.K, h.Config, h.Seed)
 }
 
-func (b *IVFBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int, shards int) uint64 {
-	return corpusFingerprint(offers, idxs, shardedSnapshotWords(ivfWords(b.Model, b.K, b.Config, b.Seed), shards)...)
+func (b *IVFBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int) uint64 {
+	return corpusFingerprint(offers, idxs, ivfWords(b.Model, b.K, b.Config, b.Seed)...)
 }
 
-func (b *IVFBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int, shards int) (Index, error) {
-	return LoadShardedIVFIndex(data, offers, idxs, shards, b.Model, b.K, b.Config, b.Seed)
+func (b *IVFBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int) (Index, error) {
+	return LoadIVFIndex(data, offers, idxs, b.Model, b.K, b.Config, b.Seed)
 }
 
 // IndexOptions parameterizes OpenIndex.
@@ -304,10 +289,6 @@ type IndexOptions struct {
 	// to load a trusted snapshot from the directory before building, and
 	// saves a fresh snapshot after any build. Empty disables both.
 	SnapshotDir string
-	// Shards > 1 hash-partitions the index across that many per-shard
-	// engines. Only the HNSW and IVF blockers shard; every other blocker,
-	// MinHash included, builds, saves and loads one index at any Shards.
-	Shards int
 }
 
 // OpenStats reports what OpenIndex did.
@@ -331,29 +312,21 @@ type OpenStats struct {
 
 // OpenIndex returns a ready blocking index for the blocker over the given
 // corpus: loaded from a trusted snapshot when opts.SnapshotDir holds one
-// for the exact corpus/config fingerprint, freshly built (sharded when
-// opts.Shards > 1 and the blocker supports it) otherwise — and in that
-// case written back for the next process. Load failures of any kind are
-// recorded in the returned OpenStats and fall back to the build path, so
-// the call always yields a usable index; snapshot trust is never
-// negotiable, only observable.
+// for the exact corpus/config fingerprint, freshly built otherwise — and
+// in that case written back for the next process. Load failures of any
+// kind are recorded in the returned OpenStats and fall back to the build
+// path, so the call always yields a usable index; snapshot trust is
+// never negotiable, only observable.
 func OpenIndex(bl IndexedBlocker, offers []schemaorg.Offer, idxs []int, opts IndexOptions) (Index, OpenStats) {
 	var stats OpenStats
-	shards := indexShards(bl, opts)
-	build := func() Index {
-		if shards > 1 {
-			return bl.(ShardedIndexBuilder).BuildShardedIndex(offers, idxs, shards)
-		}
-		return bl.BuildIndex(offers, idxs)
-	}
 	sb, persistable := bl.(snapshotBlocker)
 	if opts.SnapshotDir == "" || !persistable {
-		return build(), stats
+		return bl.BuildIndex(offers, idxs), stats
 	}
-	fp := sb.snapshotFingerprint(offers, idxs, shards)
-	stats.Path = snapshotPath(opts.SnapshotDir, bl.Name(), shards, fp)
+	fp := sb.snapshotFingerprint(offers, idxs)
+	stats.Path = snapshotPath(opts.SnapshotDir, bl.Name(), fp)
 	if data, err := os.ReadFile(stats.Path); err == nil {
-		ix, lerr := sb.loadSnapshot(data, offers, idxs, shards)
+		ix, lerr := sb.loadSnapshot(data, offers, idxs)
 		if lerr == nil {
 			stats.Loaded = true
 			return ix, stats
@@ -362,7 +335,7 @@ func OpenIndex(bl IndexedBlocker, offers []schemaorg.Offer, idxs []int, opts Ind
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		stats.LoadErr = err
 	}
-	ix := build()
+	ix := bl.BuildIndex(offers, idxs)
 	if snap, ok := ix.(SnapshotIndex); ok {
 		if err := persist.WriteFile(stats.Path, snap.EncodeSnapshot()); err != nil {
 			stats.SaveErr = err
@@ -373,20 +346,12 @@ func OpenIndex(bl IndexedBlocker, offers []schemaorg.Offer, idxs []int, opts Ind
 	return ix, stats
 }
 
-// indexShards is the partition count OpenIndex builds and SaveIndex
-// addresses: opts.Shards for a ShardedIndexBuilder, one for every other
-// blocker.
-func indexShards(bl IndexedBlocker, opts IndexOptions) int {
-	if _, ok := bl.(ShardedIndexBuilder); !ok || opts.Shards < 1 {
-		return 1
-	}
-	return opts.Shards
-}
-
 // snapshotPath is the content-addressed snapshot file for the named
-// engine at the given shard count and fingerprint.
-func snapshotPath(dir, name string, shards int, fp uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-s%d-%016x.snap", name, shards, fp))
+// engine and fingerprint. The "-s1" infix is kept from the retired
+// sharded format, so snapshot directories written by earlier builds keep
+// loading.
+func snapshotPath(dir, name string, fp uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s-s1-%016x.snap", name, fp))
 }
 
 // SaveIndex writes ix back to the snapshot file OpenIndex would consult
@@ -405,13 +370,12 @@ func SaveIndex(bl IndexedBlocker, ix Index, offers []schemaorg.Offer, idxs []int
 	if opts.SnapshotDir == "" || !persistable || !encodable {
 		return "", nil
 	}
-	shards := indexShards(bl, opts)
-	fp := sb.snapshotFingerprint(offers, idxs, shards)
+	fp := sb.snapshotFingerprint(offers, idxs)
 	if got := snap.SnapshotFingerprint(); got != fp {
 		return "", fmt.Errorf("blocking: index fingerprint %016x does not match the %d given offers (%016x): snapshot refused",
 			got, len(idxs), fp)
 	}
-	path := snapshotPath(opts.SnapshotDir, bl.Name(), shards, fp)
+	path := snapshotPath(opts.SnapshotDir, bl.Name(), fp)
 	if err := persist.WriteFile(path, snap.EncodeSnapshot()); err != nil {
 		return path, err
 	}

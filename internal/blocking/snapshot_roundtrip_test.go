@@ -16,7 +16,7 @@ import (
 var (
 	_ SnapshotIndex = (*MinHashIndex)(nil)
 	_ DeltaIndex    = (*MinHashIndex)(nil)
-	_ SnapshotIndex = (*ShardedKNNIndex)(nil)
+	_ SnapshotIndex = (*KNNIndex)(nil)
 
 	_ snapshotBlocker = (*MinHashBlocker)(nil)
 	_ snapshotBlocker = (*HNSWBlocker)(nil)
@@ -35,52 +35,36 @@ func persistableBlockers(workers int) []snapshotBlocker {
 	return []snapshotBlocker{mh, hb, ib}
 }
 
-// snapshotShardCounts returns the shard counts the snapshot tests cover
-// for bl: one and three for the blockers that shard, one for MinHash.
-func snapshotShardCounts(bl IndexedBlocker) []int {
-	if _, ok := bl.(ShardedIndexBuilder); ok {
-		return []int{1, 3}
-	}
-	return []int{1}
-}
-
 // TestSnapshotRoundTrip is the central persistence property: encoding an
 // index and loading it back must answer every query byte-identically to
 // the index that was saved — full universe and subsets, at any worker
-// count, for every engine and the sharded form of HNSW and IVF.
+// count, for every engine.
 func TestSnapshotRoundTrip(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	subset := idxs[:len(idxs)/2]
 	for _, workers := range []int{1, 2, 8} {
 		for _, bl := range persistableBlockers(workers) {
-			for _, shards := range snapshotShardCounts(bl) {
-				name := fmt.Sprintf("%s/workers=%d/shards=%d", bl.Name(), workers, shards)
-				var ix Index
-				if shards > 1 {
-					ix = bl.(ShardedIndexBuilder).BuildShardedIndex(offers, idxs, shards)
-				} else {
-					ix = bl.BuildIndex(offers, idxs)
-				}
-				snap, ok := ix.(SnapshotIndex)
-				if !ok {
-					t.Fatalf("%s: index does not persist", name)
-				}
-				// SaveIndex refuses an index whose own address differs
-				// from the one OpenIndex derives for the blocker.
-				if got, want := snap.SnapshotFingerprint(), bl.snapshotFingerprint(offers, idxs, shards); got != want {
-					t.Fatalf("%s: index fingerprint %016x, blocker addresses %016x", name, got, want)
-				}
-				data := snap.EncodeSnapshot()
-				loaded, err := bl.loadSnapshot(data, offers, idxs, shards)
-				if err != nil {
-					t.Fatalf("%s: load failed: %v", name, err)
-				}
-				if loaded.Len() != ix.Len() {
-					t.Fatalf("%s: loaded index holds %d offers, want %d", name, loaded.Len(), ix.Len())
-				}
-				samePairs(t, name+" full", loaded.Candidates(idxs), ix.Candidates(idxs))
-				samePairs(t, name+" subset", loaded.Candidates(subset), ix.Candidates(subset))
+			name := fmt.Sprintf("%s/workers=%d", bl.Name(), workers)
+			ix := bl.BuildIndex(offers, idxs)
+			snap, ok := ix.(SnapshotIndex)
+			if !ok {
+				t.Fatalf("%s: index does not persist", name)
 			}
+			// SaveIndex refuses an index whose own address differs from
+			// the one OpenIndex derives for the blocker.
+			if got, want := snap.SnapshotFingerprint(), bl.snapshotFingerprint(offers, idxs); got != want {
+				t.Fatalf("%s: index fingerprint %016x, blocker addresses %016x", name, got, want)
+			}
+			data := snap.EncodeSnapshot()
+			loaded, err := bl.loadSnapshot(data, offers, idxs)
+			if err != nil {
+				t.Fatalf("%s: load failed: %v", name, err)
+			}
+			if loaded.Len() != ix.Len() {
+				t.Fatalf("%s: loaded index holds %d offers, want %d", name, loaded.Len(), ix.Len())
+			}
+			samePairs(t, name+" full", loaded.Candidates(idxs), ix.Candidates(idxs))
+			samePairs(t, name+" subset", loaded.Candidates(subset), ix.Candidates(subset))
 		}
 	}
 }
@@ -100,28 +84,20 @@ func TestSnapshotRoundTripThenAdd(t *testing.T) {
 	ib.Config.Workers = 1
 	ib.Config.TrainSize = 32 // covered by the initial two-thirds build
 	for _, bl := range []snapshotBlocker{mh, hb, ib} {
-		for _, shards := range snapshotShardCounts(bl) {
-			name := fmt.Sprintf("%s/shards=%d", bl.Name(), shards)
-			build := func(universe []int) Index {
-				if shards > 1 {
-					return bl.(ShardedIndexBuilder).BuildShardedIndex(offers, universe, shards)
-				}
-				return bl.BuildIndex(offers, universe)
-			}
-			data := build(idxs[:cut]).(SnapshotIndex).EncodeSnapshot()
-			grown, err := bl.loadSnapshot(data, offers, idxs[:cut], shards)
-			if err != nil {
-				t.Fatalf("%s: load failed: %v", name, err)
-			}
-			for _, i := range idxs[cut:] {
-				grown.Add(offers, []int{i})
-			}
-			fresh := build(idxs)
-			if grown.Len() != fresh.Len() {
-				t.Fatalf("%s: grown index holds %d offers, fresh %d", name, grown.Len(), fresh.Len())
-			}
-			samePairs(t, name, grown.Candidates(idxs), fresh.Candidates(idxs))
+		name := bl.Name()
+		data := bl.BuildIndex(offers, idxs[:cut]).(SnapshotIndex).EncodeSnapshot()
+		grown, err := bl.loadSnapshot(data, offers, idxs[:cut])
+		if err != nil {
+			t.Fatalf("%s: load failed: %v", name, err)
 		}
+		for _, i := range idxs[cut:] {
+			grown.Add(offers, []int{i})
+		}
+		fresh := bl.BuildIndex(offers, idxs)
+		if grown.Len() != fresh.Len() {
+			t.Fatalf("%s: grown index holds %d offers, fresh %d", name, grown.Len(), fresh.Len())
+		}
+		samePairs(t, name, grown.Candidates(idxs), fresh.Candidates(idxs))
 	}
 }
 
@@ -134,14 +110,8 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 	for _, bl := range persistableBlockers(1) {
 		data := bl.BuildIndex(offers, idxs).(SnapshotIndex).EncodeSnapshot()
 		var fp *persist.FingerprintMismatchError
-		if _, err := bl.loadSnapshot(data, offers, idxs[:len(idxs)-1], 1); !errors.As(err, &fp) {
+		if _, err := bl.loadSnapshot(data, offers, idxs[:len(idxs)-1]); !errors.As(err, &fp) {
 			t.Fatalf("%s: corpus change loaded anyway (err = %v)", bl.Name(), err)
-		}
-		if _, sharded := bl.(ShardedIndexBuilder); !sharded {
-			continue // MinHash has no 2-shard form to refuse
-		}
-		if _, err := bl.loadSnapshot(data, offers, idxs, 2); err == nil {
-			t.Fatalf("%s: unsharded snapshot loaded as 2-shard index", bl.Name())
 		}
 	}
 	// Configuration changes shift the fingerprint too.
@@ -151,47 +121,37 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 	other := NewMinHashBlocker()
 	other.Seed = mh.Seed + 1
 	var fp *persist.FingerprintMismatchError
-	if _, err := other.loadSnapshot(data, offers, idxs, 1); !errors.As(err, &fp) {
+	if _, err := other.loadSnapshot(data, offers, idxs); !errors.As(err, &fp) {
 		t.Fatalf("seed change loaded anyway (err = %v)", err)
 	}
 }
 
 // TestOpenIndexSaveThenLoad: the first OpenIndex over an empty snapshot
 // directory builds and saves; the second loads, skips the build, and
-// answers queries byte-identically — for every engine, unsharded and
-// sharded. MinHash never shards: at Shards 3 it writes and reloads the
-// one-shard minhash-lsh-s1-*.snap.
+// answers queries byte-identically — for every engine. Each writes an
+// <engine>-s1-*.snap file.
 func TestOpenIndexSaveThenLoad(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	for _, bl := range persistableBlockers(2) {
-		for _, shards := range []int{0, 3} {
-			name := fmt.Sprintf("%s/shards=%d", bl.Name(), shards)
-			opts := IndexOptions{SnapshotDir: t.TempDir(), Shards: shards}
-			built, bstats := OpenIndex(bl, offers, idxs, opts)
-			if bstats.Loaded || !bstats.Saved || bstats.LoadErr != nil || bstats.SaveErr != nil {
-				t.Fatalf("%s: first open: %+v", name, bstats)
-			}
-			if _, err := os.Stat(bstats.Path); err != nil {
-				t.Fatalf("%s: snapshot not on disk: %v", name, err)
-			}
-			loaded, lstats := OpenIndex(bl, offers, idxs, opts)
-			if !lstats.Loaded || lstats.Saved || lstats.LoadErr != nil {
-				t.Fatalf("%s: second open: %+v", name, lstats)
-			}
-			if lstats.Path != bstats.Path {
-				t.Fatalf("%s: path changed between opens: %q vs %q", name, lstats.Path, bstats.Path)
-			}
-			samePairs(t, name, loaded.Candidates(idxs), built.Candidates(idxs))
-			want := 1
-			if _, sharded := bl.(ShardedIndexBuilder); sharded && shards > 1 {
-				want = shards
-			}
-			if prefix := fmt.Sprintf("%s-s%d-", bl.Name(), want); !strings.HasPrefix(filepath.Base(bstats.Path), prefix) {
-				t.Fatalf("%s: snapshot %s, want a %s*.snap file", name, bstats.Path, prefix)
-			}
-			if si, ok := loaded.(interface{ Shards() int }); !ok || si.Shards() != want {
-				t.Fatalf("%s: loaded index is not %d-sharded", name, want)
-			}
+		name := bl.Name()
+		opts := IndexOptions{SnapshotDir: t.TempDir()}
+		built, bstats := OpenIndex(bl, offers, idxs, opts)
+		if bstats.Loaded || !bstats.Saved || bstats.LoadErr != nil || bstats.SaveErr != nil {
+			t.Fatalf("%s: first open: %+v", name, bstats)
+		}
+		if _, err := os.Stat(bstats.Path); err != nil {
+			t.Fatalf("%s: snapshot not on disk: %v", name, err)
+		}
+		loaded, lstats := OpenIndex(bl, offers, idxs, opts)
+		if !lstats.Loaded || lstats.Saved || lstats.LoadErr != nil {
+			t.Fatalf("%s: second open: %+v", name, lstats)
+		}
+		if lstats.Path != bstats.Path {
+			t.Fatalf("%s: path changed between opens: %q vs %q", name, lstats.Path, bstats.Path)
+		}
+		samePairs(t, name, loaded.Candidates(idxs), built.Candidates(idxs))
+		if prefix := name + "-s1-"; !strings.HasPrefix(filepath.Base(bstats.Path), prefix) {
+			t.Fatalf("%s: snapshot %s, want a %s*.snap file", name, bstats.Path, prefix)
 		}
 	}
 }
@@ -235,17 +195,17 @@ func TestOpenIndexRebuildsOnCorruptSnapshot(t *testing.T) {
 // TestOpenIndexRebuildsLegacySnapshot: older builds snapshotted the
 // unsharded MinHash, HNSW and IVF indexes under the kinds
 // "blocking/minhash-lsh", "blocking/hnsw-knn" and "blocking/ivf-knn", at
-// the same path the single-shard sharded index now uses. Such a file is
-// refused with a typed *persist.CorruptSnapshotError, rebuilt and
-// overwritten, so the next open loads. The MinHash file carries a
+// the same path the index now uses. Such a file is refused with a typed
+// *persist.CorruptSnapshotError, rebuilt and overwritten, so the next
+// open loads. The MinHash file carries a
 // well-formed legacy payload (the bare LSH signatures), so only its kind
 // retires it.
 func TestOpenIndexRebuildsLegacySnapshot(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	for _, bl := range persistableBlockers(1) {
 		dir := t.TempDir()
-		fp := bl.snapshotFingerprint(offers, idxs, 1)
-		path := snapshotPath(dir, bl.Name(), 1, fp)
+		fp := bl.snapshotFingerprint(offers, idxs)
+		path := snapshotPath(dir, bl.Name(), fp)
 		var payload persist.Buffer
 		if mh, ok := bl.(*MinHashBlocker); ok {
 			mh.BuildIndex(offers, idxs).(*MinHashIndex).ix.AppendSnapshot(&payload)

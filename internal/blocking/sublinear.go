@@ -122,10 +122,10 @@ func NewHNSWBlocker(model *embed.Model, k int) *HNSWBlocker {
 // Name implements Blocker.
 func (h *HNSWBlocker) Name() string { return "hnsw-knn" }
 
-// BuildIndex implements IndexedBlocker with the single-shard
-// ShardedKNNIndex.
+// BuildIndex implements IndexedBlocker with a KNNIndex over one HNSW
+// graph.
 func (h *HNSWBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index {
-	return BuildShardedHNSWIndex(offers, idxs, 1, h.Model, h.K, h.Config, h.Seed)
+	return BuildHNSWIndex(offers, idxs, h.Model, h.K, h.Config, h.Seed)
 }
 
 // Candidates implements Blocker through a one-shot index. Encoding, graph

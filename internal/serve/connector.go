@@ -6,6 +6,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -101,18 +102,21 @@ func (c *ChanConnector) Next(ctx context.Context) (schemaorg.Offer, error) {
 	}
 }
 
+// maxJSONLLine bounds one JSONL record, newline included. A longer line
+// is reported as a *RecordError wrapping bufio.ErrTooLong and skipped.
+const maxJSONLLine = 16 * 1024 * 1024
+
 // JSONLConnector decodes offers from a reader carrying one JSON offer
 // object per line — the wire format of the benchmark corpus files.
-// Undecodable lines surface as *RecordError and the stream continues.
+// Undecodable and overlong lines surface as *RecordError and the stream
+// continues.
 type JSONLConnector struct {
-	sc *bufio.Scanner
+	r *bufio.Reader
 }
 
 // NewJSONLConnector wraps r in a line-oriented offer decoder.
 func NewJSONLConnector(r io.Reader) *JSONLConnector {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &JSONLConnector{sc: sc}
+	return &JSONLConnector{r: bufio.NewReaderSize(r, 64*1024)}
 }
 
 // Next implements Connector. Blank lines are skipped.
@@ -121,13 +125,13 @@ func (c *JSONLConnector) Next(ctx context.Context) (schemaorg.Offer, error) {
 		if err := ctx.Err(); err != nil {
 			return schemaorg.Offer{}, err
 		}
-		if !c.sc.Scan() {
-			if err := c.sc.Err(); err != nil {
-				return schemaorg.Offer{}, err
-			}
-			return schemaorg.Offer{}, io.EOF
+		line, overlong, err := c.readLine()
+		if err != nil {
+			return schemaorg.Offer{}, err
 		}
-		line := c.sc.Bytes()
+		if overlong {
+			return schemaorg.Offer{}, &RecordError{Record: string(line), Err: bufio.ErrTooLong}
+		}
 		if len(line) == 0 {
 			continue
 		}
@@ -136,5 +140,37 @@ func (c *JSONLConnector) Next(ctx context.Context) (schemaorg.Offer, error) {
 			return schemaorg.Offer{}, &RecordError{Record: string(line), Err: err}
 		}
 		return off, nil
+	}
+}
+
+// readLine returns the next line without its line ending ("\n" or
+// "\r\n"); the last line may lack one. A line over maxJSONLLine is read
+// through to its newline, so the stream resumes at the next record, and
+// comes back clipped to its first 512 bytes with overlong set. At the end
+// of the stream it returns io.EOF.
+func (c *JSONLConnector) readLine() ([]byte, bool, error) {
+	var line []byte
+	overlong := false
+	for {
+		frag, err := c.r.ReadSlice('\n')
+		if !overlong {
+			line = append(line, frag...)
+			if len(line) > maxJSONLLine {
+				line, overlong = line[:512:512], true
+			}
+		}
+		switch {
+		case err == bufio.ErrBufferFull:
+			continue
+		case err == io.EOF && (len(line) > 0 || overlong):
+			// The last line lacks a newline.
+		case err != nil:
+			return nil, false, err
+		}
+		if overlong {
+			return line, true, nil
+		}
+		line = bytes.TrimSuffix(line, []byte("\n"))
+		return bytes.TrimSuffix(line, []byte("\r")), false, nil
 	}
 }

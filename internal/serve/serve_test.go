@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -547,53 +546,6 @@ func TestShutdownDrainsAndSnapshots(t *testing.T) {
 	}
 }
 
-// TestMinHashShardsOptionSnapshotsOneIndex: MinHash never shards, so a
-// daemon configured with Shards 4 builds, saves at shutdown and reloads
-// the one-shard index — SaveIndex addresses the index OpenIndex built.
-func TestMinHashShardsOptionSnapshotsOneIndex(t *testing.T) {
-	offers := fixture(t)
-	dir := t.TempDir()
-	cut := len(offers) - 20
-	cfg := testConfig(offers[:cut])
-	cfg.Index = blocking.IndexOptions{SnapshotDir: dir, Shards: 4}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	if _, qerr := s.Enqueue(offers[cut:]); qerr != nil {
-		t.Fatal(qerr)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if st := s.Stats(); st.Applied != 20 {
-		t.Fatalf("drain applied %d of 20 queued offers", st.Applied)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		if !strings.HasPrefix(filepath.Base(f), "minhash-lsh-s1-") {
-			t.Fatalf("snapshot %s is not a one-shard MinHash snapshot", f)
-		}
-	}
-
-	next := cfg
-	next.Offers = offers
-	s2, err := New(next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Shutdown(context.Background())
-	if open := s2.OpenStats(); !open.Loaded {
-		t.Fatalf("shutdown snapshot not loaded over the grown corpus: %+v", open)
-	}
-}
-
 // TestShutdownIdempotent checks a second Shutdown returns the first
 // result without re-draining.
 func TestShutdownIdempotent(t *testing.T) {
@@ -712,6 +664,47 @@ func TestBadRecordsContinueStream(t *testing.T) {
 		st := s.Stats()
 		return st.Applied == 3 && st.DeadLettered == 1
 	})
+}
+
+// TestOverlongRecordContinuesStream: a JSONL line over the record limit
+// is dead-lettered as bad_record and the offer after it is applied.
+func TestOverlongRecordContinuesStream(t *testing.T) {
+	offers := fixture(t)
+	cfg := testConfig(offers[:100])
+	var stream bytes.Buffer
+	stream.WriteString("{\"title\":\"" + strings.Repeat("x", maxJSONLLine) + "\"}\n")
+	json.NewEncoder(&stream).Encode(offers[100])
+	cfg.Connector = NewJSONLConnector(&stream)
+	var mu sync.Mutex
+	var dead []deadLetterEntry
+	cfg.DeadLetter = writerFunc(func(p []byte) (int, error) {
+		var e deadLetterEntry
+		if err := json.Unmarshal(p, &e); err != nil {
+			t.Errorf("dead-letter line does not decode: %v", err)
+		}
+		mu.Lock()
+		dead = append(dead, e)
+		mu.Unlock()
+		return len(p), nil
+	})
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+	waitFor(t, 10*time.Second, "stream past the overlong line", func() bool {
+		st := s.Stats()
+		return st.Applied == 1 && st.DeadLettered == 1
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if len(dead) != 1 || dead[0].Reason != "bad_record" {
+		t.Fatalf("dead letters = %+v, want one bad_record", dead)
+	}
+	if _, _, merr := s.Match(context.Background(), offers[100].ID); merr != nil {
+		t.Fatalf("offer after the overlong line not queryable: %v", merr)
+	}
 }
 
 // TestSeedValidation checks New refuses malformed seed corpora with

@@ -53,8 +53,7 @@ type Config struct {
 	// answers its first query. Offer IDs must be unique.
 	Offers []schemaorg.Offer
 	// Index routes index acquisition through blocking.OpenIndex:
-	// SnapshotDir enables snapshot load/save, Shards > 1 builds a
-	// hash-partitioned HNSW or IVF index (MinHash builds one index).
+	// SnapshotDir enables snapshot load/save.
 	Index blocking.IndexOptions
 	// Connector, when non-nil, streams offers into the ingest pipeline
 	// once Start is called.
@@ -133,9 +132,9 @@ type adjacency struct {
 }
 
 // newAdjacency assembles an adjacency from candidate pairs (offer-index
-// pairs over offers). Partner lists are sorted and deduplicated —
-// engines may legitimately emit a pair twice (e.g. a sharded merge), and
-// publication is where duplicates are squashed.
+// pairs over offers). Partner lists are sorted and deduplicated — an
+// Index implementation may emit a pair twice, and publication is where
+// duplicates are squashed.
 func newAdjacency(offers []schemaorg.Offer, idxOf map[int64]int, pairs []blocking.CandidatePair) *adjacency {
 	partners := make(map[int64][]int64, len(idxOf))
 	for _, p := range pairs {

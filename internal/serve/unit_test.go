@@ -4,6 +4,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -75,6 +76,30 @@ func TestJSONLConnectorErrors(t *testing.T) {
 	cancel()
 	if _, err := c.Next(done); err != context.Canceled {
 		t.Fatalf("cancelled jsonl err = %v", err)
+	}
+}
+
+// TestJSONLConnectorOverlongLine: a line over the 16 MiB record limit is
+// one bad record, not the end of the stream — it surfaces as a
+// *RecordError wrapping bufio.ErrTooLong with a clipped Record, and the
+// next line decodes.
+func TestJSONLConnectorOverlongLine(t *testing.T) {
+	huge := "{\"title\":\"" + strings.Repeat("x", maxJSONLLine) + "\"}\n"
+	c := NewJSONLConnector(strings.NewReader(huge + "{\"id\":3,\"title\":\"t\"}\n"))
+	ctx := context.Background()
+	_, err := c.Next(ctx)
+	var re *RecordError
+	if !errors.As(err, &re) || !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("overlong line err = %v, want a *RecordError wrapping bufio.ErrTooLong", err)
+	}
+	if len(re.Record) > 512 || !strings.HasPrefix(huge, re.Record) {
+		t.Fatalf("overlong record not clipped to a 512-byte prefix: %d bytes", len(re.Record))
+	}
+	if off, err := c.Next(ctx); err != nil || off.ID != 3 {
+		t.Fatalf("stream did not continue past the overlong line: %v, %v", off, err)
+	}
+	if _, err := c.Next(ctx); err != io.EOF {
+		t.Fatalf("end of stream err = %v", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // The layered-view suite: the publication equivalence property (after
 // every applied batch, the published view answers byte-identically to a
-// from-scratch adjacency rebuild, across engines, worker and shard
-// counts, through forced compactions), plus the publication-dedup regression —
+// from-scratch adjacency rebuild, across engines and worker counts,
+// through forced compactions), plus the publication-dedup regression —
 // engines that emit a candidate pair more than once must still yield
 // sorted, duplicate-free partner lists — on both the delta layer path
 // and the ErrNoDelta full-rebuild fallback.
@@ -27,11 +27,12 @@ import (
 // over the same index — every offer's match list and corpus position
 // must agree exactly. The MinHash rows force CompactLayers low so the
 // walk crosses several compactions, and the matrix covers the engine
-// worker pool. The kNN rows (hnsw and ivf at the same worker counts and
-// at one and four shards, the exhaustive embedding index unsharded) pin
-// the other publish path: kNN adjacency is not monotone
-// under Add, so every kNN batch must republish a full view with no delta
-// layers instead of stacking pairs on partners the index has evicted.
+// worker pool. The kNN rows (hnsw and ivf at the same worker counts, the
+// exhaustive embedding index once) pin the other publish path: kNN
+// adjacency is not monotone under Add, so every kNN batch must republish
+// a full view with no delta layers instead of stacking pairs on partners
+// the index has evicted. Row names keep their "/shards=1" suffix so test
+// IDs stay stable across releases.
 func TestLayeredViewEquivalence(t *testing.T) {
 	all := fixture(t)
 	titles := make([]string, 145)
@@ -45,33 +46,27 @@ func TestLayeredViewEquivalence(t *testing.T) {
 	type row struct {
 		name    string
 		blocker blocking.IndexedBlocker
-		shards  int
 		knn     bool
 	}
 	var rows []row
 	for _, workers := range []int{1, 2, 8} {
-		// MinHash builds one index at any Shards, so it runs at one only.
 		rows = append(rows, row{
 			name: fmt.Sprintf("workers=%d/shards=1", workers),
 			blocker: &blocking.MinHashBlocker{
 				Config: blocking.MinHashConfig{Bands: 48, Rows: 2, Workers: workers},
 				Seed:   1,
 			},
-			shards: 1,
 		})
-		for _, shards := range []int{1, 4} {
-			hb := blocking.NewHNSWBlocker(model, 6)
-			hb.Config.Workers = workers
-			ib := blocking.NewIVFBlocker(model, 6)
-			ib.Config.Workers = workers
-			for _, bl := range []blocking.IndexedBlocker{hb, ib} {
-				rows = append(rows, row{
-					name:    fmt.Sprintf("%s/workers=%d/shards=%d", bl.Name(), workers, shards),
-					blocker: bl,
-					shards:  shards,
-					knn:     true,
-				})
-			}
+		hb := blocking.NewHNSWBlocker(model, 6)
+		hb.Config.Workers = workers
+		ib := blocking.NewIVFBlocker(model, 6)
+		ib.Config.Workers = workers
+		for _, bl := range []blocking.IndexedBlocker{hb, ib} {
+			rows = append(rows, row{
+				name:    fmt.Sprintf("%s/workers=%d/shards=1", bl.Name(), workers),
+				blocker: bl,
+				knn:     true,
+			})
 		}
 	}
 	rows = append(rows, row{name: "embedding-knn", blocker: blocking.NewEmbeddingBlocker(model, 6), knn: true})
@@ -82,7 +77,6 @@ func TestLayeredViewEquivalence(t *testing.T) {
 			t.Parallel()
 			cfg := testConfig(all[:40])
 			cfg.Blocker = r.blocker
-			cfg.Index = blocking.IndexOptions{Shards: r.shards}
 			cfg.CompactLayers = 3
 			s, err := New(cfg)
 			if err != nil {

@@ -396,15 +396,11 @@ func blockerModel(b *Benchmark, names []string, seed int64) *embed.Model {
 // BlockingOptions routes index acquisition in the blocking studies
 // through blocking.OpenIndex: a non-empty SnapshotDir loads each
 // blocker's index from a trusted snapshot when one exists for the exact
-// corpus/config fingerprint (and saves a fresh one otherwise), and
-// Shards > 1 hash-partitions the HNSW and IVF indexes across that many
-// per-shard engines (MinHash builds one index at any Shards). The zero
+// corpus/config fingerprint (and saves a fresh one otherwise). The zero
 // value reproduces the plain build-per-run behaviour.
 type BlockingOptions struct {
 	// SnapshotDir enables index persistence when non-empty.
 	SnapshotDir string
-	// Shards > 1 builds hash-partitioned HNSW and IVF indexes.
-	Shards int
 	// IVFPrecision selects the representation the IVF blocker scans its
 	// inverted lists in: "f32" (or empty — exact, the default), "int8"
 	// (symmetric 8-bit rows), or "pq" (product-quantized residuals).
@@ -418,7 +414,7 @@ type BlockingOptions struct {
 
 // indexOptions translates the facade options for blocking.OpenIndex.
 func (o BlockingOptions) indexOptions() blocking.IndexOptions {
-	return blocking.IndexOptions{SnapshotDir: o.SnapshotDir, Shards: o.Shards}
+	return blocking.IndexOptions{SnapshotDir: o.SnapshotDir}
 }
 
 // logOpenStats reports one blocker's index-acquisition outcome to
@@ -495,8 +491,7 @@ func BlockingReport(b *Benchmark, names []string, seed int64, workers int) (*Tab
 
 // BlockingReportOpts is BlockingReport with index acquisition routed
 // through blocking.OpenIndex: opts.SnapshotDir loads/saves each blocker's
-// index snapshot (the "build ms" column then shows the load time) and
-// opts.Shards > 1 partitions the indexes of the blockers that support it.
+// index snapshot (the "build ms" column then shows the load time).
 func BlockingReportOpts(b *Benchmark, names []string, seed int64, workers int, opts BlockingOptions) (*Table, error) {
 	if len(names) == 0 {
 		names = BlockerNames()
@@ -558,8 +553,7 @@ func BlockingScaleReport(b *Benchmark, names []string, seed int64, workers int) 
 // BlockingScaleReportOpts is BlockingScaleReport with index acquisition
 // routed through blocking.OpenIndex: with opts.SnapshotDir set, an index
 // restored from a trusted snapshot reports "load" instead of "build" in
-// its one-off row, and opts.Shards > 1 partitions the indexes of the
-// blockers that support it.
+// its one-off row.
 func BlockingScaleReportOpts(b *Benchmark, names []string, seed int64, workers int, opts BlockingOptions) (*Table, error) {
 	if len(names) == 0 {
 		names = BlockerNames()
@@ -760,11 +754,10 @@ func MatcherBlockingReport(b *Benchmark, names, systems []string, seed int64, re
 
 // MatcherBlockingReportOpts is MatcherBlockingReport with index
 // acquisition routed through blocking.OpenIndex: opts.SnapshotDir
-// loads/saves each blocker's union index snapshot and opts.Shards > 1
-// partitions the indexes of the blockers that support it. The restricted
-// pair sets — and therefore the whole table — are identical to the plain
-// report's for any options (MinHash exactly, since it never shards; the
-// sharded kNN engines within their usual approximation tolerance).
+// loads/saves each blocker's union index snapshot. A loaded index
+// answers byte-identically to a fresh build, so the restricted pair sets
+// — and therefore the whole table — are identical to the plain report's
+// for any options.
 func MatcherBlockingReportOpts(b *Benchmark, names, systems []string, seed int64, reps, workers int, opts BlockingOptions) (*Table, error) {
 	if len(names) == 0 {
 		names = BlockerNames()
