@@ -10,8 +10,8 @@
 //	wdcserve [-addr :8080] [-scale tiny] [-seed 42] [-blocker minhash]
 //	         [-ivf-precision f32] [-snapshot-dir DIR]
 //	         [-stream 0.2] [-ingest FILE] [-dead-letter FILE] [-queue 256]
-//	         [-batch 64] [-flush 200ms] [-compact-layers 32]
-//	         [-compact-pairs 0] [-query-timeout 2s] [-drain-timeout 10s] [-v]
+//	         [-batch 64] [-compact-layers 32] [-compact-pairs 0]
+//	         [-query-timeout 2s] [-drain-timeout 10s] [-v]
 //
 // By default the daemon seeds its index with all but a -stream fraction
 // of the benchmark offers and replays the held-out remainder through
@@ -47,8 +47,7 @@ func main() {
 	ingest := flag.String("ingest", "", "stream JSONL offers from this file instead of the held-back corpus fraction (- = stdin)")
 	deadLetter := flag.String("dead-letter", "", "append refused ingest records to this JSONL file")
 	queueCap := flag.Int("queue", 256, "ingest queue capacity (full queue = backpressure)")
-	batch := flag.Int("batch", 64, "offers applied per index write")
-	flush := flag.Duration("flush", 200*time.Millisecond, "maximum wait before a partial batch is applied")
+	batch := flag.Int("batch", 64, "most offers applied per index write (each write takes what is queued)")
 	compactLayers := flag.Int("compact-layers", 32, "fold stacked delta layers into the view's base after this many batches (< 0 disables the count trigger)")
 	compactPairs := flag.Int("compact-pairs", 0, "fold delta layers once they carry this many candidate pairs (0 = adaptive, < 0 disables the size trigger)")
 	queryTimeout := flag.Duration("query-timeout", 2*time.Second, "per-query deadline cap")
@@ -105,7 +104,6 @@ func main() {
 		Connector:     connector,
 		QueueCap:      *queueCap,
 		BatchSize:     *batch,
-		FlushEvery:    *flush,
 		QueryTimeout:  *queryTimeout,
 		DrainTimeout:  *drainTimeout,
 		CompactLayers: *compactLayers,

@@ -30,7 +30,6 @@ func BenchmarkServeLoad(b *testing.B) {
 	seed := offers[:1500]
 	cfg := testConfig(seed)
 	cfg.BatchSize = 64
-	cfg.FlushEvery = 50 * time.Millisecond
 	conn := NewChanConnector(64)
 	cfg.Connector = conn
 	s, err := New(cfg)
@@ -47,7 +46,7 @@ func BenchmarkServeLoad(b *testing.B) {
 	// Continuous ingest: clones of the held-out offers with fresh IDs,
 	// streamed for as long as the bench runs. The producer is paced so
 	// the applier is continuously busy without starving the query path
-	// of every core (unpaced, the full-adjacency recompute per flush
+	// of every core (unpaced, the full-adjacency recompute per batch
 	// saturates the machine and measures CPU contention, not serving).
 	stop := make(chan struct{})
 	defer close(stop)

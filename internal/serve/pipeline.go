@@ -1,8 +1,9 @@
 // The ingest pipeline: a connector loop feeds the bounded queue, and a
-// single applier goroutine batches queued offers, applies them to the
-// index with retry/backoff, queries the delta candidates the batch
-// introduced, and publishes the next epoch view as one more layer on
-// the current one. Records the pipeline cannot accept —
+// single applier goroutine group-commits it. A batch is whatever queued
+// up while the previous batch applied (up to BatchSize; no timer). The
+// applier writes it to the index with retry/backoff, queries the delta
+// candidates it introduced, and publishes the next epoch view as one
+// more layer on the current one. Records the pipeline cannot accept —
 // undecodable, invalid, duplicate, or part of a batch whose apply
 // exhausted its retries — go to the dead-letter log as JSON lines; the
 // pipeline itself never wedges and never buffers without bound.
@@ -150,37 +151,36 @@ func clip(s string, n int) string {
 	return s[:n]
 }
 
-// applierLoop is the single index writer: it batches queued offers (up
-// to BatchSize, flushed at least every FlushEvery) and applies each
-// batch. It exits when the queue is closed and drained, or when ctx is
-// cancelled (the shutdown drain deadline).
+// applierLoop is the single index writer and group-commits the queue:
+// it blocks for the first queued offer, waits out Enqueue calls still
+// sending (they hold qmu for reading), so one post of up to BatchSize
+// offers lands in one batch, drains whatever else is queued up to
+// BatchSize without blocking, and applies the batch. Under load batches
+// grow from the offers that queue up during the previous apply; when
+// idle, one post is one epoch. It exits when the queue is closed and
+// drained, or when ctx is cancelled (the shutdown drain deadline).
 func (s *Server) applierLoop(ctx context.Context) {
 	defer close(s.applierDone)
 	rng := rand.New(rand.NewSource(s.cfg.RetrySeed))
-	timer := time.NewTimer(s.cfg.FlushEvery)
-	defer timer.Stop()
-	var batch []schemaorg.Offer
-	flush := func() {
-		s.applyBatch(ctx, batch, rng)
-		batch = batch[:0]
-	}
+	batch := make([]schemaorg.Offer, 0, s.cfg.BatchSize)
 	for {
 		select {
 		case off, ok := <-s.ingest:
-			if !ok {
-				flush()
+			if !ok || ctx.Err() != nil {
 				return
 			}
-			batch = append(batch, off)
-			if len(batch) >= s.cfg.BatchSize {
-				flush()
-			}
-		case <-timer.C:
-			flush()
-			timer.Reset(s.cfg.FlushEvery)
+			batch = append(batch[:0], off)
 		case <-ctx.Done():
 			return
 		}
+		s.qmu.Lock()
+		s.qmu.Unlock()
+		// The applier is the only receiver, so a non-empty queue never
+		// blocks this receive (a closed queue still yields its backlog).
+		for len(batch) < s.cfg.BatchSize && len(s.ingest) > 0 {
+			batch = append(batch, <-s.ingest)
+		}
+		s.applyBatch(ctx, batch, rng)
 	}
 }
 

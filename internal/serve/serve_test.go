@@ -52,14 +52,13 @@ func fixture(t testing.TB) []schemaorg.Offer {
 }
 
 // testConfig is the base daemon configuration for tests: a minhash
-// blocker (no model training), quick flushes, tight retry delays.
+// blocker (no model training), small batches, tight retry delays.
 func testConfig(offers []schemaorg.Offer) Config {
 	return Config{
-		Blocker:    blocking.NewMinHashBlocker(),
-		Offers:     offers,
-		BatchSize:  16,
-		FlushEvery: 20 * time.Millisecond,
-		Retry:      RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
+		Blocker:   blocking.NewMinHashBlocker(),
+		Offers:    offers,
+		BatchSize: 16,
+		Retry:     RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	}
 }
 
@@ -121,7 +120,7 @@ func sameIDs(a, b []int64) bool {
 // through a connector and checks the daemon converges to the same
 // adjacency a fresh index over the union computes.
 func TestIngestToQueryEndToEnd(t *testing.T) {
-	offers := fixture(t)[:600] // full-universe adjacency recomputes per flush: keep the corpus modest
+	offers := fixture(t)[:600] // full-universe adjacency recomputes per batch: keep the corpus modest
 	cut := 2 * len(offers) / 3
 	cfg := testConfig(offers[:cut])
 	conn := NewChanConnector(8)
@@ -507,7 +506,7 @@ func TestShutdownDrainsAndSnapshots(t *testing.T) {
 	cut := len(offers) - 20
 	cfg := testConfig(offers[:cut])
 	cfg.Index = blocking.IndexOptions{SnapshotDir: dir}
-	cfg.FlushEvery = time.Hour // the drain, not the timer, must flush
+	cfg.FlushEvery = time.Hour // FlushEvery delays nothing: the drain must still apply the tail
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -544,6 +543,86 @@ func TestShutdownDrainsAndSnapshots(t *testing.T) {
 	if !open.Loaded {
 		t.Fatalf("shutdown snapshot not loadable over the grown corpus: %+v", open)
 	}
+}
+
+// TestEnqueueVisibleWithoutTimer: FlushEvery delays nothing. With it set
+// to an hour, a post is applied as soon as the applier is free, as one
+// epoch, and a post longer than BatchSize publishes exactly two.
+func TestEnqueueVisibleWithoutTimer(t *testing.T) {
+	offers := fixture(t)
+	cfg := testConfig(offers[:100])
+	cfg.FlushEvery = time.Hour
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Shutdown(context.Background())
+	if n, qerr := s.Enqueue(offers[100:105]); qerr != nil || n != 5 {
+		t.Fatalf("enqueue: accepted %d, %v", n, qerr)
+	}
+	waitFor(t, 2*time.Second, "a 5-offer post to apply", func() bool {
+		return s.Stats().Applied == 5
+	})
+	if e := s.Epoch(); e != 1 {
+		t.Fatalf("a 5-offer post published %d epochs, want 1", e)
+	}
+	post := offers[105 : 105+cfg.BatchSize+3]
+	if n, qerr := s.Enqueue(post); qerr != nil || n != len(post) {
+		t.Fatalf("enqueue: accepted %d, %v", n, qerr)
+	}
+	waitFor(t, 2*time.Second, "a BatchSize+3 post to apply", func() bool {
+		return s.Stats().Applied == int64(5+len(post))
+	})
+	if e := s.Epoch(); e != 3 {
+		t.Fatalf("a BatchSize+3 post published %d epochs, want 2", e-1)
+	}
+}
+
+// TestConcurrentPostsLandWhole races 8 posters of 4-offer posts against
+// the group-committing applier: every offer lands, none is refused, no
+// post costs more than one epoch on average, and the drained view
+// equals a from-scratch rebuild.
+func TestConcurrentPostsLandWhole(t *testing.T) {
+	const posters, posts, perPost = 8, 25, 4
+	offers := fixture(t)
+	cfg := testConfig(offers[:100])
+	cfg.QueueCap = posters * posts * perPost // no backpressure: every post is accepted whole
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	var wg sync.WaitGroup
+	for g := 0; g < posters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for p := 0; p < posts; p++ {
+				post := make([]schemaorg.Offer, perPost)
+				for i := range post {
+					k := (g*posts+p)*perPost + i
+					post[i] = offers[100+k%(len(offers)-100)]
+					post[i].ID = 1<<40 + int64(k)
+				}
+				if n, qerr := s.Enqueue(post); qerr != nil || n != perPost {
+					t.Errorf("poster %d post %d: accepted %d, %v", g, p, n, qerr)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if want := int64(posters * posts * perPost); st.Applied != want || st.DeadLettered != 0 {
+		t.Fatalf("applied %d and dead-lettered %d, want %d and 0", st.Applied, st.DeadLettered, want)
+	}
+	if st.Epoch > posters*posts {
+		t.Fatalf("%d posts published %d epochs, want at most one each", posters*posts, st.Epoch)
+	}
+	checkViewEquivalence(t, s)
 }
 
 // TestShutdownIdempotent checks a second Shutdown returns the first

@@ -62,11 +62,12 @@ type Config struct {
 	// is full, Enqueue reports backpressure and the connector loop
 	// blocks — nothing buffers without bound.
 	QueueCap int
-	// BatchSize is the number of queued offers applied per index write
-	// (default 64).
+	// BatchSize caps the number of queued offers applied per index
+	// write (default 64). Batches are group-committed: the applier takes
+	// whatever is queued when it is free, so no offer waits on a timer.
 	BatchSize int
-	// FlushEvery bounds how long a queued offer waits for a partial
-	// batch to be applied (default 200ms).
+	// FlushEvery is only the Retry-After hint a backpressure refusal
+	// carries (default 200ms); it delays nothing.
 	FlushEvery time.Duration
 	// QueryTimeout caps every query's deadline (default 2s). Requests
 	// may ask for less, never more.
@@ -255,7 +256,7 @@ type Server struct {
 
 	view atomic.Pointer[view]
 
-	qmu      sync.RWMutex // guards ingest sends against close
+	qmu      sync.RWMutex // Enqueue sends under R; close and the applier's whole-post wait take W
 	ingest   chan schemaorg.Offer
 	draining atomic.Bool
 
@@ -428,8 +429,8 @@ func (s *Server) Enqueue(offers []schemaorg.Offer) (accepted int, err *Error) {
 	return accepted, nil
 }
 
-// backpressure builds the typed queue-full error with a retry hint: one
-// flush interval, the time scale at which the applier frees capacity.
+// backpressure builds the typed queue-full error with the FlushEvery
+// retry hint.
 func (s *Server) backpressure(n int) *Error {
 	e := Errorf(CodeBackpressure, "ingest queue full (%d/%d); %d offers refused",
 		len(s.ingest), s.cfg.QueueCap, n)
