@@ -10,7 +10,9 @@ GO ?= go
 # build and query rows are the BlockingScale and BlockingReuse ones), and
 # the PR 10 serve ingest-scale bench — per-batch publication latency
 # and sustained ingest QPS through the incremental delta write path at
-# n=10k/100k, against the full-adjacency-rebuild baseline it replaced.
+# n=10k/100k, against the full-adjacency-rebuild baseline it replaced,
+# and the serve cold-start bench (BenchmarkServeNew: index build and
+# initial epoch view timed apart at n=10k/100k).
 BENCH_OUT ?= BENCH_10.json
 BENCH_NOTE ?= incremental epoch views (PR 10): a 256-offer batch publishes in ~2.4ms at n=10k and ~2.9ms at n=100k (1.2x; write cost tracks the batch, not the corpus) vs the ~26s full adjacency rebuild each batch used to pay at n=100k (~9000x); see BenchmarkServeIngestScale apply-us-per-batch vs full-rebuild-us
 
@@ -90,6 +92,7 @@ bench:
 	  $(GO) test -run '^$$' -bench '^BenchmarkIVFQueryScale$$' -benchmem -benchtime 3x -timeout 30m . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeLoadScale$$' -benchmem -benchtime 1x -timeout 30m ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeIngestScale$$' -benchmem -benchtime 1x -timeout 30m ./internal/serve && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkServeNew$$' -benchmem -benchtime 1x -timeout 30m ./internal/serve && \
 	  $(GO) test -run '^$$' -bench 'CornerSearch' -benchmem -benchtime 50x ./internal/selection && \
 	  $(GO) test -run '^$$' -bench 'Sigmoid' -benchtime 0.5s ./internal/embed ) > "$$tmp"; \
 	status=$$?; cat "$$tmp"; \

@@ -9,7 +9,7 @@
 package blocking
 
 import (
-	"sort"
+	"slices"
 
 	"wdcproducts/internal/embed"
 	"wdcproducts/internal/schemaorg"
@@ -61,24 +61,28 @@ func (t *TokenBlocker) Candidates(offers []schemaorg.Offer, idxs []int) []Candid
 			inv[tok] = append(inv[tok], i)
 		}
 	}
-	shared := map[CandidatePair]int{}
+	// One key per (pair, shared token): after sorting, a pair's run
+	// length is the number of title tokens it shares.
+	var keys []uint64
 	for _, members := range inv {
 		if len(members) > t.MaxTokenFreq {
 			continue
 		}
-		for x := 0; x < len(members); x++ {
-			for y := x + 1; y < len(members); y++ {
-				shared[orderedPair(members[x], members[y])]++
+		for x, a := range members {
+			for _, b := range members[x+1:] {
+				keys = append(keys, pairKey(a, b))
 			}
 		}
 	}
+	slices.Sort(keys)
 	var out []CandidatePair
-	for p, n := range shared {
-		if n >= t.MinShared {
-			out = append(out, p)
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		for hi = lo + 1; hi < len(keys) && keys[hi] == keys[lo]; hi++ {
+		}
+		if hi-lo >= t.MinShared {
+			out = append(out, unpackPair(keys[lo]))
 		}
 	}
-	sortPairs(out)
 	return out
 }
 
@@ -219,11 +223,27 @@ func Evaluate(cands []CandidatePair, idxs []int, truth func(a, b int) bool) Metr
 	return m
 }
 
-func sortPairs(ps []CandidatePair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].A != ps[j].A {
-			return ps[i].A < ps[j].A
-		}
-		return ps[i].B < ps[j].B
-	})
+// pairKey packs an unordered offer-index pair into one sortable word,
+// lower index in the high half, so sorting keys orders pairs
+// lexicographically and equal pairs become adjacent.
+func pairKey(a, b int) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}
+
+// unpackPair is the inverse of pairKey.
+func unpackPair(k uint64) CandidatePair { return CandidatePair{A: int(k >> 32), B: int(uint32(k))} }
+
+// unpackPairs sorts and deduplicates pair keys and unpacks them: the one
+// way every candidate set in this package is assembled.
+func unpackPairs(keys []uint64) []CandidatePair {
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	out := make([]CandidatePair, len(keys))
+	for i, k := range keys {
+		out[i] = unpackPair(k)
+	}
+	return out
 }

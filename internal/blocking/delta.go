@@ -19,7 +19,10 @@
 
 package blocking
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // DeltaIndex is an Index whose adjacency is monotone under Add and that
 // can report the candidate pairs a batch of newly applied offers
@@ -81,11 +84,11 @@ func (c *indexedCorpus) expandDelta(batch []int, mates func(tid int) []int) []Ca
 		}
 		near[tid] = append(near[tid], i)
 	}
-	set := map[CandidatePair]bool{}
+	var keys []uint64
 	for _, i := range batch {
 		for _, j := range c.groups[c.titleOf[i]] {
 			if j != i {
-				set[orderedPair(i, j)] = true
+				keys = append(keys, pairKey(i, j))
 			}
 		}
 	}
@@ -96,17 +99,12 @@ func (c *indexedCorpus) expandDelta(batch []int, mates func(tid int) []int) []Ca
 			}
 			for _, a := range batchOffers {
 				for _, b := range c.groups[u] {
-					set[orderedPair(a, b)] = true
+					keys = append(keys, pairKey(a, b))
 				}
 			}
 		}
 	}
-	out := make([]CandidatePair, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sortPairs(out)
-	return out
+	return unpackPairs(keys)
 }
 
 // DeltaCandidates implements DeltaIndex on the sublinear MinHash path:
@@ -121,18 +119,14 @@ func (m *MinHashIndex) DeltaCandidates(newIdxs []int) []CandidatePair {
 }
 
 // minhashMates returns every title sharing at least one band bucket with
-// tid.
+// tid (tid itself included), ascending.
 func (m *MinHashIndex) minhashMates(tid int) []int {
-	seen := map[int]bool{}
 	var out []int
 	for band := 0; band < m.cfg.Bands; band++ {
 		for _, member := range m.ix.Bucket(band, m.ix.BandKey(tid, band)) {
-			u := int(member)
-			if u != tid && !seen[u] {
-				seen[u] = true
-				out = append(out, u)
-			}
+			out = append(out, int(member))
 		}
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

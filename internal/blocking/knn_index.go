@@ -301,18 +301,13 @@ func (e *EmbeddingIndex) Candidates(queryIdxs []int) []CandidatePair {
 		e.neighbourSlots(slots[q])
 		return nil
 	}, nil)
-	set := map[CandidatePair]bool{}
+	var keys []uint64
 	for _, s := range slots {
 		for _, nb := range e.neighbourSlots(s) {
 			if inQuery[nb] {
-				set[orderedPair(e.order[s], e.order[nb])] = true
+				keys = append(keys, pairKey(e.order[s], e.order[nb]))
 			}
 		}
 	}
-	out := make([]CandidatePair, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sortPairs(out)
-	return out
+	return unpackPairs(keys)
 }

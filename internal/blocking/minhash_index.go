@@ -71,11 +71,16 @@ func (m *MinHashIndex) Candidates(queryIdxs []int) []CandidatePair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	v := m.corpus.view(queryIdxs)
-	include := func(t int) bool { _, ok := v.slotOf[t]; return ok }
-	titlePairs := m.ix.CandidatePairsAmong(include)
+	// slot[t] is title t's query slot plus one (0: not queried): O(titles),
+	// like the sweep itself, and no map lookup per member or endpoint.
+	slot := make([]int32, m.ix.Len())
+	for s, tid := range v.titles {
+		slot[tid] = int32(s) + 1
+	}
+	titlePairs := m.ix.CandidatePairsAmong(func(t int) bool { return slot[t] > 0 })
 	slotPairs := make([][2]int, len(titlePairs))
 	for i, tp := range titlePairs {
-		slotPairs[i] = [2]int{v.slotOf[tp[0]], v.slotOf[tp[1]]}
+		slotPairs[i] = [2]int{int(slot[tp[0]]) - 1, int(slot[tp[1]]) - 1}
 	}
 	return expandTitlePairs(v.groups, slotPairs)
 }

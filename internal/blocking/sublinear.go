@@ -29,27 +29,22 @@ import (
 // (identical titles are always candidates). The result is sorted and
 // deduplicated.
 func expandTitlePairs(groups [][]int, titlePairs [][2]int) []CandidatePair {
-	set := map[CandidatePair]bool{}
+	var keys []uint64
 	for _, members := range groups {
-		for x := 0; x < len(members); x++ {
-			for y := x + 1; y < len(members); y++ {
-				set[orderedPair(members[x], members[y])] = true
+		for x, a := range members {
+			for _, b := range members[x+1:] {
+				keys = append(keys, pairKey(a, b))
 			}
 		}
 	}
 	for _, tp := range titlePairs {
 		for _, a := range groups[tp[0]] {
 			for _, b := range groups[tp[1]] {
-				set[orderedPair(a, b)] = true
+				keys = append(keys, pairKey(a, b))
 			}
 		}
 	}
-	out := make([]CandidatePair, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sortPairs(out)
-	return out
+	return unpackPairs(keys)
 }
 
 // MinHashConfig sizes the MinHash-LSH blocker: Bands x Rows shape the

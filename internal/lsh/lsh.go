@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -156,7 +157,7 @@ type Index struct {
 	sigs   [][]uint64
 	// buckets[band] maps a band hash to the member set indices that share
 	// it, in ascending index order (workers write signatures into
-	// index-addressed slots; bucketing itself is a serial pass). The maps
+	// index-addressed slots; each band is bucketed by a serial pass). The maps
 	// are a pure function of the signatures and are materialized lazily by
 	// ensureBuckets — an index restored from a snapshot serves no reads
 	// before its first query, so the load path skips the rebucketing cost
@@ -196,18 +197,21 @@ func (ix *Index) Build(sets [][]int32) {
 
 // ensureBuckets materializes the band buckets from the signatures, at
 // most once per Build/restore generation. Concurrent readers racing for
-// the first query are serialized by the sync.Once.
+// the first query are serialized by the sync.Once. The bands fill in
+// parallel, one band per task; each band is still filled serially in
+// index order, so member lists are the same at any worker count.
 func (ix *Index) ensureBuckets() {
 	ix.bucketsOnce.Do(func() {
 		buckets := make([]map[uint64][]int32, ix.cfg.Bands)
-		for band := 0; band < ix.cfg.Bands; band++ {
+		parallel.Run(ix.cfg.Bands, ix.cfg.Workers, func(band int) error {
 			m := make(map[uint64][]int32, len(ix.sigs))
 			for i, sig := range ix.sigs {
 				key := bandKey(sig, band, ix.cfg.Rows)
 				m[key] = append(m[key], int32(i))
 			}
 			buckets[band] = m
-		}
+			return nil
+		}, nil)
 		ix.buckets = buckets
 	})
 }
@@ -272,35 +276,34 @@ func (ix *Index) CandidatePairs() [][2]int { return ix.CandidatePairsAmong(nil) 
 // queryable per split.
 func (ix *Index) CandidatePairsAmong(include func(i int) bool) [][2]int {
 	ix.ensureBuckets()
-	seen := make(map[uint64]struct{})
-	var out [][2]int
+	// Colliding pairs pack into uint64 keys (members ascend, so the lower
+	// index is high); sort-and-compact dedups pairs across bands.
+	var keys []uint64
+	var kept []int32
 	for _, bandBuckets := range ix.buckets {
 		for _, members := range bandBuckets {
-			for x := 0; x < len(members); x++ {
-				if include != nil && !include(int(members[x])) {
-					continue
+			if len(members) < 2 {
+				continue
+			}
+			kept = kept[:0]
+			for _, m := range members {
+				if include == nil || include(int(m)) {
+					kept = append(kept, m)
 				}
-				for y := x + 1; y < len(members); y++ {
-					if include != nil && !include(int(members[y])) {
-						continue
-					}
-					a, b := int(members[x]), int(members[y])
-					key := uint64(uint32(a))<<32 | uint64(uint32(b))
-					if _, dup := seen[key]; dup {
-						continue
-					}
-					seen[key] = struct{}{}
-					out = append(out, [2]int{a, b})
+			}
+			for x, a := range kept {
+				for _, b := range kept[x+1:] {
+					keys = append(keys, uint64(a)<<32|uint64(b))
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	out := make([][2]int, len(keys))
+	for i, k := range keys {
+		out[i] = [2]int{int(k >> 32), int(uint32(k))}
+	}
 	return out
 }
 

@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -265,6 +266,76 @@ func TestCandidatePairsAmongRestriction(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("pair %d differs: %v vs %v", i, got[i], want[i])
+		}
+	}
+}
+
+// bruteCandidatePairs is the reference CandidatePairsAmong: every i<j
+// pair of included sets that agrees on at least one BandKey, enumerated
+// in lexicographic order, so the result is sorted and unique by
+// construction.
+func bruteCandidatePairs(ix *Index, include func(i int) bool) [][2]int {
+	var out [][2]int
+	for i := 0; i < ix.Len(); i++ {
+		for j := i + 1; j < ix.Len(); j++ {
+			if include != nil && (!include(i) || !include(j)) {
+				continue
+			}
+			for band := 0; band < ix.Config().Bands; band++ {
+				if ix.BandKey(i, band) == ix.BandKey(j, band) {
+					out = append(out, [2]int{i, j})
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestCandidatePairsAmongBruteForce pins the bucket sweep's exact output
+// — pairs, order and uniqueness — against the quadratic reference, with
+// no filter and with random include filters, over empty, singleton,
+// all-identical and random collections.
+func TestCandidatePairsAmongBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	same := make([][]int32, 12)
+	for i := range same {
+		same[i] = []int32{4, 8, 15, 16, 23, 42}
+	}
+	random := make([][]int32, 90)
+	for i := range random {
+		random[i] = randomSet(rng, 4, 30)
+	}
+	for _, c := range []struct {
+		name string
+		sets [][]int32
+	}{{"empty", nil}, {"singleton", [][]int32{{1, 2, 3}}}, {"identical", same}, {"random", random}} {
+		name, sets := c.name, c.sets
+		for _, workers := range []int{1, 4} {
+			ix := NewIndex(Config{Bands: 8, Rows: 2, Workers: workers}, xrand.New(5).Stream("minhash-lsh"))
+			ix.Build(sets)
+			filters := []func(int) bool{nil}
+			for f := 0; f < 4; f++ {
+				keep := make([]bool, len(sets))
+				for i := range keep {
+					keep[i] = rng.Intn(3) > 0
+				}
+				filters = append(filters, func(i int) bool { return keep[i] })
+			}
+			for f, include := range filters {
+				got, want := ix.CandidatePairsAmong(include), bruteCandidatePairs(ix, include)
+				for k := 1; k < len(got); k++ {
+					if p, q := got[k-1], got[k]; p[0] > q[0] || (p[0] == q[0] && p[1] >= q[1]) {
+						t.Fatalf("%s/workers=%d/filter %d: pairs %v, %v not strictly increasing", name, workers, f, p, q)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s/workers=%d/filter %d: sweep found %v, brute force %v", name, workers, f, got, want)
+				}
+			}
+			if name == "identical" && len(bruteCandidatePairs(ix, nil)) != len(sets)*(len(sets)-1)/2 {
+				t.Fatalf("identical sets must all pair up")
+			}
 		}
 	}
 }

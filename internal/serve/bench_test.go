@@ -230,6 +230,53 @@ func BenchmarkServeIngestScale(b *testing.B) {
 	}
 }
 
+// BenchmarkServeNew isolates the cold start: New over a synthetically
+// grown corpus at n=10k and n=100k with the scale-tuned MinHash 16x4
+// blocker, no snapshot. It reports the two halves separately: the index
+// build (index-ms, the blocker's BuildIndex) and the initial epoch view
+// (view-ms, the rest of New: the full candidate query and the
+// counted-fill adjacency) — the split wdcbench traces as
+// blocking.build_s and serve.view_build_s.
+func BenchmarkServeNew(b *testing.B) {
+	seed := fixture(b)
+	for _, n := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			c, err := synth.Grow(seed, synth.ScaleConfig(n, 42))
+			if err != nil {
+				b.Fatal(err)
+			}
+			bl := &timedBlocker{IndexedBlocker: &blocking.MinHashBlocker{Config: blocking.MinHashConfig{Bands: 16, Rows: 4}, Seed: 1}}
+			var total time.Duration
+			runtime.GC()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				if _, err := New(Config{Blocker: bl, Offers: c.Offers}); err != nil {
+					b.Fatal(err)
+				}
+				total += time.Since(t0)
+			}
+			b.StopTimer()
+			perIter := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 / float64(b.N) }
+			b.ReportMetric(perIter(bl.build), "index-ms")
+			b.ReportMetric(perIter(total-bl.build), "view-ms")
+		})
+	}
+}
+
+// timedBlocker accumulates the time its blocker spends in BuildIndex.
+type timedBlocker struct {
+	blocking.IndexedBlocker
+	build time.Duration
+}
+
+func (t *timedBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) blocking.Index {
+	t0 := time.Now()
+	ix := t.IndexedBlocker.BuildIndex(offers, idxs)
+	t.build += time.Since(t0)
+	return ix
+}
+
 // BenchmarkServeLoadScale measures the read path over synthetically
 // grown corpora at n=10k and n=100k: the daemon builds its index and
 // full candidate adjacency over the grown universe (untimed setup), then

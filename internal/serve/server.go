@@ -13,7 +13,11 @@
 // frozen base adjacency plus one small delta layer per applied batch
 // (the pairs that batch introduced, straight from the index's
 // DeltaCandidates), so publishing an epoch costs O(batch·candidates)
-// instead of an O(corpus) adjacency recompute. The applier periodically
+// instead of an O(corpus) adjacency recompute. Base and layer alike
+// are built from their pair list by one counted fill (newAdjacency):
+// dense endpoint slots, degree prefix sums, one flat partner array. A
+// base — the initial epoch, a snapshot restart, a kNN full republish —
+// costs one full candidate query plus that fill. The applier periodically
 // compacts stacked layers back into a fresh base (count/size
 // thresholds, see Config.CompactLayers and Config.CompactPairs) so
 // per-read merge work never degrades unboundedly. Candidate queries run
@@ -133,21 +137,53 @@ type adjacency struct {
 }
 
 // newAdjacency assembles an adjacency from candidate pairs (offer-index
-// pairs over offers). Partner lists are sorted and deduplicated — an
-// Index implementation may emit a pair twice, and publication is where
-// duplicates are squashed.
+// pairs over offers) by a counted fill: endpoints get dense slots in
+// first-seen order, and degree prefix sums lay every partner list out in
+// one flat array, sized by the pairs (a delta layer costs O(batch
+// pairs), never O(corpus)). Each list is then sorted and deduplicated —
+// an Index may emit a pair twice, and publication squashes duplicates.
 func newAdjacency(offers []schemaorg.Offer, idxOf map[int64]int, pairs []blocking.CandidatePair) *adjacency {
-	partners := make(map[int64][]int64, len(idxOf))
-	for _, p := range pairs {
-		a, b := offers[p.A].ID, offers[p.B].ID
-		partners[a] = append(partners[a], b)
-		partners[b] = append(partners[b], a)
+	// Slots are keyed by offer index: served offer IDs are unique, so
+	// that is one slot per ID without loading the offer on every lookup.
+	slotOf := make(map[int]int32, min(2*len(pairs), len(offers)))
+	var ids []int64 // slot -> offer ID
+	var deg []int   // slot -> partner count
+	ends := make([]int32, 2*len(pairs))
+	for k, p := range pairs {
+		for e, i := range [2]int{p.A, p.B} {
+			var s int32
+			if e == 0 && k > 0 && pairs[k-1].A == i {
+				s = ends[2*k-2] // sorted pairs repeat A: skip the lookup
+			} else {
+				var ok bool
+				if s, ok = slotOf[i]; !ok {
+					s = int32(len(ids))
+					slotOf[i] = s
+					ids = append(ids, offers[i].ID)
+					deg = append(deg, 0)
+				}
+			}
+			deg[s]++
+			ends[2*k+e] = s
+		}
 	}
+	off := make([]int, len(ids)+1) // slot s's partners fill flat[off[s]:off[s+1]]
+	for s, d := range deg {
+		off[s+1] = off[s] + d
+	}
+	flat := make([]int64, len(ends))
+	for k, s := range ends {
+		deg[s]--
+		flat[off[s]+deg[s]] = ids[ends[k^1]]
+	}
+	partners := make(map[int64][]int64, len(ids))
 	n := 0
-	for id := range partners {
-		slices.Sort(partners[id])
-		partners[id] = slices.Compact(partners[id])
-		n += len(partners[id])
+	for s, id := range ids {
+		ps := flat[off[s]:off[s+1]:off[s+1]]
+		slices.Sort(ps)
+		ps = slices.Compact(ps)
+		partners[id] = ps
+		n += len(ps)
 	}
 	return &adjacency{idxOf: idxOf, partners: partners, pairs: n / 2}
 }

@@ -4,14 +4,17 @@
 // through forced compactions), plus the publication-dedup regression —
 // engines that emit a candidate pair more than once must still yield
 // sorted, duplicate-free partner lists — on both the delta layer path
-// and the ErrNoDelta full-rebuild fallback.
+// and the ErrNoDelta full-rebuild fallback, and the guard that a delta
+// layer's allocations track its pairs, not the corpus.
 
 package serve
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -147,9 +150,10 @@ func checkViewEquivalence(t *testing.T, s *Server) {
 type dupIndex struct {
 	offers  []schemaorg.Offer
 	indexed map[int]bool
+	reorder bool // emit pairs in reverse lexicographic order, endpoints swapped
 }
 
-func newDupIndex() *dupIndex { return &dupIndex{indexed: map[int]bool{}} }
+func newDupIndex(reorder bool) *dupIndex { return &dupIndex{indexed: map[int]bool{}, reorder: reorder} }
 
 func (d *dupIndex) Name() string { return "dup-fake" }
 func (d *dupIndex) Len() int     { return len(d.indexed) }
@@ -161,8 +165,10 @@ func (d *dupIndex) Add(offers []schemaorg.Offer, idxs []int) {
 }
 
 // pairsAmong returns every same-title pair with both endpoints in idxs,
-// each emitted twice (the duplication under test).
+// each emitted twice (the duplication under test), in lexicographic
+// order or, with reorder, reversed with swapped endpoints.
 func (d *dupIndex) pairsAmong(idxs []int) []blocking.CandidatePair {
+	idxs = slices.Sorted(slices.Values(idxs))
 	var out []blocking.CandidatePair
 	for _, i := range idxs {
 		for _, j := range idxs {
@@ -170,6 +176,12 @@ func (d *dupIndex) pairsAmong(idxs []int) []blocking.CandidatePair {
 				p := blocking.CandidatePair{A: i, B: j}
 				out = append(out, p, p)
 			}
+		}
+	}
+	if d.reorder {
+		slices.Reverse(out)
+		for k := range out {
+			out[k].A, out[k].B = out[k].B, out[k].A
 		}
 	}
 	return out
@@ -211,15 +223,16 @@ func (d *dupDeltaIndex) DeltaCandidates(newIdxs []int) []blocking.CandidatePair 
 	return out
 }
 
-// dupBlocker builds dupIndex (delta selects the DeltaCandidates form).
-type dupBlocker struct{ delta bool }
+// dupBlocker builds dupIndex (delta selects the DeltaCandidates form,
+// reorder the out-of-order emission).
+type dupBlocker struct{ delta, reorder bool }
 
 func (b dupBlocker) Name() string { return "dup-fake" }
 func (b dupBlocker) Candidates(offers []schemaorg.Offer, idxs []int) []blocking.CandidatePair {
 	return nil
 }
 func (b dupBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) blocking.Index {
-	ix := newDupIndex()
+	ix := newDupIndex(b.reorder)
 	ix.Add(offers, idxs)
 	if b.delta {
 		return &dupDeltaIndex{ix}
@@ -232,7 +245,10 @@ func (b dupBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) blocking.In
 // DeltaCandidates emits a pair twice) and the ErrNoDelta fallback (the
 // full rebuild's Candidates emits a pair twice). Every served match
 // list must come back strictly increasing — sorted with no duplicate
-// partner IDs.
+// partner IDs. The unsorted-ids rows give offer IDs that are not
+// monotone in index order and the unsorted-pairs rows emit pairs out of
+// lexicographic order, so neither order can stand in for the per-list
+// sort publication does.
 func TestPublishDedupesDuplicatePairs(t *testing.T) {
 	seed := []schemaorg.Offer{
 		{ID: 1, Title: "alpha"}, {ID: 2, Title: "alpha"},
@@ -246,22 +262,42 @@ func TestPublishDedupesDuplicatePairs(t *testing.T) {
 		1: {2, 6, 7}, 2: {1, 6, 7}, 3: {4, 8}, 4: {3, 8},
 		5: {}, 6: {1, 2, 7}, 7: {1, 2, 6}, 8: {3, 4}, 9: {},
 	}
+	unsorted := map[int64]int64{1: 50, 2: 10, 3: 90, 4: 30, 5: 70, 6: 20, 7: 80, 8: 40, 9: 60}
 	for _, tc := range []struct {
 		name       string
 		delta      bool
 		wantLayers int
+		renumber   bool
+		reorder    bool
 	}{
 		{name: "delta-layer", delta: true, wantLayers: 1},
 		{name: "errnodelta-fallback", delta: false, wantLayers: 0},
+		{name: "delta-layer/unsorted-ids", delta: true, wantLayers: 1, renumber: true},
+		{name: "errnodelta-fallback/unsorted-ids", delta: false, wantLayers: 0, renumber: true},
+		{name: "delta-layer/unsorted-pairs", delta: true, wantLayers: 1, reorder: true},
+		{name: "errnodelta-fallback/unsorted-pairs", delta: false, wantLayers: 0, reorder: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig(seed)
-			cfg.Blocker = dupBlocker{delta: tc.delta}
+			id := func(x int64) int64 {
+				if tc.renumber {
+					return unsorted[x]
+				}
+				return x
+			}
+			renumbered := func(offers []schemaorg.Offer) []schemaorg.Offer {
+				out := slices.Clone(offers)
+				for i := range out {
+					out[i].ID = id(out[i].ID)
+				}
+				return out
+			}
+			cfg := testConfig(renumbered(seed))
+			cfg.Blocker = dupBlocker{delta: tc.delta, reorder: tc.reorder}
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.applyBatch(context.Background(), batch, rand.New(rand.NewSource(1)))
+			s.applyBatch(context.Background(), renumbered(batch), rand.New(rand.NewSource(1)))
 			st := s.Stats()
 			if st.Epoch != 1 || st.Offers != 9 {
 				t.Fatalf("published epoch %d with %d offers, want epoch 1 with 9", st.Epoch, st.Offers)
@@ -269,10 +305,15 @@ func TestPublishDedupesDuplicatePairs(t *testing.T) {
 			if st.Layers != tc.wantLayers {
 				t.Fatalf("view has %d layers, want %d", st.Layers, tc.wantLayers)
 			}
-			for id, wantPartners := range want {
-				got, _, merr := s.Match(context.Background(), id)
+			for x, partners := range want {
+				wantPartners := make([]int64, len(partners))
+				for k, p := range partners {
+					wantPartners[k] = id(p)
+				}
+				slices.Sort(wantPartners)
+				got, _, merr := s.Match(context.Background(), id(x))
 				if merr != nil {
-					t.Fatalf("Match(%d): %v", id, merr)
+					t.Fatalf("Match(%d): %v", id(x), merr)
 				}
 				if !slices.IsSortedFunc(got, func(a, b int64) int {
 					if a < b {
@@ -280,12 +321,54 @@ func TestPublishDedupesDuplicatePairs(t *testing.T) {
 					}
 					return 1 // equal counts as disorder: duplicates must not survive
 				}) {
-					t.Fatalf("Match(%d) = %v is not strictly increasing", id, got)
+					t.Fatalf("Match(%d) = %v is not strictly increasing", id(x), got)
 				}
 				if len(got) != len(wantPartners) || (len(got) > 0 && !slices.Equal(got, wantPartners)) {
-					t.Fatalf("Match(%d) = %v, want %v", id, got, wantPartners)
+					t.Fatalf("Match(%d) = %v, want %v", id(x), got, wantPartners)
 				}
 			}
 		})
+	}
+}
+
+// adjacencySink keeps the layers TestDeltaLayerBytesTrackPairs builds
+// reachable, so the allocations it measures cannot be optimized away.
+var adjacencySink *adjacency
+
+// TestDeltaLayerBytesTrackPairs guards the delta publish path against an
+// O(corpus) buffer in newAdjacency: a 10-pair layer must allocate the
+// same bytes, within 2x, over a 1k-offer and a 100k-offer corpus. A
+// degree array sized by the corpus would allocate 100x more at 100k.
+func TestDeltaLayerBytesTrackPairs(t *testing.T) {
+	bytesPerLayer := func(n int) uint64 {
+		offers := make([]schemaorg.Offer, n)
+		for i := range offers {
+			offers[i] = schemaorg.Offer{ID: int64(n - i), Title: "t"}
+		}
+		// Five batch offers at the corpus tail, each paired with two old
+		// offers spread over the whole corpus.
+		batch := map[int64]int{}
+		pairs := make([]blocking.CandidatePair, 10)
+		for k := range pairs {
+			b := n - 1 - k%5
+			batch[offers[b].ID] = b
+			pairs[k] = blocking.CandidatePair{A: k * (n / 10), B: b}
+		}
+		best := uint64(math.MaxUint64)
+		for trial := 0; trial < 3; trial++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const runs = 50
+			for r := 0; r < runs; r++ {
+				adjacencySink = newAdjacency(offers, batch, pairs)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return best
+	}
+	small, large := bytesPerLayer(1000), bytesPerLayer(100000)
+	if large > 2*small {
+		t.Fatalf("10-pair layer allocates %d B over 100k offers vs %d B over 1k: cost must track the pairs, not the corpus", large, small)
 	}
 }
