@@ -10,8 +10,7 @@
 //	wdcserve [-addr :8080] [-scale tiny] [-seed 42] [-blocker minhash]
 //	         [-ivf-precision f32] [-snapshot-dir DIR]
 //	         [-stream 0.2] [-ingest FILE] [-dead-letter FILE] [-queue 256]
-//	         [-batch 64] [-compact-layers 32] [-compact-pairs 0]
-//	         [-query-timeout 2s] [-drain-timeout 10s] [-v]
+//	         [-batch 64] [-query-timeout 2s] [-drain-timeout 10s] [-v]
 //
 // By default the daemon seeds its index with all but a -stream fraction
 // of the benchmark offers and replays the held-out remainder through
@@ -48,8 +47,6 @@ func main() {
 	deadLetter := flag.String("dead-letter", "", "append refused ingest records to this JSONL file")
 	queueCap := flag.Int("queue", 256, "ingest queue capacity (full queue = backpressure)")
 	batch := flag.Int("batch", 64, "most offers applied per index write (each write takes what is queued)")
-	compactLayers := flag.Int("compact-layers", 32, "fold stacked delta layers into the view's base after this many batches (< 0 disables the count trigger)")
-	compactPairs := flag.Int("compact-pairs", 0, "fold delta layers once they carry this many candidate pairs (0 = adaptive, < 0 disables the size trigger)")
 	queryTimeout := flag.Duration("query-timeout", 2*time.Second, "per-query deadline cap")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "shutdown drain budget")
 	ivfPrecision := flag.String("ivf-precision", "", "IVF blocker scan precision: f32 (default, exact), int8, or pq (quantized tiers re-rank with exact dots)")
@@ -98,17 +95,15 @@ func main() {
 	}
 
 	scfg := serve.Config{
-		Blocker:       bl,
-		Offers:        seedOffers,
-		Index:         blocking.IndexOptions{SnapshotDir: *snapshotDir},
-		Connector:     connector,
-		QueueCap:      *queueCap,
-		BatchSize:     *batch,
-		QueryTimeout:  *queryTimeout,
-		DrainTimeout:  *drainTimeout,
-		CompactLayers: *compactLayers,
-		CompactPairs:  *compactPairs,
-		RetrySeed:     *seed,
+		Blocker:      bl,
+		Offers:       seedOffers,
+		Index:        blocking.IndexOptions{SnapshotDir: *snapshotDir},
+		Connector:    connector,
+		QueueCap:     *queueCap,
+		BatchSize:    *batch,
+		QueryTimeout: *queryTimeout,
+		DrainTimeout: *drainTimeout,
+		RetrySeed:    *seed,
 	}
 	if *verbose {
 		scfg.Log = os.Stderr

@@ -53,15 +53,7 @@ func QueryDeltaCandidates(ix Index, newIdxs []int) (cands []CandidatePair, err e
 	if !ok {
 		return nil, ErrNoDelta
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			qe, ok := r.(*UnindexedQueryError)
-			if !ok {
-				panic(r)
-			}
-			cands, err = nil, qe
-		}
-	}()
+	defer recoverUnindexed(&err)
 	return di.DeltaCandidates(newIdxs), nil
 }
 

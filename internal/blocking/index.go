@@ -77,16 +77,22 @@ func (e *UnindexedQueryError) Error() string {
 // unindexed-offer invariant panic into a returned *UnindexedQueryError.
 // Any other panic propagates unchanged.
 func QueryCandidates(ix Index, queryIdxs []int) (cands []CandidatePair, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			qe, ok := r.(*UnindexedQueryError)
-			if !ok {
-				panic(r)
-			}
-			cands, err = nil, qe
-		}
-	}()
+	defer recoverUnindexed(&err)
 	return ix.Candidates(queryIdxs), nil
+}
+
+// recoverUnindexed, deferred by the Query* wrappers, stores a recovered
+// *UnindexedQueryError panic in *err and re-panics with anything else.
+// The wrappers' candidate result stays nil: the panic interrupted their
+// return.
+func recoverUnindexed(err *error) {
+	if r := recover(); r != nil {
+		qe, ok := r.(*UnindexedQueryError)
+		if !ok {
+			panic(r)
+		}
+		*err = qe
+	}
 }
 
 // indexedCorpus is the title bookkeeping shared by every Index: each

@@ -3,10 +3,12 @@
 // up while the previous batch applied (up to BatchSize; no timer). The
 // applier writes it to the index with retry/backoff, queries the delta
 // candidates it introduced, and publishes the next epoch view as one
-// more layer on the current one. Records the pipeline cannot accept —
-// undecodable, invalid, duplicate, or part of a batch whose apply
-// exhausted its retries — go to the dead-letter log as JSON lines; the
-// pipeline itself never wedges and never buffers without bound.
+// more layer on the current one (or, for an index without a delta
+// query, as a fresh full view). Only the index write can fail: once it
+// succeeds, publication runs to completion. Records the pipeline cannot
+// accept — undecodable, invalid, duplicate, or part of a batch whose
+// apply exhausted its retries — go to the dead-letter log as JSON lines;
+// the pipeline itself never wedges and never buffers without bound.
 
 package serve
 
@@ -18,7 +20,6 @@ import (
 	"math/rand"
 	"time"
 
-	"wdcproducts/internal/blocking"
 	"wdcproducts/internal/schemaorg"
 )
 
@@ -185,12 +186,12 @@ func (s *Server) applierLoop(ctx context.Context) {
 }
 
 // applyBatch validates the batch, applies the fresh offers to the index
-// with retry/backoff, queries the delta candidates the batch introduced,
-// and publishes the next epoch as one more layer on the current view
-// (compacting when the stack crosses the configured thresholds). The
-// write-path cost therefore tracks the batch, not the corpus. A batch
-// that exhausts its retries is dead-lettered whole; the published view
-// is untouched, so readers never see a half-applied batch.
+// with retry/backoff, and publishes the next epoch (publishBatch). For a
+// delta index the write-path cost therefore tracks the batch, not the
+// corpus. A batch that exhausts its retries is dead-lettered whole; the
+// published view is untouched, so readers never see a half-applied
+// batch. A batch the index accepted is always published, so the next
+// batch never reuses its offer positions.
 func (s *Server) applyBatch(ctx context.Context, batch []schemaorg.Offer, rng *rand.Rand) {
 	if len(batch) == 0 {
 		return
@@ -247,19 +248,7 @@ func (s *Server) applyBatch(ctx context.Context, batch []schemaorg.Offer, rng *r
 			return
 		}
 	}
-	next, deltaPairs, err := s.publishBatch(v, offers, fresh, newIdxs)
-	if err != nil {
-		// Neither the delta query nor the fallback recompute can
-		// legitimately fail (the idxs are all indexed); treat a failure
-		// as fatal for the batch but not the daemon: the index holds the
-		// offers, the view stays put.
-		s.logf("view publication failed: %v", err)
-		return
-	}
-	if s.needsCompaction(next) {
-		next = s.compactView(next)
-	}
-	s.view.Store(next)
+	next, deltaPairs := s.publishBatch(v, offers, fresh, newIdxs)
 	s.nApplied.Add(int64(len(fresh)))
 	elapsed := time.Since(start)
 	s.lastApplyUS.Store(elapsed.Microseconds())
@@ -269,32 +258,25 @@ func (s *Server) applyBatch(ctx context.Context, batch []schemaorg.Offer, rng *r
 		deltaPairs, len(next.layers), next.base.pairs, next.deltaPairs)
 }
 
-// publishBatch assembles the next epoch view for an applied batch: the
-// steady-state path stacks the batch's delta candidates as a new layer
-// on v; an index without a delta query (blocking.ErrNoDelta) falls back
-// to the full from-scratch adjacency rebuild.
-func (s *Server) publishBatch(v *view, offers, fresh []schemaorg.Offer, newIdxs []int) (*view, int, error) {
-	delta, err := blocking.QueryDeltaCandidates(s.ix, newIdxs)
-	if err == nil {
-		idxOf := make(map[int64]int, len(fresh))
-		for i := range fresh {
-			idxOf[fresh[i].ID] = len(offers) - len(fresh) + i
+// publishBatch publishes the next epoch for an applied batch and returns
+// it with the pairs it added: with a delta index, the batch's delta
+// candidates as a new layer on v; without one, a full from-scratch view.
+// Every offer it queries was just indexed, so it cannot fail.
+func (s *Server) publishBatch(v *view, offers, fresh []schemaorg.Offer, newIdxs []int) (*view, int) {
+	if s.delta == nil {
+		idxOf := make(map[int64]int, len(offers))
+		for i := range offers {
+			idxOf[offers[i].ID] = i
 		}
-		layer := newAdjacency(offers, idxOf, delta)
-		return v.extend(offers, layer), layer.pairs, nil
+		next := s.buildView(v.epoch+1, offers, idxOf)
+		return s.publish(next), next.base.pairs
 	}
-	if !errors.Is(err, blocking.ErrNoDelta) {
-		return nil, 0, err
+	idxOf := make(map[int64]int, len(fresh))
+	for i := range fresh {
+		idxOf[fresh[i].ID] = newIdxs[i]
 	}
-	idxOf := make(map[int64]int, len(offers))
-	for i := range offers {
-		idxOf[offers[i].ID] = i
-	}
-	next, err := s.buildView(v.epoch+1, offers, idxOf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return next, next.base.pairs, nil
+	layer := newAdjacency(offers, idxOf, s.delta.DeltaCandidates(newIdxs))
+	return s.publish(v.extend(offers, layer)), layer.pairs
 }
 
 // applyOnce is one apply attempt: the fault hook first (the injectable

@@ -17,10 +17,12 @@
 // are built from their pair list by one counted fill (newAdjacency):
 // dense endpoint slots, degree prefix sums, one flat partner array. A
 // base — the initial epoch, a snapshot restart, a kNN full republish —
-// costs one full candidate query plus that fill. The applier periodically
-// compacts stacked layers back into a fresh base (count/size
-// thresholds, see Config.CompactLayers and Config.CompactPairs) so
-// per-read merge work never degrades unboundedly. Candidate queries run
+// costs one full candidate query plus that fill. New checks once whether
+// the index is a blocking.DeltaIndex; the write path then queries the
+// engine directly and has no error path. One publish step stores every
+// view, first folding stacked layers into a fresh base once they cross
+// the count/size thresholds (Config.CompactLayers, Config.CompactPairs),
+// so per-read merge work never degrades unboundedly. Candidate queries run
 // against the live index under its internal read lock (see the
 // blocking.Index contract), bounded by a query-slot semaphore and the
 // request deadline.
@@ -28,9 +30,10 @@
 // Failure model. Ingest failures are retried with jittered exponential
 // backoff; a batch that exhausts its retry budget is written to the
 // dead-letter log and dropped — the daemon never wedges on a poison
-// batch. Snapshot load failures degrade to a rebuild (the OpenStats are
+// batch. An index that panics during publication crashes the applier.
+// Snapshot load failures degrade to a rebuild (the OpenStats are
 // surfaced on /v1/stats). Shutdown drains the queue within a deadline
-// and writes a fresh snapshot atomically before exiting.
+// and writes a fresh snapshot of the index atomically before exiting.
 package serve
 
 import (
@@ -286,11 +289,13 @@ func (v *view) compact() *view {
 // Server is the matching daemon. Construct with New, start ingest with
 // Start (or Run), and stop with Shutdown.
 type Server struct {
-	cfg  Config
-	ix   blocking.Index
-	open blocking.OpenStats
+	cfg   Config
+	ix    blocking.Index
+	delta blocking.DeltaIndex // ix when it has a delta query, else nil
+	open  blocking.OpenStats
 
-	view atomic.Pointer[view]
+	view    atomic.Pointer[view]
+	observe func(*view) // test hook: sees every published view (nil in production)
 
 	qmu      sync.RWMutex // Enqueue sends under R; close and the applier's whole-post wait take W
 	ingest   chan schemaorg.Offer
@@ -354,41 +359,51 @@ func New(cfg Config) (*Server, error) {
 		readerDone:  make(chan struct{}),
 		applierDone: make(chan struct{}),
 	}
+	s.delta, _ = ix.(blocking.DeltaIndex)
 	if open.LoadErr != nil {
 		s.logf("snapshot refused (%v); rebuilt index", open.LoadErr)
 	}
-	v, err := s.buildView(0, cfg.Offers, idxOf)
-	if err != nil {
-		return nil, err
-	}
-	s.view.Store(v)
+	s.publish(s.buildView(0, cfg.Offers, idxOf))
 	return s, nil
 }
 
 // buildView computes the full candidate adjacency for the corpus and
 // assembles a layerless epoch view — the from-scratch path, used for
-// the initial epoch and as the fallback for indexes without a delta
+// the initial epoch and for every epoch of an index without a delta
 // query. The steady-state write path extends views with delta layers
-// instead (see applyBatch).
-func (s *Server) buildView(epoch int64, offers []schemaorg.Offer, idxOf map[int64]int) (*view, error) {
+// instead (see publishBatch).
+func (s *Server) buildView(epoch int64, offers []schemaorg.Offer, idxOf map[int64]int) *view {
 	all := make([]int, len(offers))
 	for i := range all {
 		all[i] = i
 	}
-	pairs, err := blocking.QueryCandidates(s.ix, all)
-	if err != nil {
-		return nil, fmt.Errorf("serve: adjacency query: %w", err)
+	return &view{epoch: epoch, offers: offers, base: newAdjacency(offers, idxOf, s.ix.Candidates(all))}
+}
+
+// publish is the one place a view becomes the served epoch, for New and
+// the applier alike. A view whose layers cross the compaction thresholds
+// is folded into a fresh base first. It returns the view it stored.
+func (s *Server) publish(v *view) *view {
+	if s.needsCompaction(v) {
+		start := time.Now()
+		folded := len(v.layers)
+		v = v.compact()
+		s.nCompactions.Add(1)
+		s.lastCompactUS.Store(time.Since(start).Microseconds())
+		s.logf("epoch %d: compacted %d layers into base (%d pairs, %v)",
+			v.epoch, folded, v.base.pairs, time.Since(start).Round(time.Microsecond))
 	}
-	return &view{epoch: epoch, offers: offers, base: newAdjacency(offers, idxOf, pairs)}, nil
+	s.view.Store(v)
+	if s.observe != nil {
+		s.observe(v)
+	}
+	return v
 }
 
 // needsCompaction applies the configured thresholds to a
 // just-extended view: too many stacked layers, or stacked delta pairs
 // outgrowing the base (adaptively or against an absolute bound).
 func (s *Server) needsCompaction(v *view) bool {
-	if len(v.layers) == 0 {
-		return false
-	}
 	if n := s.cfg.CompactLayers; n > 0 && len(v.layers) >= n {
 		return true
 	}
@@ -396,27 +411,9 @@ func (s *Server) needsCompaction(v *view) bool {
 	case limit > 0:
 		return v.deltaPairs >= limit
 	case limit == 0:
-		floor := v.base.pairs / 2
-		if floor < 4096 {
-			floor = 4096
-		}
-		return v.deltaPairs >= floor
+		return v.deltaPairs >= max(v.base.pairs/2, 4096)
 	}
 	return false
-}
-
-// compactView folds v's layers into a fresh base, recording the
-// compaction counters. Only the applier (and the post-drain shutdown
-// path, after the applier has exited) calls it.
-func (s *Server) compactView(v *view) *view {
-	start := time.Now()
-	folded := len(v.layers)
-	v = v.compact()
-	s.nCompactions.Add(1)
-	s.lastCompactUS.Store(time.Since(start).Microseconds())
-	s.logf("epoch %d: compacted %d layers into base (%d pairs, %v)",
-		v.epoch, folded, v.base.pairs, time.Since(start).Round(time.Microsecond))
-	return v
 }
 
 // OpenStats reports how the index was acquired (snapshot load vs
@@ -630,8 +627,7 @@ type Stats struct {
 	// LastDeltaPairs is the delta pair count of the most recent applied
 	// batch.
 	LastDeltaPairs int64 `json:"last_delta_pairs"`
-	// Compactions counts layer-fold compactions (including the final
-	// one at shutdown).
+	// Compactions counts layer-fold compactions.
 	Compactions int64 `json:"compactions"`
 	// LastCompactMicros is the wall time of the most recent compaction.
 	LastCompactMicros int64 `json:"last_compact_us"`
@@ -698,8 +694,9 @@ func (s *Server) Start() {
 // (Enqueue returns CodeShuttingDown), the connector loop stops, queued
 // offers are applied until the queue is empty or ctx ends, and — when
 // snapshots are enabled — the grown index is written back atomically so
-// the next process loads instead of rebuilding. Safe to call more than
-// once; later calls return the first call's error.
+// the next process loads instead of rebuilding; the served view stays
+// as last published. Safe to call more than once; later calls return
+// the first call's error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() { s.shutErr = s.shutdown(ctx) })
 	return s.shutErr
@@ -726,13 +723,6 @@ func (s *Server) shutdown(ctx context.Context) error {
 		}
 	}
 	v := s.view.Load()
-	if len(v.layers) > 0 {
-		// Fold outstanding delta layers down so the post-drain view (and
-		// anything reading it after shutdown) is fully compacted; the
-		// applier has exited, so the store cannot race with a publish.
-		v = s.compactView(v)
-		s.view.Store(v)
-	}
 	s.logf("drained at epoch %d with %d offers indexed", v.epoch, len(v.offers))
 	return s.saveSnapshot(v)
 }
