@@ -103,6 +103,9 @@ func TestFacadeSystemLists(t *testing.T) {
 	}
 }
 
+// TestFacadeBlockingReport pins the one-split §6 report: every
+// candidates, completeness and reduction cell must match the golden
+// fixture, with the timing columns masked.
 func TestFacadeBlockingReport(t *testing.T) {
 	ensureBuild(t)
 	// token + minhash avoid encoder training, keeping the facade test fast.
@@ -129,6 +132,7 @@ func TestFacadeBlockingReport(t *testing.T) {
 	if names[len(names)-1] != "ivf" {
 		t.Fatalf("BlockerNames = %v, want ivf last", names)
 	}
+	checkGolden(t, "blocking_golden.txt", maskColumns(table, 4, 5))
 }
 
 func TestFacadeParseBlockerNames(t *testing.T) {
@@ -187,12 +191,19 @@ func TestFacadeMatcherBlockingReport(t *testing.T) {
 	if serial.Rows[0][0] != wdcproducts.NoBlockingBaseline {
 		t.Fatalf("first row is not the unblocked baseline:\n%s", serial)
 	}
-	path := filepath.Join("testdata", "matchblock_golden.txt")
+	checkGolden(t, "matchblock_golden.txt", serial.String())
+}
+
+// checkGolden compares a rendered report with testdata/<name>, or
+// rewrites the fixture when the test runs with -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(serial.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("updated %s", path)
@@ -202,8 +213,8 @@ func TestFacadeMatcherBlockingReport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden fixture (run with -update): %v", err)
 	}
-	if serial.String() != string(want) {
-		t.Errorf("matcher-blocking table differs from golden %s:\ngot:\n%s\nwant:\n%s", path, serial, want)
+	if got != string(want) {
+		t.Errorf("report differs from golden %s:\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 
@@ -240,6 +251,9 @@ func TestFacadeNewIndexedBlocker(t *testing.T) {
 	}
 }
 
+// TestFacadeBlockingScaleReport pins the build-once/query-per-split
+// study the same way: the golden fixture holds every split row, with the
+// ms column masked.
 func TestFacadeBlockingScaleReport(t *testing.T) {
 	ensureBuild(t)
 	// token + minhash avoid encoder training, keeping the facade test fast.
@@ -261,6 +275,24 @@ func TestFacadeBlockingScaleReport(t *testing.T) {
 	if _, err := wdcproducts.BlockingScaleReport(benchB, []string{"bogus"}, 42, 1); err == nil {
 		t.Fatal("unknown blocker name did not error")
 	}
+	checkGolden(t, "blockscale_golden.txt", maskColumns(table, 6))
+}
+
+// maskColumns renders t with the wall-time cells of the given columns
+// replaced by "*", keeping the "-" that marks a blocker without an index,
+// so the rendered table is stable across runs and machines.
+func maskColumns(t *wdcproducts.Table, cols ...int) string {
+	masked := *t
+	masked.Rows = make([][]string, len(t.Rows))
+	for i, row := range t.Rows {
+		masked.Rows[i] = append([]string(nil), row...)
+		for _, c := range cols {
+			if masked.Rows[i][c] != "-" {
+				masked.Rows[i][c] = "*"
+			}
+		}
+	}
+	return masked.String()
 }
 
 // TestFacadeBlockingOptionsLog pins the -v acquisition log: a first run
