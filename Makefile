@@ -42,7 +42,7 @@ vet:
 # exported identifier in the documented packages lacks a doc comment.
 docs:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt -l:"; echo "$$fmt"; exit 1; fi
-	$(GO) run ./cmd/doccheck ./internal/blocking ./internal/lsh ./internal/hnsw ./internal/ivf ./internal/simlib ./internal/persist ./internal/serve ./internal/serve/faults ./internal/synth
+	$(GO) run ./cmd/doccheck . ./internal/blocking ./internal/lsh ./internal/hnsw ./internal/ivf ./internal/simlib ./internal/persist ./internal/serve ./internal/serve/faults ./internal/synth
 
 # cover enforces a statement-coverage floor over the blocking stack (the
 # packages the reusable-index layer lives in), the snapshot envelope

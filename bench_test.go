@@ -400,22 +400,23 @@ func BenchmarkAblation_ContrastiveFreeze(b *testing.B) {
 
 // BenchmarkExtension_Blocking measures the §6 blocking extension: token
 // blocking over one test split, reporting pair completeness and reduction.
+// Each iteration times the blocker and the linear EvaluateClusters scoring.
 func BenchmarkExtension_Blocking(b *testing.B) {
 	setup(b)
-	productOf := map[int]int{}
+	productOf := map[int]int64{}
 	var idxs []int
 	for _, tp := range benchB.Ratios[50].TestProducts[0] {
 		for _, o := range tp.Offers {
-			productOf[o] = tp.Slot
+			productOf[o] = int64(tp.Slot)
 			idxs = append(idxs, o)
 		}
 	}
-	truth := func(x, y int) bool { return productOf[x] == productOf[y] }
+	clusterOf := func(i int) int64 { return productOf[i] }
 	var m blocking.Metrics
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cands := blocking.NewTokenBlocker().Candidates(benchB.Offers, idxs)
-		m = blocking.Evaluate(cands, idxs, truth)
+		m = blocking.EvaluateClusters(cands, idxs, clusterOf)
 	}
 	b.ReportMetric(m.PairCompleteness*100, "pair-completeness")
 	b.ReportMetric(m.ReductionRatio*100, "reduction-ratio")
@@ -513,16 +514,13 @@ func benchBlockerAt(b *testing.B, mk func() blocking.Blocker, n int, vsExhaustiv
 	for i := range idxs {
 		idxs[i] = i
 	}
-	truth := func(x, y int) bool {
-		return benchB.Offers[x].ClusterID == benchB.Offers[y].ClusterID
-	}
 	var cands []blocking.CandidatePair
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cands = mk().Candidates(benchB.Offers, idxs)
 	}
 	b.StopTimer()
-	m := blocking.Evaluate(cands, idxs, truth)
+	m := blocking.EvaluateClusters(cands, idxs, func(i int) int64 { return benchB.Offers[i].ClusterID })
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/offer")
 	b.ReportMetric(float64(m.Candidates), "pairs")
 	b.ReportMetric(m.PairCompleteness*100, "pair-completeness")
@@ -1006,7 +1004,7 @@ func BenchmarkMatcherBlocking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		table, err = wdcproducts.MatcherBlockingReport(benchB,
-			[]string{"token", "minhash"}, []string{"Word-Cooc", "Magellan"}, 42, 1, 0)
+			[]string{"token", "minhash"}, []string{"Word-Cooc", "Magellan"}, 42, 1, 0, wdcproducts.BlockingOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,6 +28,12 @@
 // matches count as false negatives, and an unblocked baseline row anchors
 // the comparison. The table carries no timing columns and is byte-identical
 // at any -workers value.
+//
+// The three studies are the repository's one command-line entry point for
+// §6: they run on the benchmark built from -seed and -scale, which is the
+// one wdcgen writes for the same flags. -snapshot-dir loads and saves
+// their blocking indexes, -ivf-precision selects the IVF scan tier, and
+// -v logs each index acquisition.
 package main
 
 import (
@@ -107,11 +113,11 @@ func main() {
 		var t *wdcproducts.Table
 		switch {
 		case *matchBlock:
-			t, err = wdcproducts.MatcherBlockingReportOpts(b, names, splitList(*systemsFlag), *seed, *reps, *workers, opts)
+			t, err = wdcproducts.MatcherBlockingReport(b, names, splitList(*systemsFlag), *seed, *reps, *workers, opts)
 		case *blockScale:
-			t, err = wdcproducts.BlockingScaleReportOpts(b, names, *seed, *workers, opts)
+			t, err = wdcproducts.BlockingScaleReport(b, names, *seed, *workers, opts)
 		default:
-			t, err = wdcproducts.BlockingReportOpts(b, names, *seed, *workers, opts)
+			t, err = wdcproducts.BlockingReport(b, names, *seed, *workers, opts)
 		}
 		if err != nil {
 			log.Fatal(err)

@@ -5,20 +5,11 @@
 //
 // Usage:
 //
-//	wdcgen -out ./benchmark [-seed 42] [-scale default|small|tiny] [-v] [-blockers token,minhash,hnsw,ivf] [-blockscale] [-matchblock] [-synth-scale 100000]
+//	wdcgen -out ./benchmark [-seed 42] [-scale default|small|tiny] [-v] [-synth-scale 100000]
 //
-// -blockers additionally runs the named §6 blocking strategies ("all"
-// selects every one) over the generated benchmark's cc=50% seen test
-// offers and prints their candidate counts, pair completeness and
-// reduction ratios — a quick read on how blockable the generated
-// benchmark is. -blockscale switches that report to the
-// build-once/query-per-split form: one index per blocker over the union of
-// every test split, queried per (corner ratio, unseen fraction) split,
-// which is the §6 study shape at -scale default (paper) size. -matchblock
-// switches it to the matcher-in-the-loop form instead: matchers trained on
-// each blocker's candidate-restricted pair sets, downstream P/R/F1
-// reported next to completeness/reduction with blocker-missed matches
-// counted as false negatives.
+// The §6 blocking studies run from wdceval (-blocking, -blockscale,
+// -matchblock), which builds the identical benchmark from the same -seed
+// and -scale.
 //
 // -synth-scale N additionally grows the benchmark's offer corpus to N
 // offers with the deterministic synthetic generator (internal/synth),
@@ -48,20 +39,9 @@ func main() {
 	out := flag.String("out", "benchmark", "output directory")
 	seed := flag.Int64("seed", 42, "master random seed")
 	scale := flag.String("scale", "small", "benchmark scale: default (paper, 500 products/set), small (120), tiny (40)")
-	verbose := flag.Bool("v", false,
-		"print per-stage pipeline statistics (Figure 2) and blocking-index acquisition outcomes")
+	verbose := flag.Bool("v", false, "print per-stage pipeline statistics (Figure 2)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the build to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the build) to this file")
-	blockers := flag.String("blockers", "",
-		"also print the §6 blocking report for these blockers (comma-separated token|embedding|minhash|hnsw|ivf, or 'all')")
-	blockScale := flag.Bool("blockscale", false,
-		"print the build-once/query-per-split blocking study over every test split (uses the -blockers list, default all)")
-	matchBlock := flag.Bool("matchblock", false,
-		"print the matcher-in-the-loop blocking study: downstream matcher P/R/F1 on each blocker's candidate-restricted pair sets (uses the -blockers list, default all)")
-	snapshotDir := flag.String("snapshot-dir", "",
-		"persist blocking indexes: load each index from this directory when a snapshot matches the corpus/config fingerprint, save it after a fresh build (empty = rebuild every run)")
-	ivfPrecision := flag.String("ivf-precision", "",
-		"IVF blocker scan precision: f32 (default, exact), int8 (symmetric 8-bit rows), or pq (product-quantized residuals); quantized tiers re-rank with exact dots")
 	synthScale := flag.Int("synth-scale", 0,
 		"also grow the offer corpus to this many offers with the deterministic synthetic generator and write <out>/synthetic.jsonl (0 = off)")
 	synthWorkers := flag.Int("synth-workers", 0,
@@ -127,26 +107,6 @@ func main() {
 		fmt.Printf("  dbscan groups         %d (%d avoided by curation)\n", s.DBSCANGroups, s.AvoidedGroups)
 		fmt.Printf("  pools seen/unseen     %d / %d clusters\n", s.SeenPoolClusters, s.UnseenPoolCluster)
 		fmt.Printf("  metric draws          %v\n", s.MetricDraws)
-	}
-	if *blockers != "" || *blockScale || *matchBlock {
-		names := wdcproducts.ParseBlockerNames(*blockers)
-		opts := wdcproducts.BlockingOptions{SnapshotDir: *snapshotDir, IVFPrecision: *ivfPrecision}
-		if *verbose {
-			opts.Log = os.Stderr
-		}
-		var t *wdcproducts.Table
-		switch {
-		case *matchBlock:
-			t, err = wdcproducts.MatcherBlockingReportOpts(b, names, nil, *seed, 1, 0, opts)
-		case *blockScale:
-			t, err = wdcproducts.BlockingScaleReportOpts(b, names, *seed, 0, opts)
-		default:
-			t, err = wdcproducts.BlockingReportOpts(b, names, *seed, 0, opts)
-		}
-		if err != nil {
-			log.Fatalf("blocking report: %v", err)
-		}
-		fmt.Printf("\n%s", t)
 	}
 	if *synthScale > 0 {
 		c, err := wdcproducts.SynthGrow(b, *synthScale, *seed, *synthWorkers)

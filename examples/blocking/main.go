@@ -32,15 +32,15 @@ func main() {
 
 	// Candidate universe: the cc=50% seen test offers; ground truth is the
 	// test product each offer belongs to.
-	productOf := map[int]int{}
+	productOf := map[int]int64{}
 	var idxs []int
 	for _, tp := range bench.Ratios[50].TestProducts[0] {
 		for _, o := range tp.Offers {
-			productOf[o] = tp.Slot
+			productOf[o] = int64(tp.Slot)
 			idxs = append(idxs, o)
 		}
 	}
-	truth := func(a, b int) bool { return productOf[a] == productOf[b] }
+	clusterOf := func(i int) int64 { return productOf[i] }
 
 	titles := make([]string, len(bench.Offers))
 	for i := range bench.Offers {
@@ -63,7 +63,7 @@ func main() {
 		start := time.Now()
 		cands := bl.Candidates(bench.Offers, idxs)
 		elapsed := time.Since(start)
-		m := blocking.Evaluate(cands, idxs, truth)
+		m := blocking.EvaluateClusters(cands, idxs, clusterOf)
 		fmt.Printf("%-18s %12d %17.2f%% %15.2f%% %10.1f\n",
 			bl.Name(), m.Candidates, m.PairCompleteness*100, m.ReductionRatio*100,
 			float64(elapsed.Microseconds())/1000)
@@ -97,9 +97,8 @@ func main() {
 	// The same comparison is available without touching internal packages:
 	// wdcproducts.BlockingReport renders it as a table (training its own
 	// encoder), wdcproducts.BlockingScaleReport drives the build-once/
-	// query-per-split study over every test split, and the CLIs expose
-	// them as `wdceval -blocking all` / `-blockscale` and
-	// `wdcgen -blockers all` / `-blockscale`.
+	// query-per-split study over every test split, and wdceval runs them
+	// as `wdceval -blocking all` / `-blockscale`.
 	fmt.Println("\n(also available as wdcproducts.BlockingReport / BlockingScaleReport")
-	fmt.Println(" and the -blocking, -blockers and -blockscale flags of wdceval and wdcgen)")
+	fmt.Println(" and as wdceval -blocking all / -blockscale)")
 }

@@ -1,11 +1,12 @@
 // Package blocking implements the blocking extension discussed in §6 of
 // the paper: the corpus behind WDC Products is "well-suited as starting
 // point for building blocking benchmarks" (SC-Block is derived from it).
-// This package provides two standard blockers over benchmark offers — token
-// blocking and embedding nearest-neighbour blocking — together with the
+// This package provides five blockers over benchmark offers — exhaustive
+// token blocking and embedding nearest-neighbour blocking, and the
+// sublinear MinHash-LSH, HNSW and IVF blockers — together with the
 // standard blocking quality metrics, pair completeness (recall of true
 // matches) and reduction ratio (fraction of the quadratic pair space
-// pruned).
+// pruned), computed by EvaluateClusters.
 package blocking
 
 import (
@@ -193,34 +194,6 @@ type Metrics struct {
 	Candidates     int
 	TrueMatches    int
 	CoveredMatches int
-}
-
-// Evaluate scores a candidate set against ground-truth matches. The truth
-// function reports whether two offer indices refer to the same product.
-func Evaluate(cands []CandidatePair, idxs []int, truth func(a, b int) bool) Metrics {
-	m := Metrics{Candidates: len(cands)}
-	candSet := make(map[CandidatePair]bool, len(cands))
-	for _, p := range cands {
-		candSet[p] = true
-	}
-	for x := 0; x < len(idxs); x++ {
-		for y := x + 1; y < len(idxs); y++ {
-			if truth(idxs[x], idxs[y]) {
-				m.TrueMatches++
-				if candSet[orderedPair(idxs[x], idxs[y])] {
-					m.CoveredMatches++
-				}
-			}
-		}
-	}
-	if m.TrueMatches > 0 {
-		m.PairCompleteness = float64(m.CoveredMatches) / float64(m.TrueMatches)
-	}
-	total := len(idxs) * (len(idxs) - 1) / 2
-	if total > 0 {
-		m.ReductionRatio = 1 - float64(len(cands))/float64(total)
-	}
-	return m
 }
 
 // pairKey packs an unordered offer-index pair into one sortable word,

@@ -1,12 +1,13 @@
 package blocking
 
 // EvaluateClusters scores a candidate set against cluster-membership
-// ground truth in O(|candidates| + |universe|) time: the true-match count
-// is the sum of within-cluster pair counts and coverage is counted from
-// the candidate list itself. Evaluate walks every pair of the universe,
-// which is exact but quadratic — unusable at the 100k-1M scale the
-// synthetic corpus benches run at; on identical inputs the two agree
-// (property-tested).
+// ground truth — clusterOf names the cluster (product) of each offer
+// index — in O(|candidates| + |universe|) time: the true-match count is
+// the sum of within-cluster pair counts and coverage is counted from the
+// candidate list itself, deduplicated, ignoring pairs that leave the
+// universe. The tests hold it to Evaluate, a quadratic walk over every
+// pair of the universe kept in the test files as the exact reference; on
+// cluster truth the two agree (property-tested).
 func EvaluateClusters(cands []CandidatePair, idxs []int, clusterOf func(i int) int64) Metrics {
 	m := Metrics{Candidates: len(cands)}
 	inUniverse := make(map[int]bool, len(idxs))

@@ -5,6 +5,37 @@ import (
 	"testing"
 )
 
+// Evaluate is the exact reference scorer the tests compare
+// EvaluateClusters and the blockers against: it walks every pair of the
+// universe, so it takes any pairwise truth (whether two offer indices
+// refer to the same product) but costs quadratic time. Candidates must be
+// ordered and unique, as blockers emit them.
+func Evaluate(cands []CandidatePair, idxs []int, truth func(a, b int) bool) Metrics {
+	m := Metrics{Candidates: len(cands)}
+	candSet := make(map[CandidatePair]bool, len(cands))
+	for _, p := range cands {
+		candSet[p] = true
+	}
+	for x := 0; x < len(idxs); x++ {
+		for y := x + 1; y < len(idxs); y++ {
+			if truth(idxs[x], idxs[y]) {
+				m.TrueMatches++
+				if candSet[orderedPair(idxs[x], idxs[y])] {
+					m.CoveredMatches++
+				}
+			}
+		}
+	}
+	if m.TrueMatches > 0 {
+		m.PairCompleteness = float64(m.CoveredMatches) / float64(m.TrueMatches)
+	}
+	total := len(idxs) * (len(idxs) - 1) / 2
+	if total > 0 {
+		m.ReductionRatio = 1 - float64(len(cands))/float64(total)
+	}
+	return m
+}
+
 // TestEvaluateClustersMatchesEvaluate property-tests the linear-time
 // cluster scorer against the exact quadratic Evaluate on random inputs:
 // with cluster-membership truth, the two must agree bit for bit.

@@ -7,7 +7,7 @@
 // outcome — missing file, corruption, version skew, mismatch — surfaces a
 // typed error and falls back to an ordinary rebuild. OpenIndex packages
 // the whole load-or-build-and-save dance behind one call, which is what
-// the wdceval/wdcgen -snapshot-dir flag drives.
+// the -snapshot-dir flag of wdceval and wdcserve drives.
 //
 // Snapshots store derived state only (signatures, adjacency, vectors,
 // inverted lists) — never the corpus: the fingerprint guarantees the

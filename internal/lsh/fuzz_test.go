@@ -70,8 +70,9 @@ func FuzzSignature(f *testing.F) {
 }
 
 // FuzzIndexQuery drives the banded index with arbitrary sets: Build + Add
-// must not panic, and Query results must stay within the indexed range,
-// sorted and unique.
+// must not panic, and the per-band Bucket/BandKey lookup of the added set
+// must name only indexed sets, in ascending order, the added set among
+// them.
 func FuzzIndexQuery(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0}, []byte{1, 0, 0, 0})
 	f.Add([]byte{}, []byte{9, 9, 9, 9})
@@ -88,14 +89,21 @@ func FuzzIndexQuery(f *testing.F) {
 		}
 		ix := NewIndex(Config{Bands: 6, Rows: 2, Workers: 1}, xrand.New(5).Stream("fuzz"))
 		ix.Build(sets)
-		ix.Add(decodeTokenSet(query))
-		got := ix.Query(decodeTokenSet(query))
-		for i, m := range got {
-			if m < 0 || m >= ix.Len() {
-				t.Fatalf("query returned out-of-range member %d", m)
+		q := ix.Add(decodeTokenSet(query))
+		for band := 0; band < ix.Config().Bands; band++ {
+			got := ix.Bucket(band, ix.BandKey(q, band))
+			self := false
+			for i, m := range got {
+				if m < 0 || int(m) >= ix.Len() {
+					t.Fatalf("band %d bucket holds out-of-range member %d", band, m)
+				}
+				if i > 0 && got[i-1] >= m {
+					t.Fatalf("band %d bucket not ascending: %v", band, got)
+				}
+				self = self || int(m) == q
 			}
-			if i > 0 && got[i-1] >= m {
-				t.Fatalf("query results not sorted-unique: %v", got)
+			if !self {
+				t.Fatalf("band %d bucket %v misses the added set %d", band, got, q)
 			}
 		}
 	})

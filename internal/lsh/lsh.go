@@ -20,7 +20,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 
 	"wdcproducts/internal/parallel"
@@ -148,9 +147,9 @@ func EstimateJaccard(a, b []uint64) float64 {
 
 // Index is a banded LSH index over a collection of token sets. Build it
 // once with Build (or grow it one set at a time with Add), then read
-// candidate pairs with CandidatePairs / CandidatePairsAmong or probe
-// single sets with Query. Reads are safe for concurrent use as long as no
-// Build or Add is in flight.
+// candidate pairs with CandidatePairsAmong or look up the sets colliding
+// with one indexed set through Bucket and BandKey. Reads are safe for
+// concurrent use as long as no Build or Add is in flight.
 type Index struct {
 	cfg    Config
 	signer *Signer
@@ -255,25 +254,21 @@ func (ix *Index) Signature(i int) []uint64 { return ix.sigs[i] }
 // Bucket returns the indexed sets whose given band hashes to key, in
 // ascending index order (nil when no indexed set does). Combined with
 // BandKey it answers "who collides with set i in this band" without a
-// full CandidatePairs sweep — the incremental-delta query path. The
+// full CandidatePairsAmong sweep — the incremental-delta query path. The
 // slice is shared storage; callers must not modify it.
 func (ix *Index) Bucket(band int, key uint64) []int32 {
 	ix.ensureBuckets()
 	return ix.buckets[band][key]
 }
 
-// CandidatePairs returns every unordered pair of indexed sets that shares
-// at least one band bucket, sorted lexicographically and deduplicated. The
-// cost is proportional to the number of colliding pairs, not to the full
-// quadratic pair space.
-func (ix *Index) CandidatePairs() [][2]int { return ix.CandidatePairsAmong(nil) }
-
-// CandidatePairsAmong is CandidatePairs restricted to the member sets for
-// which include returns true (nil includes every set). Because a band
-// collision is a pairwise property — independent of what else is indexed —
-// the result equals what CandidatePairs would return on an index holding
-// only the included sets, which is what makes one corpus-wide index
-// queryable per split.
+// CandidatePairsAmong returns every unordered pair of indexed sets that
+// shares at least one band bucket, restricted to the member sets for which
+// include returns true (nil includes every set), sorted lexicographically
+// and deduplicated. The cost is proportional to the number of colliding
+// pairs, not to the full quadratic pair space. Because a band collision is
+// a pairwise property — independent of what else is indexed — the result
+// equals the unrestricted pairs filtered to the included sets, which is
+// what makes one corpus-wide index queryable per split.
 func (ix *Index) CandidatePairsAmong(include func(i int) bool) [][2]int {
 	ix.ensureBuckets()
 	// Colliding pairs pack into uint64 keys (members ascend, so the lower
@@ -304,26 +299,5 @@ func (ix *Index) CandidatePairsAmong(include func(i int) bool) [][2]int {
 	for i, k := range keys {
 		out[i] = [2]int{int(k >> 32), int(uint32(k))}
 	}
-	return out
-}
-
-// Query returns the indices of indexed sets sharing at least one band
-// bucket with the given (not necessarily indexed) set, in ascending order.
-func (ix *Index) Query(set []int32) []int {
-	ix.ensureBuckets()
-	sig := ix.signer.Signature(set, nil)
-	seen := make(map[int32]struct{})
-	var out []int
-	for band := 0; band < ix.cfg.Bands; band++ {
-		key := bandKey(sig, band, ix.cfg.Rows)
-		for _, m := range ix.buckets[band][key] {
-			if _, dup := seen[m]; dup {
-				continue
-			}
-			seen[m] = struct{}{}
-			out = append(out, int(m))
-		}
-	}
-	sort.Ints(out)
 	return out
 }

@@ -79,7 +79,7 @@ func TestIdenticalSetsAlwaysCandidates(t *testing.T) {
 	set := []int32{1, 2, 3, 4, 5}
 	ix := NewIndex(DefaultConfig(), xrand.New(1).Stream("lsh"))
 	ix.Build([][]int32{set, {100, 200, 300}, append([]int32(nil), set...)})
-	pairs := ix.CandidatePairs()
+	pairs := ix.CandidatePairsAmong(nil)
 	found := false
 	for _, p := range pairs {
 		if p == [2]int{0, 2} {
@@ -105,7 +105,7 @@ func TestBuildWorkerCountInvariance(t *testing.T) {
 		cfg.Workers = workers
 		ix := NewIndex(cfg, xrand.New(3).Stream("lsh"))
 		ix.Build(sets)
-		return ix.CandidatePairs()
+		return ix.CandidatePairsAmong(nil)
 	}
 	serial, par := candidates(1), candidates(8)
 	if len(serial) != len(par) {
@@ -133,7 +133,7 @@ func TestHighSimilarityPairsRecalled(t *testing.T) {
 	ix := NewIndex(DefaultConfig(), xrand.New(9).Stream("lsh"))
 	ix.Build(sets)
 	got := map[[2]int]bool{}
-	for _, p := range ix.CandidatePairs() {
+	for _, p := range ix.CandidatePairsAmong(nil) {
 		got[p] = true
 	}
 	recalled := 0
@@ -147,6 +147,9 @@ func TestHighSimilarityPairsRecalled(t *testing.T) {
 	}
 }
 
+// TestQueryMatchesCandidatePairs: the per-set query — the union of
+// Bucket(band, BandKey(i, band)) over every band — must name exactly the
+// partners of set i among the swept candidate pairs, plus i itself.
 func TestQueryMatchesCandidatePairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	sets := make([][]int32, 60)
@@ -155,33 +158,44 @@ func TestQueryMatchesCandidatePairs(t *testing.T) {
 	}
 	ix := NewIndex(DefaultConfig(), xrand.New(13).Stream("lsh"))
 	ix.Build(sets)
-	pairsOf := map[int]map[int]bool{}
-	for _, p := range ix.CandidatePairs() {
-		for _, side := range []int{0, 1} {
-			a, b := p[side], p[1-side]
-			if pairsOf[a] == nil {
-				pairsOf[a] = map[int]bool{}
-			}
-			pairsOf[a][b] = true
-		}
+	pairsOf := make([]map[int]bool, len(sets))
+	for i := range pairsOf {
+		pairsOf[i] = map[int]bool{i: true}
 	}
-	for i, set := range sets {
-		for _, j := range ix.Query(set) {
-			if j == i {
-				continue
-			}
+	for _, p := range ix.CandidatePairsAmong(nil) {
+		pairsOf[p[0]][p[1]] = true
+		pairsOf[p[1]][p[0]] = true
+	}
+	for i := range sets {
+		got := bucketQuery(ix, i)
+		if len(got) != len(pairsOf[i]) {
+			t.Fatalf("query of set %d found %d sets, candidate pairs name %d", i, len(got), len(pairsOf[i]))
+		}
+		for j := range got {
 			if !pairsOf[i][j] {
-				t.Fatalf("Query(%d) returned %d but CandidatePairs does not contain the pair", i, j)
+				t.Fatalf("query of set %d returned %d but CandidatePairsAmong does not contain the pair", i, j)
 			}
 		}
 	}
+}
+
+// bucketQuery collects the indexed sets sharing a band bucket with set i,
+// i included.
+func bucketQuery(ix *Index, i int) map[int]bool {
+	out := map[int]bool{}
+	for band := 0; band < ix.Config().Bands; band++ {
+		for _, m := range ix.Bucket(band, ix.BandKey(i, band)) {
+			out[int(m)] = true
+		}
+	}
+	return out
 }
 
 func TestEmptySets(t *testing.T) {
 	ix := NewIndex(DefaultConfig(), xrand.New(2).Stream("lsh"))
 	ix.Build([][]int32{{}, {1, 2}, {}})
 	got := map[[2]int]bool{}
-	for _, p := range ix.CandidatePairs() {
+	for _, p := range ix.CandidatePairsAmong(nil) {
 		got[p] = true
 	}
 	if !got[[2]int{0, 2}] {
@@ -229,7 +243,7 @@ func TestAddMatchesBuild(t *testing.T) {
 				}
 			}
 		}
-		gp, fp := grown.CandidatePairs(), full.CandidatePairs()
+		gp, fp := grown.CandidatePairsAmong(nil), full.CandidatePairsAmong(nil)
 		if len(gp) != len(fp) {
 			t.Fatalf("cut %d: %d pairs grown vs %d built", cut, len(gp), len(fp))
 		}
@@ -254,7 +268,7 @@ func TestCandidatePairsAmongRestriction(t *testing.T) {
 	ix.Build(sets)
 	member := func(i int) bool { return i%3 != 0 }
 	var want [][2]int
-	for _, p := range ix.CandidatePairs() {
+	for _, p := range ix.CandidatePairsAmong(nil) {
 		if member(p[0]) && member(p[1]) {
 			want = append(want, p)
 		}

@@ -412,14 +412,8 @@ type BlockingOptions struct {
 	Log io.Writer
 }
 
-// indexOptions translates the facade options for blocking.OpenIndex.
-func (o BlockingOptions) indexOptions() blocking.IndexOptions {
-	return blocking.IndexOptions{SnapshotDir: o.SnapshotDir}
-}
-
 // logOpenStats reports one blocker's index-acquisition outcome to
-// opts.Log. It is a no-op when Log is nil, so the report paths call it
-// unconditionally.
+// opts.Log. It is a no-op when Log is nil.
 func (o BlockingOptions) logOpenStats(blocker string, stats blocking.OpenStats) {
 	if o.Log == nil {
 		return
@@ -439,15 +433,37 @@ func (o BlockingOptions) logOpenStats(blocker string, stats blocking.OpenStats) 
 	}
 }
 
-// blockingSplit is one test split's offer universe and ground truth.
+// openQuery returns bl's candidate query over universe, the one place the
+// studies decide between an index and a one-shot run. A blocker that keeps
+// a reusable index gets it from blocking.OpenIndex (built, or loaded from
+// opts.SnapshotDir) with the outcome logged to opts.Log, and the returned
+// stats are non-nil; every query then filters that index. Any other blocker
+// answers each query with a fresh Candidates call, and stats is nil.
+func openQuery(b *Benchmark, bl blocking.Blocker, universe []int,
+	opts BlockingOptions) (func(idxs []int) ([]blocking.CandidatePair, error), *blocking.OpenStats) {
+	ib, ok := bl.(blocking.IndexedBlocker)
+	if !ok {
+		return func(idxs []int) ([]blocking.CandidatePair, error) {
+			return bl.Candidates(b.Offers, idxs), nil
+		}, nil
+	}
+	ix, stats := blocking.OpenIndex(ib, b.Offers, universe, blocking.IndexOptions{SnapshotDir: opts.SnapshotDir})
+	opts.logOpenStats(bl.Name(), stats)
+	return func(idxs []int) ([]blocking.CandidatePair, error) {
+		return blocking.QueryCandidates(ix, idxs)
+	}, &stats
+}
+
+// blockingSplit is one test split's offer universe.
 type blockingSplit struct {
 	label string
 	idxs  []int
-	truth func(a, b int) bool
+	// productOf is the ground truth: the test product each offer belongs
+	// to, the cluster key blocking.EvaluateClusters scores against.
+	productOf map[int]int64
 }
 
-// testSplit collects one (corner ratio, unseen fraction) test split; truth
-// is the test product each offer belongs to.
+// testSplit collects one (corner ratio, unseen fraction) test split.
 func testSplit(b *Benchmark, cc CornerRatio, un Unseen) *blockingSplit {
 	rd := b.Ratios[cc]
 	if rd == nil {
@@ -457,19 +473,19 @@ func testSplit(b *Benchmark, cc CornerRatio, un Unseen) *blockingSplit {
 	if !ok || len(tps) == 0 {
 		return nil
 	}
-	productOf := map[int]int{}
-	var idxs []int
+	s := &blockingSplit{label: fmt.Sprintf("cc=%d%%/unseen=%d%%", cc, un), productOf: map[int]int64{}}
 	for _, tp := range tps {
 		for _, o := range tp.Offers {
-			productOf[o] = tp.Slot
-			idxs = append(idxs, o)
+			s.productOf[o] = int64(tp.Slot)
+			s.idxs = append(s.idxs, o)
 		}
 	}
-	return &blockingSplit{
-		label: fmt.Sprintf("cc=%d%%/unseen=%d%%", cc, un),
-		idxs:  idxs,
-		truth: func(x, y int) bool { return productOf[x] == productOf[y] },
-	}
+	return s
+}
+
+// evaluate scores cands against the split's product ground truth.
+func (s *blockingSplit) evaluate(cands []blocking.CandidatePair) blocking.Metrics {
+	return blocking.EvaluateClusters(cands, s.idxs, func(i int) int64 { return s.productOf[i] })
 }
 
 // BlockingReport runs the named blockers (nil or empty selects all of
@@ -478,21 +494,15 @@ func testSplit(b *Benchmark, cc CornerRatio, un Unseen) *blockingSplit {
 // ratio (fraction of the quadratic pair space pruned) and wall time, with
 // index construction and querying timed separately for the blockers that
 // support reusable indexes (build ms "-" marks the purely exhaustive
-// token blocker). Ground truth is the test product each offer belongs to.
+// token blocker; with opts.SnapshotDir set, a loaded index shows its load
+// time there). Ground truth is the test product each offer belongs to.
 // The embedding-space blockers share one title encoder trained from the
 // given seed, so their rows compare the same geometry searched
 // exhaustively vs approximately. workers bounds the goroutines of index
 // construction and queries (<= 0 selects all cores; it only affects the
 // timing columns — blocker output is deterministic for a fixed seed at any
-// worker count).
-func BlockingReport(b *Benchmark, names []string, seed int64, workers int) (*Table, error) {
-	return BlockingReportOpts(b, names, seed, workers, BlockingOptions{})
-}
-
-// BlockingReportOpts is BlockingReport with index acquisition routed
-// through blocking.OpenIndex: opts.SnapshotDir loads/saves each blocker's
-// index snapshot (the "build ms" column then shows the load time).
-func BlockingReportOpts(b *Benchmark, names []string, seed int64, workers int, opts BlockingOptions) (*Table, error) {
+// worker count). The zero BlockingOptions builds every index fresh.
+func BlockingReport(b *Benchmark, names []string, seed int64, workers int, opts BlockingOptions) (*Table, error) {
 	if len(names) == 0 {
 		names = BlockerNames()
 	}
@@ -510,23 +520,19 @@ func BlockingReportOpts(b *Benchmark, names []string, seed int64, workers int, o
 		if err != nil {
 			return nil, err
 		}
-		var cands []blocking.CandidatePair
-		buildMS := "-"
 		start := time.Now()
-		if ib, ok := bl.(blocking.IndexedBlocker); ok {
-			ix, stats := blocking.OpenIndex(ib, b.Offers, split.idxs, opts.indexOptions())
-			opts.logOpenStats(bl.Name(), stats)
+		query, stats := openQuery(b, bl, split.idxs, opts)
+		buildMS := "-"
+		if stats != nil {
 			buildMS = msSince(start)
-			start = time.Now()
-			cands, err = blocking.QueryCandidates(ix, split.idxs)
-			if err != nil {
-				return nil, fmt.Errorf("wdcproducts: %s: %w", name, err)
-			}
-		} else {
-			cands = bl.Candidates(b.Offers, split.idxs)
+		}
+		start = time.Now()
+		cands, err := query(split.idxs)
+		if err != nil {
+			return nil, fmt.Errorf("wdcproducts: %s: %w", name, err)
 		}
 		queryMS := msSince(start)
-		m := blocking.Evaluate(cands, split.idxs, split.truth)
+		m := split.evaluate(cands)
 		t.AddRow(bl.Name(), fmt.Sprint(m.Candidates), tables.Pct(m.PairCompleteness),
 			tables.Pct(m.ReductionRatio), buildMS, queryMS)
 	}
@@ -538,23 +544,16 @@ func BlockingReportOpts(b *Benchmark, names []string, seed int64, workers int, o
 // index is built over the union of every test split's offers — across all
 // corner-case ratios and unseen fractions — and then each split is a
 // query against that index. The table reports, per blocker, the one-off
-// build row (offers indexed, wall time) followed by one row per split
-// (candidates, pair completeness, reduction ratio, query wall time). The
-// token blocker has no reusable index and re-runs per split, which is
+// build row (offers indexed, wall time; "load" instead of "build" when the
+// index came from a snapshot in opts.SnapshotDir) followed by one row per
+// split (candidates, pair completeness, reduction ratio, query wall time).
+// The token blocker has no reusable index and re-runs per split, which is
 // exactly the rebuild-per-call cost the reusable indexes avoid. The first
 // query of a kNN blocker materializes neighbour lists for the titles it
 // touches; later splits reuse them, so query times amortize the way the
 // full study does. workers bounds construction and query goroutines
 // (<= 0 selects all cores).
-func BlockingScaleReport(b *Benchmark, names []string, seed int64, workers int) (*Table, error) {
-	return BlockingScaleReportOpts(b, names, seed, workers, BlockingOptions{})
-}
-
-// BlockingScaleReportOpts is BlockingScaleReport with index acquisition
-// routed through blocking.OpenIndex: with opts.SnapshotDir set, an index
-// restored from a trusted snapshot reports "load" instead of "build" in
-// its one-off row.
-func BlockingScaleReportOpts(b *Benchmark, names []string, seed int64, workers int, opts BlockingOptions) (*Table, error) {
+func BlockingScaleReport(b *Benchmark, names []string, seed int64, workers int, opts BlockingOptions) (*Table, error) {
 	if len(names) == 0 {
 		names = BlockerNames()
 	}
@@ -588,12 +587,9 @@ func BlockingScaleReportOpts(b *Benchmark, names []string, seed int64, workers i
 		if err != nil {
 			return nil, err
 		}
-		var ix blocking.Index
-		if ib, ok := bl.(blocking.IndexedBlocker); ok {
-			start := time.Now()
-			var stats blocking.OpenStats
-			ix, stats = blocking.OpenIndex(ib, b.Offers, union, opts.indexOptions())
-			opts.logOpenStats(bl.Name(), stats)
+		start := time.Now()
+		query, stats := openQuery(b, bl, union, opts)
+		if stats != nil {
 			acquired := "build"
 			if stats.Loaded {
 				acquired = "load"
@@ -601,18 +597,13 @@ func BlockingScaleReportOpts(b *Benchmark, names []string, seed int64, workers i
 			t.AddRow(bl.Name(), acquired, fmt.Sprint(len(union)), "-", "-", "-", msSince(start))
 		}
 		for _, s := range splits {
-			var cands []blocking.CandidatePair
 			start := time.Now()
-			if ix != nil {
-				cands, err = blocking.QueryCandidates(ix, s.idxs)
-				if err != nil {
-					return nil, fmt.Errorf("wdcproducts: %s %s: %w", name, s.label, err)
-				}
-			} else {
-				cands = bl.Candidates(b.Offers, s.idxs)
+			cands, err := query(s.idxs)
+			if err != nil {
+				return nil, fmt.Errorf("wdcproducts: %s %s: %w", name, s.label, err)
 			}
 			elapsed := msSince(start)
-			m := blocking.Evaluate(cands, s.idxs, s.truth)
+			m := s.evaluate(cands)
 			t.AddRow(bl.Name(), s.label, fmt.Sprint(len(s.idxs)), fmt.Sprint(m.Candidates),
 				tables.Pct(m.PairCompleteness), tables.Pct(m.ReductionRatio), elapsed)
 		}
@@ -672,22 +663,13 @@ func matcherBlockingTask(b *Benchmark, bl blocking.Blocker, split *blockingSplit
 			}
 		}
 	}
-	query := func(idxs []int) ([]blocking.CandidatePair, error) {
-		return bl.Candidates(b.Offers, idxs), nil
-	}
-	if ib, ok := bl.(blocking.IndexedBlocker); ok {
-		ix, stats := blocking.OpenIndex(ib, b.Offers, union, opts.indexOptions())
-		opts.logOpenStats(bl.Name(), stats)
-		query = func(idxs []int) ([]blocking.CandidatePair, error) {
-			return blocking.QueryCandidates(ix, idxs)
-		}
-	}
+	query, _ := openQuery(b, bl, union, opts)
 	task := experiments.MatcherBlockingTask{Blocker: bl.Name()}
 	testCands, err := query(split.idxs)
 	if err != nil {
 		return task, fmt.Errorf("wdcproducts: %s test split: %w", bl.Name(), err)
 	}
-	task.Blocking = blocking.Evaluate(testCands, split.idxs, split.truth)
+	task.Blocking = split.evaluate(testCands)
 	task.Test = blocking.RestrictPairs(test, blocking.NewPairFilter(testCands))
 	trainCands, err := query(trainU)
 	if err != nil {
@@ -706,29 +688,19 @@ func matcherBlockingTask(b *Benchmark, bl blocking.Blocker, split *blockingSplit
 // completeness 1, reduction 0 — the ceiling each blocked pipeline row is
 // read against.
 func noBlockingTask(split *blockingSplit, train, val, test []Pair) experiments.MatcherBlockingTask {
-	trueMatches := 0
-	for x := 0; x < len(split.idxs); x++ {
-		for y := x + 1; y < len(split.idxs); y++ {
-			if split.truth(split.idxs[x], split.idxs[y]) {
-				trueMatches++
-			}
-		}
-	}
+	m := split.evaluate(nil)
+	m.Candidates = len(split.idxs) * (len(split.idxs) - 1) / 2
+	m.CoveredMatches = m.TrueMatches
+	m.PairCompleteness, m.ReductionRatio = 1, 0
 	full := func(pairs []Pair) blocking.RestrictedPairs {
 		return blocking.RestrictedPairs{Kept: pairs, Total: len(pairs)}
 	}
 	return experiments.MatcherBlockingTask{
-		Blocker: NoBlockingBaseline,
-		Blocking: blocking.Metrics{
-			PairCompleteness: 1,
-			ReductionRatio:   0,
-			Candidates:       len(split.idxs) * (len(split.idxs) - 1) / 2,
-			TrueMatches:      trueMatches,
-			CoveredMatches:   trueMatches,
-		},
-		Train: full(train),
-		Val:   full(val),
-		Test:  full(test),
+		Blocker:  NoBlockingBaseline,
+		Blocking: m,
+		Train:    full(train),
+		Val:      full(val),
+		Test:     full(test),
 	}
 }
 
@@ -747,18 +719,9 @@ func noBlockingTask(split *blockingSplit, train, val, test []Pair) experiments.M
 // recall buys. reps averages repeated trainings (the paper uses 3);
 // workers bounds the goroutines of index construction and matcher training
 // (<= 0 selects all cores) — the table is byte-identical at any worker
-// count.
-func MatcherBlockingReport(b *Benchmark, names, systems []string, seed int64, reps, workers int) (*Table, error) {
-	return MatcherBlockingReportOpts(b, names, systems, seed, reps, workers, BlockingOptions{})
-}
-
-// MatcherBlockingReportOpts is MatcherBlockingReport with index
-// acquisition routed through blocking.OpenIndex: opts.SnapshotDir
-// loads/saves each blocker's union index snapshot. A loaded index
-// answers byte-identically to a fresh build, so the restricted pair sets
-// — and therefore the whole table — are identical to the plain report's
-// for any options.
-func MatcherBlockingReportOpts(b *Benchmark, names, systems []string, seed int64, reps, workers int, opts BlockingOptions) (*Table, error) {
+// count. An index loaded from opts.SnapshotDir answers byte-identically to
+// a fresh build, so the table is also the same for any options.
+func MatcherBlockingReport(b *Benchmark, names, systems []string, seed int64, reps, workers int, opts BlockingOptions) (*Table, error) {
 	if len(names) == 0 {
 		names = BlockerNames()
 	}

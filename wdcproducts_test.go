@@ -109,7 +109,7 @@ func TestFacadeSystemLists(t *testing.T) {
 func TestFacadeBlockingReport(t *testing.T) {
 	ensureBuild(t)
 	// token + minhash avoid encoder training, keeping the facade test fast.
-	table, err := wdcproducts.BlockingReport(benchB, []string{"token", "minhash"}, 42, 1)
+	table, err := wdcproducts.BlockingReport(benchB, []string{"token", "minhash"}, 42, 1, wdcproducts.BlockingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFacadeBlockingReport(t *testing.T) {
 	if table.Rows[0][0] != "token-blocking" || table.Rows[1][0] != "minhash-lsh" {
 		t.Fatalf("unexpected blocker rows:\n%s", table)
 	}
-	if _, err := wdcproducts.BlockingReport(benchB, []string{"bogus"}, 42, 1); err == nil {
+	if _, err := wdcproducts.BlockingReport(benchB, []string{"bogus"}, 42, 1, wdcproducts.BlockingOptions{}); err == nil {
 		t.Fatal("unknown blocker name did not error")
 	}
 	if got := wdcproducts.ParseBlockerNames("all"); got != nil {
@@ -172,11 +172,11 @@ func TestFacadeMatcherBlockingReport(t *testing.T) {
 	ensureBuild(t)
 	names := []string{"token", "minhash"}
 	systems := []string{"Word-Cooc", "Magellan", "RoBERTa"}
-	serial, err := wdcproducts.MatcherBlockingReport(benchB, names, systems, 42, 1, 1)
+	serial, err := wdcproducts.MatcherBlockingReport(benchB, names, systems, 42, 1, 1, wdcproducts.BlockingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := wdcproducts.MatcherBlockingReport(benchB, names, systems, 42, 1, 4)
+	par, err := wdcproducts.MatcherBlockingReport(benchB, names, systems, 42, 1, 4, wdcproducts.BlockingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +220,10 @@ func checkGolden(t *testing.T, name, got string) {
 
 func TestFacadeMatcherBlockingReportErrors(t *testing.T) {
 	ensureBuild(t)
-	if _, err := wdcproducts.MatcherBlockingReport(benchB, []string{"bogus"}, nil, 42, 1, 1); err == nil {
+	if _, err := wdcproducts.MatcherBlockingReport(benchB, []string{"bogus"}, nil, 42, 1, 1, wdcproducts.BlockingOptions{}); err == nil {
 		t.Fatal("unknown blocker name did not error")
 	}
-	if _, err := wdcproducts.MatcherBlockingReport(benchB, []string{"token"}, []string{"bogus"}, 42, 1, 1); err == nil {
+	if _, err := wdcproducts.MatcherBlockingReport(benchB, []string{"token"}, []string{"bogus"}, 42, 1, 1, wdcproducts.BlockingOptions{}); err == nil {
 		t.Fatal("unknown system name did not error")
 	}
 }
@@ -257,7 +257,7 @@ func TestFacadeNewIndexedBlocker(t *testing.T) {
 func TestFacadeBlockingScaleReport(t *testing.T) {
 	ensureBuild(t)
 	// token + minhash avoid encoder training, keeping the facade test fast.
-	table, err := wdcproducts.BlockingScaleReport(benchB, []string{"token", "minhash"}, 42, 1)
+	table, err := wdcproducts.BlockingScaleReport(benchB, []string{"token", "minhash"}, 42, 1, wdcproducts.BlockingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestFacadeBlockingScaleReport(t *testing.T) {
 	if table.Rows[9][1] != "build" {
 		t.Fatalf("minhash rows do not start with a build row:\n%s", table)
 	}
-	if _, err := wdcproducts.BlockingScaleReport(benchB, []string{"bogus"}, 42, 1); err == nil {
+	if _, err := wdcproducts.BlockingScaleReport(benchB, []string{"bogus"}, 42, 1, wdcproducts.BlockingOptions{}); err == nil {
 		t.Fatal("unknown blocker name did not error")
 	}
 	checkGolden(t, "blockscale_golden.txt", maskColumns(table, 6))
@@ -305,7 +305,7 @@ func TestFacadeBlockingOptionsLog(t *testing.T) {
 	run := func() string {
 		var buf strings.Builder
 		opts := wdcproducts.BlockingOptions{SnapshotDir: dir, Log: &buf}
-		if _, err := wdcproducts.BlockingReportOpts(benchB, []string{"minhash"}, 42, 1, opts); err != nil {
+		if _, err := wdcproducts.BlockingReport(benchB, []string{"minhash"}, 42, 1, opts); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
