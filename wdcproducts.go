@@ -688,19 +688,22 @@ func matcherBlockingTask(b *Benchmark, bl blocking.Blocker, split *blockingSplit
 // completeness 1, reduction 0 — the ceiling each blocked pipeline row is
 // read against.
 func noBlockingTask(split *blockingSplit, train, val, test []Pair) experiments.MatcherBlockingTask {
-	m := split.evaluate(nil)
-	m.Candidates = len(split.idxs) * (len(split.idxs) - 1) / 2
-	m.CoveredMatches = m.TrueMatches
-	m.PairCompleteness, m.ReductionRatio = 1, 0
+	trueMatches := split.evaluate(nil).TrueMatches
 	full := func(pairs []Pair) blocking.RestrictedPairs {
 		return blocking.RestrictedPairs{Kept: pairs, Total: len(pairs)}
 	}
 	return experiments.MatcherBlockingTask{
-		Blocker:  NoBlockingBaseline,
-		Blocking: m,
-		Train:    full(train),
-		Val:      full(val),
-		Test:     full(test),
+		Blocker: NoBlockingBaseline,
+		Blocking: blocking.Metrics{
+			PairCompleteness: 1,
+			ReductionRatio:   0,
+			Candidates:       len(split.idxs) * (len(split.idxs) - 1) / 2,
+			TrueMatches:      trueMatches,
+			CoveredMatches:   trueMatches,
+		},
+		Train: full(train),
+		Val:   full(val),
+		Test:  full(test),
 	}
 }
 
