@@ -2,8 +2,8 @@
 
 GO ?= go
 
-# The perf-trajectory benchmarks recorded in BENCH_10.json: the
-# end-to-end pipeline build, the corner-selection microbenchmarks, the
+# The perf-trajectory benchmarks `make bench` records: the end-to-end
+# pipeline build, the corner-selection microbenchmarks, the
 # sigmoid lookup-table comparison, the blocking-scale / index-reuse /
 # matcher / persistence / serving / synthetic scale-out / quantized IVF
 # benches carried over from PRs 4-9 (every kNN index is one engine; its
@@ -12,9 +12,12 @@ GO ?= go
 # and sustained ingest QPS through the incremental delta write path at
 # n=10k/100k, against the full-adjacency-rebuild baseline it replaced,
 # and the serve cold-start bench (BenchmarkServeNew: index build and
-# initial epoch view timed apart at n=10k/100k).
-BENCH_OUT ?= BENCH_10.json
-BENCH_NOTE ?= incremental epoch views (PR 10): a 256-offer batch publishes in ~2.4ms at n=10k and ~2.9ms at n=100k (1.2x; write cost tracks the batch, not the corpus) vs the ~26s full adjacency rebuild each batch used to pay at n=100k (~9000x); see BenchmarkServeIngestScale apply-us-per-batch vs full-rebuild-us
+# initial epoch view timed apart at n=10k/100k). The record goes to the
+# gitignored bench-ci.json by default, so a local run never overwrites a
+# committed BENCH_*.json; pass BENCH_OUT (and a BENCH_NOTE saying what it
+# measures) to write a new one.
+BENCH_OUT ?= bench-ci.json
+BENCH_NOTE ?= local make bench run
 
 # Coverage floor (percent of statements) enforced over the blocking stack
 # by `make cover`.
@@ -42,7 +45,7 @@ vet:
 # exported identifier in the documented packages lacks a doc comment.
 docs:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt -l:"; echo "$$fmt"; exit 1; fi
-	$(GO) run ./cmd/doccheck . ./internal/blocking ./internal/lsh ./internal/hnsw ./internal/ivf ./internal/simlib ./internal/persist ./internal/serve ./internal/serve/faults ./internal/synth
+	$(GO) run ./cmd/doccheck . ./internal/blocking ./internal/lsh ./internal/hnsw ./internal/ivf ./internal/vector ./internal/simlib ./internal/persist ./internal/serve ./internal/serve/faults ./internal/synth
 
 # cover enforces a statement-coverage floor over the blocking stack (the
 # packages the reusable-index layer lives in), the snapshot envelope

@@ -29,6 +29,7 @@ import (
 	"wdcproducts/internal/parallel"
 	"wdcproducts/internal/simlib"
 	"wdcproducts/internal/synth"
+	"wdcproducts/internal/vector"
 	"wdcproducts/internal/xrand"
 )
 
@@ -876,7 +877,7 @@ var (
 	quantMu       sync.Mutex
 	quantVecCache = map[int][][]float32{}
 	quantIxCache  = map[string]*ivf.Index{}
-	quantF32Cache = map[int][][]ivf.Result{}
+	quantF32Cache = map[int][][]vector.Neighbor{}
 )
 
 // quantVecsAt encodes (and caches) the grown synthetic corpus at n offers
@@ -918,7 +919,7 @@ func quantIndexAt(tb testing.TB, n int, p ivf.Precision) *ivf.Index {
 // quantF32Baseline returns (and caches) the f32 index's per-query results
 // over the bench query set — the reference the quantized tiers' recall is
 // measured against.
-func quantF32Baseline(tb testing.TB, n int) [][]ivf.Result {
+func quantF32Baseline(tb testing.TB, n int) [][]vector.Neighbor {
 	ix := quantIndexAt(tb, n, ivf.PrecisionF32)
 	vecs := quantVecsAt(tb, n)
 	quantMu.Lock()
@@ -926,7 +927,7 @@ func quantF32Baseline(tb testing.TB, n int) [][]ivf.Result {
 	if r, ok := quantF32Cache[n]; ok {
 		return r
 	}
-	res := make([][]ivf.Result, min(len(vecs), quantBenchQueries))
+	res := make([][]vector.Neighbor, min(len(vecs), quantBenchQueries))
 	for i := range res {
 		res[i] = ix.Search(vecs[i], blockKNN)
 	}
@@ -936,7 +937,7 @@ func quantF32Baseline(tb testing.TB, n int) [][]ivf.Result {
 
 // knnIDRecall is the mean per-query fraction of want's neighbour ids
 // present in got's.
-func knnIDRecall(got, want [][]ivf.Result) float64 {
+func knnIDRecall(got, want [][]vector.Neighbor) float64 {
 	if len(want) == 0 {
 		return 1
 	}
@@ -973,7 +974,7 @@ func BenchmarkIVFQueryScale(b *testing.B) {
 				vecs := quantVecsAt(b, n)
 				baseline := quantF32Baseline(b, n)
 				qs := vecs[:min(len(vecs), quantBenchQueries)]
-				res := make([][]ivf.Result, len(qs))
+				res := make([][]vector.Neighbor, len(qs))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for j, q := range qs {

@@ -106,82 +106,22 @@ func NewEmbeddingBlocker(model *embed.Model, k int) *EmbeddingBlocker {
 // Name implements Blocker.
 func (e *EmbeddingBlocker) Name() string { return "embedding-knn" }
 
-// BuildIndex implements IndexedBlocker.
+// BuildIndex implements IndexedBlocker with an EmbeddingIndex over the
+// offers at idxs, in order; each distinct title is encoded once.
 func (e *EmbeddingBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index {
-	return BuildEmbeddingIndex(offers, idxs, e.Model, e.K, e.Workers)
+	x := &EmbeddingIndex{model: e.Model, k: e.K, slotOf: make(map[int]int, len(idxs))}
+	x.init(e.Name(), offers, idxs, e.Workers, []uint64{uint64(e.K), modelFingerprint(e.Model)})
+	x.grow(0, 0)
+	return x
 }
 
 // Candidates implements Blocker through a one-shot index. Titles are
 // interned so each distinct title is tokenized and encoded exactly once,
-// and the per-offer neighbour search keeps a bounded top-K heap instead of
-// sorting the full scored list — O(n log K) per offer instead of
-// O(n log n).
+// and the per-offer neighbour search keeps a bounded top-K (vector.TopK)
+// instead of sorting the full scored list — O(n log K) per offer instead
+// of O(n log n).
 func (e *EmbeddingBlocker) Candidates(offers []schemaorg.Offer, idxs []int) []CandidatePair {
 	return e.BuildIndex(offers, idxs).Candidates(idxs)
-}
-
-// scoredPos is one neighbour candidate of the embedding blocker.
-type scoredPos struct {
-	pos int
-	sim float64
-}
-
-// topKHeap keeps the K best neighbours by (similarity descending, position
-// ascending), with the worst of the kept elements at the root so it can be
-// evicted in O(log K). The kept set is exactly the first K elements of the
-// full descending sort, so swapping the sort for the heap cannot change
-// blocker output.
-type topKHeap []scoredPos
-
-// worse reports whether x ranks strictly below y.
-func worse(x, y scoredPos) bool {
-	if x.sim != y.sim {
-		return x.sim < y.sim
-	}
-	return x.pos > y.pos
-}
-
-// offer inserts c if the heap holds fewer than k elements or c beats the
-// current worst element.
-func (h *topKHeap) offer(c scoredPos, k int) {
-	if k <= 0 {
-		return
-	}
-	if len(*h) < k {
-		*h = append(*h, c)
-		// Sift up.
-		i := len(*h) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !worse((*h)[i], (*h)[parent]) {
-				break
-			}
-			(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-			i = parent
-		}
-		return
-	}
-	if !worse((*h)[0], c) {
-		return
-	}
-	(*h)[0] = c
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(*h) && worse((*h)[l], (*h)[min]) {
-			min = l
-		}
-		if r < len(*h) && worse((*h)[r], (*h)[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		(*h)[i], (*h)[min] = (*h)[min], (*h)[i]
-		i = min
-	}
 }
 
 // Metrics are the standard blocking quality measures.

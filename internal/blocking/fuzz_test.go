@@ -77,11 +77,15 @@ func fuzzIVFConfig() ivf.Config {
 // versions, foreign kinds) rather than only random noise.
 func FuzzSnapshotDecode(f *testing.F) {
 	offers, idxs, model := fuzzFixture()
-	lcfg, hcfg, icfg := fuzzLSHConfig(), fuzzHNSWConfig(), fuzzIVFConfig()
 	const seed = 1
-	f.Add(BuildMinHashIndex(offers, idxs, lcfg, seed).EncodeSnapshot())
-	f.Add(BuildHNSWIndex(offers, idxs, model, 2, hcfg, seed).EncodeSnapshot())
-	f.Add(BuildIVFIndex(offers, idxs, model, 2, icfg, seed).EncodeSnapshot())
+	blockers := []snapshotBlocker{
+		&MinHashBlocker{Config: fuzzLSHConfig(), Seed: seed},
+		&HNSWBlocker{Model: model, K: 2, Config: fuzzHNSWConfig(), Seed: seed},
+		&IVFBlocker{Model: model, K: 2, Config: fuzzIVFConfig(), Seed: seed},
+	}
+	for _, b := range blockers {
+		f.Add(b.BuildIndex(offers, idxs).(SnapshotIndex).EncodeSnapshot())
+	}
 	f.Add([]byte(persist.Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -95,12 +99,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 				t.Fatalf("%s: untyped load error %T: %v", name, err, err)
 			}
 		}
-		_, err := LoadMinHashIndex(data, offers, idxs, lcfg, seed)
-		check("minhash", err)
-		_, err = LoadHNSWIndex(data, offers, idxs, model, 2, hcfg, seed)
-		check("hnsw", err)
-		_, err = LoadIVFIndex(data, offers, idxs, model, 2, icfg, seed)
-		check("ivf", err)
+		for _, b := range blockers {
+			_, err := b.loadSnapshot(data, offers, idxs)
+			check(b.Name(), err)
+		}
 	})
 }
 
@@ -124,10 +126,13 @@ func fuzzQuantIVFConfig(p ivf.Precision) ivf.Config {
 func FuzzPQSnapshotDecode(f *testing.F) {
 	offers, idxs, model := fuzzFixture()
 	const seed = 1
-	i8cfg := fuzzQuantIVFConfig(ivf.PrecisionInt8)
-	pqcfg := fuzzQuantIVFConfig(ivf.PrecisionPQ)
-	f.Add(BuildIVFIndex(offers, idxs, model, 2, i8cfg, seed).EncodeSnapshot())
-	f.Add(BuildIVFIndex(offers, idxs, model, 2, pqcfg, seed).EncodeSnapshot())
+	blockers := []*IVFBlocker{
+		{Model: model, K: 2, Config: fuzzQuantIVFConfig(ivf.PrecisionInt8), Seed: seed},
+		{Model: model, K: 2, Config: fuzzQuantIVFConfig(ivf.PrecisionPQ), Seed: seed},
+	}
+	for _, b := range blockers {
+		f.Add(b.BuildIndex(offers, idxs).(SnapshotIndex).EncodeSnapshot())
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(name string, err error) {
@@ -140,9 +145,9 @@ func FuzzPQSnapshotDecode(f *testing.F) {
 				t.Fatalf("%s: untyped load error %T: %v", name, err, err)
 			}
 		}
-		for _, cfg := range []ivf.Config{i8cfg, pqcfg} {
-			ix, err := LoadIVFIndex(data, offers, idxs, model, 2, cfg, seed)
-			check(string(cfg.Precision), err)
+		for _, b := range blockers {
+			ix, err := b.loadSnapshot(data, offers, idxs)
+			check(string(b.Config.Precision), err)
 			if err == nil {
 				// A load that passed every structural check must be
 				// queryable without panicking.

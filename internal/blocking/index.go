@@ -194,9 +194,9 @@ func (c *indexedCorpus) fingerprint(cfgWords ...uint64) uint64 {
 	return uint64(h)
 }
 
-// indexBase is the state MinHashIndex and KNNIndex share: the indexed
-// corpus, the engine name, the worker budget and the configuration words
-// of the snapshot address. mu guards the base and the engine of the index
+// indexBase is the state every Index shares (MinHashIndex, KNNIndex and
+// EmbeddingIndex): the indexed corpus, the engine name, the worker budget
+// and the configuration words of the content address. mu guards the base and the engine of the index
 // that embeds it: Add holds it for writing, Candidates for reading.
 type indexBase struct {
 	mu       sync.RWMutex // Add writes, Candidates reads

@@ -11,6 +11,7 @@ import (
 	"wdcproducts/internal/embed"
 	"wdcproducts/internal/ivf"
 	"wdcproducts/internal/schemaorg"
+	"wdcproducts/internal/xrand"
 )
 
 // IVFBlocker proposes, for each offer, the offers carrying its K
@@ -41,9 +42,13 @@ func NewIVFBlocker(model *embed.Model, k int) *IVFBlocker {
 func (b *IVFBlocker) Name() string { return "ivf-knn" }
 
 // BuildIndex implements IndexedBlocker with a KNNIndex over one IVF
-// index.
+// index fitted to the encodings of the distinct titles of the offers at
+// idxs; the coarse quantizer trains on the first Config.TrainSize titles.
 func (b *IVFBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index {
-	return BuildIVFIndex(offers, idxs, b.Model, b.K, b.Config, b.Seed)
+	x := newKNNIndex(b.Name(), offers, idxs, b.Model, b.K, b.Config.Workers, b.words())
+	x.vecs = encodeTitles(x.corpus, b.Model, 0, b.Config.Workers)
+	x.engine = ivf.Build(x.vecs, b.Config, xrand.New(b.Seed).Stream("ivf-knn"))
+	return x
 }
 
 // Candidates implements Blocker through a one-shot index; callers that

@@ -1,16 +1,17 @@
 // The kNN indexes: KNNIndex, the approximate index over one HNSW graph or
-// IVF index, and EmbeddingIndex, the exact index (exhaustive scan), plus
-// the per-slot memo they share. Both encode each distinct title once at
-// Build/Add time and materialize per-node neighbour lists lazily, at most
-// once per node, so the first query after a build pays the searches and
-// every later query is a filter over frozen lists. Add invalidates the
-// memo wholesale: a new node can be a nearer neighbour of any existing
-// one.
+// IVF index, and EmbeddingIndex, the exact index (exhaustive scan). Both
+// sit on indexBase, encode each distinct title once at build and Add
+// time, and materialize per-node neighbour lists lazily, at most once per
+// node, so the first query after a build pays the searches and every
+// later query is a filter over frozen lists. Add invalidates the memo
+// wholesale: a new node can be a nearer neighbour of any existing one.
 //
-// KNNIndex runs one engine over the whole corpus. Engine contents are a
-// pure function of the corpus and seed, so candidate sets are
-// byte-identical at any worker count, and a grown index (Add) equals a
-// fresh build over the union.
+// Every kNN search returns vector.Neighbor results chosen through one
+// bounded top-K (vector.TopK); neighbourIDs is the one place they become
+// memoized ids. KNNIndex runs its engine over the whole corpus. Engine
+// contents are a pure function of the corpus and seed, so candidate sets
+// are byte-identical at any worker count, and a grown index (Add) equals
+// a fresh build over the union.
 
 package blocking
 
@@ -18,13 +19,10 @@ import (
 	"sync"
 
 	"wdcproducts/internal/embed"
-	"wdcproducts/internal/hnsw"
-	"wdcproducts/internal/ivf"
 	"wdcproducts/internal/parallel"
 	"wdcproducts/internal/persist"
 	"wdcproducts/internal/schemaorg"
 	"wdcproducts/internal/vector"
-	"wdcproducts/internal/xrand"
 )
 
 // memoSlots lazily materializes one value per slot, each computed at most
@@ -44,39 +42,25 @@ func (m *memoSlots[T]) get(i int, compute func() []T) []T {
 	return m.res[i]
 }
 
-// knnEngine is the approximate-kNN engine of a KNNIndex — an HNSW graph
-// or an IVF index — reduced to what the index needs of it. Engine ids are
+// knnEngine is the approximate-kNN engine of a KNNIndex — an *hnsw.Graph
+// or an *ivf.Index, both of which satisfy it as they are. Engine ids are
 // title ids: the engine holds one vector per title, in interning order.
 type knnEngine interface {
 	// Add appends a vector under the next id.
 	Add(vec []float32) int
 	// AppendSnapshot writes the engine's structure into b.
 	AppendSnapshot(b *persist.Buffer)
-	// search returns the ids of the k titles nearest q, ranked by
-	// similarity descending with ties by ascending id.
-	search(q []float32, k int) []int32
+	// Search returns the k titles nearest q, ranked by similarity
+	// descending with ties by ascending id.
+	Search(q []float32, k int) []vector.Neighbor
 }
 
-// hnswEngine adapts an HNSW graph to knnEngine.
-type hnswEngine struct{ *hnsw.Graph }
-
-func (g hnswEngine) search(q []float32, k int) []int32 {
-	res := g.Search(q, k)
-	ids := make([]int32, len(res))
-	for i, r := range res {
-		ids[i] = int32(r.ID)
-	}
-	return ids
-}
-
-// ivfEngine adapts an IVF index to knnEngine.
-type ivfEngine struct{ *ivf.Index }
-
-func (x ivfEngine) search(q []float32, k int) []int32 {
-	res := x.Search(q, k)
-	ids := make([]int32, len(res))
-	for i, r := range res {
-		ids[i] = int32(r.ID)
+// neighbourIDs returns the ids of ns, in order, as a neighbour memo holds
+// them.
+func neighbourIDs(ns []vector.Neighbor) []int32 {
+	ids := make([]int32, len(ns))
+	for i, n := range ns {
+		ids[i] = int32(n.ID)
 	}
 	return ids
 }
@@ -85,7 +69,6 @@ func (x ivfEngine) search(q []float32, k int) []int32 {
 // that HNSWBlocker and IVFBlocker build: one HNSW graph or IVF index over
 // the whole corpus. Each distinct title is encoded once, and its ranked
 // neighbour list is materialized lazily, at most once between Adds.
-// Build one with BuildHNSWIndex / BuildIVFIndex or through the blockers.
 // It honours the full Index contract but is not a DeltaIndex: a new title
 // can evict an old partner from someone's top-K, so kNN adjacency is not
 // monotone under Add.
@@ -107,37 +90,16 @@ func newKNNIndex(name string, offers []schemaorg.Offer, idxs []int, model *embed
 	return x
 }
 
-// BuildHNSWIndex encodes the distinct titles of the offers at idxs and
-// builds one HNSW graph over them. k is the neighbour budget per
-// distinct title at query time.
-func BuildHNSWIndex(offers []schemaorg.Offer, idxs []int, model *embed.Model, k int, cfg hnsw.Config, seed int64) *KNNIndex {
-	x := newKNNIndex("hnsw-knn", offers, idxs, model, k, cfg.Workers, hnswWords(model, k, cfg, seed))
-	x.encodeTitles(0)
-	x.engine = hnswEngine{hnsw.Build(x.vecs, cfg, xrand.New(seed).Stream("hnsw-knn"))}
-	return x
-}
-
-// BuildIVFIndex encodes the distinct titles of the offers at idxs and
-// fits one IVF index over them; the coarse quantizer trains on the first
-// Config.TrainSize titles. k is the neighbour budget per distinct title
-// at query time.
-func BuildIVFIndex(offers []schemaorg.Offer, idxs []int, model *embed.Model, k int, cfg ivf.Config, seed int64) *KNNIndex {
-	x := newKNNIndex("ivf-knn", offers, idxs, model, k, cfg.Workers, ivfWords(model, k, cfg, seed))
-	x.encodeTitles(0)
-	x.engine = ivfEngine{ivf.Build(x.vecs, cfg, xrand.New(seed).Stream("ivf-knn"))}
-	return x
-}
-
-// encodeTitles encodes every title id >= from across the worker pool.
-func (x *KNNIndex) encodeTitles(from int) {
-	prep := x.corpus.prep()
-	n := x.corpus.titleCount()
-	x.vecs = append(x.vecs, make([][]float32, n-from)...)
-	parallel.Run(n-from, x.workers, func(j int) error {
-		t := from + j
-		x.vecs[t] = x.model.EncodeTokens(prep.Tokens(t))
+// encodeTitles encodes the corpus titles with id >= from across the
+// worker pool, in title-id order.
+func encodeTitles(c *indexedCorpus, model *embed.Model, from, workers int) [][]float32 {
+	prep := c.prep()
+	out := make([][]float32, c.titleCount()-from)
+	parallel.Run(len(out), workers, func(j int) error {
+		out[j] = model.EncodeTokens(prep.Tokens(from + j))
 		return nil
 	}, nil)
+	return out
 }
 
 // Add implements Index: new distinct titles are encoded and appended to
@@ -152,7 +114,7 @@ func (x *KNNIndex) Add(offers []schemaorg.Offer, idxs []int) {
 	if len(x.corpus.add(offers, idxs)) == 0 {
 		return
 	}
-	x.encodeTitles(from)
+	x.vecs = append(x.vecs, encodeTitles(x.corpus, x.model, from, x.workers)...)
 	for _, v := range x.vecs[from:] {
 		x.engine.Add(v)
 	}
@@ -170,7 +132,7 @@ func (x *KNNIndex) Candidates(queryIdxs []int) []CandidatePair {
 // neighbours returns title tid's memoized top-(K+1) neighbour ids in the
 // engine's ranking (the query title itself ranks first).
 func (x *KNNIndex) neighbours(tid int) []int32 {
-	return x.memo.get(tid, func() []int32 { return x.engine.search(x.vecs[tid], x.k+1) })
+	return x.memo.get(tid, func() []int32 { return neighbourIDs(x.engine.Search(x.vecs[tid], x.k+1)) })
 }
 
 // EmbeddingIndex is the reusable form of the exhaustive embedding blocker:
@@ -178,56 +140,35 @@ func (x *KNNIndex) neighbours(tid int) []int32 {
 // materialized lazily one offer at a time. It preserves the legacy
 // blocker's per-offer (not per-title) semantics — duplicate titles occupy
 // one slot each and can fill a neighbour budget — so full-universe queries
-// are byte-identical to EmbeddingBlocker.Candidates. Add and Candidates
-// are safe to interleave from any number of goroutines (see the Index
-// contract).
+// are byte-identical to EmbeddingBlocker.Candidates. A slot is an offer's
+// position in the corpus's indexing order. Add and Candidates are safe to
+// interleave from any number of goroutines (see the Index contract).
 type EmbeddingIndex struct {
-	mu      sync.RWMutex // Add writes, Candidates reads
-	corpus  *indexedCorpus
-	model   *embed.Model
-	k       int
-	workers int
-	order   []int       // slot -> offer idx, in indexing order
-	slotOf  map[int]int // offer idx -> slot
-	vecs    [][]float32 // slot -> encoding (shared per distinct title)
-	memo    *memoSlots[int32]
+	indexBase
+	model  *embed.Model
+	k      int
+	slotOf map[int]int // offer idx -> slot
+	vecs   [][]float32 // slot -> encoding (shared per distinct title)
+	memo   *memoSlots[int32]
 }
 
-// BuildEmbeddingIndex interns and encodes each distinct title once and
-// indexes the offers at idxs in order. workers bounds the encoding and
-// neighbour-materialization goroutines (<= 0 selects all cores).
-func BuildEmbeddingIndex(offers []schemaorg.Offer, idxs []int, model *embed.Model, k, workers int) *EmbeddingIndex {
-	e := &EmbeddingIndex{
-		corpus: newIndexedCorpus(), model: model, k: k, workers: workers,
-		slotOf: make(map[int]int, len(idxs)),
-	}
-	e.corpus.add(offers, idxs)
-	prep := e.corpus.prep()
-	titleVecs := make([][]float32, prep.Len())
-	parallel.Run(len(titleVecs), workers, func(t int) error {
-		titleVecs[t] = model.EncodeTokens(prep.Tokens(t))
-		return nil
-	}, nil)
-	for _, i := range idxs {
-		if _, dup := e.slotOf[i]; dup {
-			continue
+// grow gives a slot to every offer indexed since slot fromSlot. Titles
+// with id >= fromTitle are new and encoded once across the worker pool;
+// every other offer shares the encoding of its title's first offer.
+func (e *EmbeddingIndex) grow(fromSlot, fromTitle int) {
+	titleVecs := encodeTitles(e.corpus, e.model, fromTitle, e.workers)
+	for _, i := range e.corpus.order[fromSlot:] {
+		tid := e.corpus.titleOf[i]
+		var vec []float32
+		if tid >= fromTitle {
+			vec = titleVecs[tid-fromTitle]
+		} else {
+			vec = e.vecs[e.slotOf[e.corpus.groups[tid][0]]]
 		}
-		e.slotOf[i] = len(e.order)
-		e.order = append(e.order, i)
-		e.vecs = append(e.vecs, titleVecs[e.corpus.titleOf[i]])
+		e.slotOf[i] = len(e.vecs)
+		e.vecs = append(e.vecs, vec)
 	}
-	e.memo = newMemoSlots[int32](len(e.order))
-	return e
-}
-
-// Name implements Index.
-func (e *EmbeddingIndex) Name() string { return "embedding-knn" }
-
-// Len implements Index.
-func (e *EmbeddingIndex) Len() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.order)
+	e.memo = newMemoSlots[int32](len(e.vecs))
 }
 
 // Add implements Index: new offers are appended in idxs order (new
@@ -235,30 +176,10 @@ func (e *EmbeddingIndex) Len() int {
 func (e *EmbeddingIndex) Add(offers []schemaorg.Offer, idxs []int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	newTitles := e.corpus.add(offers, idxs)
-	grown := false
-	titleVecs := map[int][]float32{}
-	for _, tid := range newTitles {
-		titleVecs[tid] = e.model.EncodeTokens(e.corpus.prep().Tokens(tid))
-	}
-	for _, i := range idxs {
-		if _, dup := e.slotOf[i]; dup {
-			continue
-		}
-		tid := e.corpus.titleOf[i]
-		vec, ok := titleVecs[tid]
-		if !ok {
-			// The title was already indexed under another offer: reuse its
-			// encoding through that offer's slot.
-			vec = e.vecs[e.slotOf[e.corpus.groups[tid][0]]]
-		}
-		e.slotOf[i] = len(e.order)
-		e.order = append(e.order, i)
-		e.vecs = append(e.vecs, vec)
-		grown = true
-	}
-	if grown {
-		e.memo = newMemoSlots[int32](len(e.order))
+	fromSlot, fromTitle := e.corpus.len(), e.corpus.titleCount()
+	e.corpus.add(offers, idxs)
+	if e.corpus.len() > fromSlot {
+		e.grow(fromSlot, fromTitle)
 	}
 }
 
@@ -266,18 +187,14 @@ func (e *EmbeddingIndex) Add(offers []schemaorg.Offer, idxs []int) {
 // by cosine similarity descending with ties broken by ascending slot).
 func (e *EmbeddingIndex) neighbourSlots(a int) []int32 {
 	return e.memo.get(a, func() []int32 {
-		heap := make(topKHeap, 0, e.k)
+		top := make(vector.TopK, 0, e.k)
 		for b := range e.vecs {
 			if b == a {
 				continue
 			}
-			heap.offer(scoredPos{b, vector.Cosine(e.vecs[a], e.vecs[b])}, e.k)
+			top.Offer(vector.Neighbor{ID: b, Sim: vector.Cosine(e.vecs[a], e.vecs[b])}, e.k)
 		}
-		out := make([]int32, len(heap))
-		for i, s := range heap {
-			out[i] = int32(s.pos)
-		}
-		return out
+		return neighbourIDs(top)
 	})
 }
 
@@ -305,7 +222,7 @@ func (e *EmbeddingIndex) Candidates(queryIdxs []int) []CandidatePair {
 	for _, s := range slots {
 		for _, nb := range e.neighbourSlots(s) {
 			if inQuery[nb] {
-				keys = append(keys, pairKey(e.order[s], e.order[nb]))
+				keys = append(keys, pairKey(e.corpus.order[s], e.corpus.order[nb]))
 			}
 		}
 	}

@@ -7,7 +7,6 @@ package blocking
 import (
 	"wdcproducts/internal/lsh"
 	"wdcproducts/internal/schemaorg"
-	"wdcproducts/internal/xrand"
 )
 
 // MinHashIndex is the banded MinHash-LSH index MinHashBlocker builds. It
@@ -21,34 +20,18 @@ type MinHashIndex struct {
 	ix  *lsh.Index
 }
 
-// newMinHashIndex indexes the corpus of a MinHash index whose engine the
-// caller fills in.
-func newMinHashIndex(offers []schemaorg.Offer, idxs []int, cfg lsh.Config, seed int64) *MinHashIndex {
-	m := &MinHashIndex{cfg: cfg}
-	m.init("minhash-lsh", offers, idxs, cfg.Workers, minhashWords(cfg, seed))
-	return m
+// newIndex indexes the corpus of a MinHash index whose engine the caller
+// (BuildIndex or loadSnapshot) fills in.
+func (m *MinHashBlocker) newIndex(offers []schemaorg.Offer, idxs []int) *MinHashIndex {
+	x := &MinHashIndex{cfg: m.Config}
+	x.init(m.Name(), offers, idxs, m.Config.Workers, m.words())
+	return x
 }
 
-// BuildMinHashIndex interns the titles of the offers at idxs and builds
-// the banded LSH index over their distinct token sets. Signature
-// computation fans out across cfg.Workers; the index contents are
-// identical at any worker count for a fixed seed.
-func BuildMinHashIndex(offers []schemaorg.Offer, idxs []int, cfg lsh.Config, seed int64) *MinHashIndex {
-	m := newMinHashIndex(offers, idxs, cfg, seed)
-	prep := m.corpus.prep()
-	sets := make([][]int32, m.corpus.titleCount())
-	for t := range sets {
-		sets[t] = prep.TokenSet(t)
-	}
-	m.ix = lsh.NewIndex(cfg, xrand.New(seed).Stream("minhash-lsh"))
-	m.ix.Build(sets)
-	return m
-}
-
-// minhashWords returns the configuration words of a MinHash index's
-// content address.
-func minhashWords(cfg lsh.Config, seed int64) []uint64 {
-	return []uint64{uint64(cfg.Bands), uint64(cfg.Rows), uint64(seed)}
+// words returns the configuration words of the MinHash index content
+// address.
+func (m *MinHashBlocker) words() []uint64 {
+	return []uint64{uint64(m.Config.Bands), uint64(m.Config.Rows), uint64(m.Seed)}
 }
 
 // Add implements Index: new distinct titles are signed into the index
@@ -66,7 +49,11 @@ func (m *MinHashIndex) Add(offers []schemaorg.Offer, idxs []int) {
 // least one band bucket are expanded to offer pairs, plus the clique of
 // every identical-title group inside the query. One sweep over the
 // buckets, restricted to the query's titles, finds them: a band
-// collision is a pairwise property, so the restriction is exact.
+// collision is a pairwise property, so the restriction is exact within
+// one index. Across indexes it is not: signatures hash token ids, which
+// simlib.Prepared numbers in first-seen order of the indexed universe,
+// so the same two titles can collide in an index over one universe and
+// not in an index over another.
 func (m *MinHashIndex) Candidates(queryIdxs []int) []CandidatePair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -42,9 +42,9 @@ func snapshotKind(name string) string { return "blocking/sharded/" + name }
 
 // SnapshotIndex is implemented by indexes that can serialize themselves
 // into the versioned snapshot format. The encoded bytes are self-checking
-// (trailing checksum) and self-describing (kind + fingerprint); hand them
-// to the matching Load function together with the identical corpus and
-// configuration to get the index back.
+// (trailing checksum) and self-describing (kind + fingerprint); OpenIndex
+// loads them back through the blocker that built the index, given the
+// identical corpus and configuration.
 type SnapshotIndex interface {
 	Index
 	// EncodeSnapshot returns the index as a persist snapshot blob.
@@ -65,22 +65,23 @@ func modelFingerprint(m *embed.Model) uint64 {
 	return m.Fingerprint()
 }
 
-// hnswWords returns the configuration words of an HNSW index's content
+// words returns the configuration words of the HNSW index content
 // address.
-func hnswWords(model *embed.Model, k int, cfg hnsw.Config, seed int64) []uint64 {
-	return []uint64{uint64(k), uint64(cfg.M), uint64(cfg.EfConstruction),
-		uint64(cfg.EfSearch), uint64(cfg.BatchSize), uint64(seed), modelFingerprint(model)}
+func (h *HNSWBlocker) words() []uint64 {
+	return []uint64{uint64(h.K), uint64(h.Config.M), uint64(h.Config.EfConstruction),
+		uint64(h.Config.EfSearch), uint64(h.Config.BatchSize), uint64(h.Seed), modelFingerprint(h.Model)}
 }
 
-// ivfWords returns the configuration words of an IVF index's content
+// words returns the configuration words of the IVF index content
 // address. The quantization knobs (precision tier, PQ sub-space count,
 // re-rank depth) are part of the address: a snapshot built at one
 // precision must never satisfy a load at another.
-func ivfWords(model *embed.Model, k int, cfg ivf.Config, seed int64) []uint64 {
-	return []uint64{uint64(k), uint64(cfg.NLists), uint64(cfg.NProbe),
-		uint64(cfg.TrainSize), uint64(cfg.Iters), uint64(seed),
+func (b *IVFBlocker) words() []uint64 {
+	cfg := b.Config
+	return []uint64{uint64(b.K), uint64(cfg.NLists), uint64(cfg.NProbe),
+		uint64(cfg.TrainSize), uint64(cfg.Iters), uint64(b.Seed),
 		uint64(cfg.Precision.Ordinal()), uint64(cfg.M), uint64(cfg.RerankK),
-		modelFingerprint(model)}
+		modelFingerprint(b.Model)}
 }
 
 // appendVecs writes the per-title encodings into b.
@@ -177,31 +178,6 @@ func (x *KNNIndex) EncodeSnapshot() []byte {
 	})
 }
 
-// LoadMinHashIndex restores a MinHash index from snapshot bytes. offers,
-// idxs, cfg and seed must be the ones the snapshot was built from — the
-// load is refused with a *persist.FingerprintMismatchError otherwise —
-// and damaged bytes are refused with a *persist.CorruptSnapshotError. The
-// loaded index answers every Candidates query byte-identically to the
-// index that was saved, including after further Adds.
-func LoadMinHashIndex(data []byte, offers []schemaorg.Offer, idxs []int, cfg lsh.Config, seed int64) (*MinHashIndex, error) {
-	m := newMinHashIndex(offers, idxs, cfg, seed)
-	r, err := m.openPayload(data, offers, idxs)
-	if err != nil {
-		return nil, err
-	}
-	kind := snapshotKind(m.name)
-	if m.ix, err = lsh.RestoreIndex(cfg, xrand.New(seed).Stream("minhash-lsh"), r); err != nil {
-		return nil, persist.Corrupt(kind, "%v", err)
-	}
-	if m.ix.Len() != m.corpus.titleCount() {
-		return nil, persist.Corrupt(kind, "snapshot holds %d titles, corpus has %d titles", m.ix.Len(), m.corpus.titleCount())
-	}
-	if err := m.finishPayload(r); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // load restores the title encodings and the engine from snapshot bytes;
 // restore decodes the engine over the encodings.
 func (x *KNNIndex) load(data []byte, offers []schemaorg.Offer, idxs []int, restore func(r *persist.Reader) (knnEngine, error)) error {
@@ -219,37 +195,6 @@ func (x *KNNIndex) load(data []byte, offers []schemaorg.Offer, idxs []int, resto
 	return x.finishPayload(r)
 }
 
-// LoadHNSWIndex restores an HNSW index from snapshot bytes; the trust
-// rule of LoadMinHashIndex applies (model included: its content hash is
-// part of the fingerprint). Loading skips tokenization, encoding, and
-// graph construction — the dominant build costs.
-func LoadHNSWIndex(data []byte, offers []schemaorg.Offer, idxs []int, model *embed.Model, k int, cfg hnsw.Config, seed int64) (*KNNIndex, error) {
-	x := newKNNIndex("hnsw-knn", offers, idxs, model, k, cfg.Workers, hnswWords(model, k, cfg, seed))
-	err := x.load(data, offers, idxs, func(r *persist.Reader) (knnEngine, error) {
-		g, err := hnsw.Restore(x.vecs, cfg, xrand.New(seed).Stream("hnsw-knn"), r)
-		return hnswEngine{g}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// LoadIVFIndex restores an IVF index from snapshot bytes; the trust rule
-// of LoadHNSWIndex applies. Loading skips tokenization, encoding, and the
-// k-means fit.
-func LoadIVFIndex(data []byte, offers []schemaorg.Offer, idxs []int, model *embed.Model, k int, cfg ivf.Config, seed int64) (*KNNIndex, error) {
-	x := newKNNIndex("ivf-knn", offers, idxs, model, k, cfg.Workers, ivfWords(model, k, cfg, seed))
-	err := x.load(data, offers, idxs, func(r *persist.Reader) (knnEngine, error) {
-		ix, err := ivf.Restore(x.vecs, cfg, r)
-		return ivfEngine{ix}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // snapshotBlocker is implemented by blockers whose indexes persist: it
 // exposes the content address (for snapshot file naming and trust) and
 // the matching typed loader.
@@ -260,27 +205,70 @@ type snapshotBlocker interface {
 }
 
 func (m *MinHashBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int) uint64 {
-	return corpusFingerprint(offers, idxs, minhashWords(m.Config, m.Seed)...)
+	return corpusFingerprint(offers, idxs, m.words()...)
 }
 
+// loadSnapshot restores a MinHash index from snapshot bytes. offers and
+// idxs, and the blocker's Config and Seed, must be the ones the snapshot
+// was built from — the load is refused with a
+// *persist.FingerprintMismatchError otherwise — and damaged bytes are
+// refused with a *persist.CorruptSnapshotError. The loaded index answers
+// every Candidates query byte-identically to the index that was saved,
+// including after further Adds.
 func (m *MinHashBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int) (Index, error) {
-	return LoadMinHashIndex(data, offers, idxs, m.Config, m.Seed)
+	x := m.newIndex(offers, idxs)
+	r, err := x.openPayload(data, offers, idxs)
+	if err != nil {
+		return nil, err
+	}
+	kind := snapshotKind(x.name)
+	if x.ix, err = lsh.RestoreIndex(m.Config, xrand.New(m.Seed).Stream("minhash-lsh"), r); err != nil {
+		return nil, persist.Corrupt(kind, "%v", err)
+	}
+	if x.ix.Len() != x.corpus.titleCount() {
+		return nil, persist.Corrupt(kind, "snapshot holds %d titles, corpus has %d titles", x.ix.Len(), x.corpus.titleCount())
+	}
+	if err := x.finishPayload(r); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 func (h *HNSWBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int) uint64 {
-	return corpusFingerprint(offers, idxs, hnswWords(h.Model, h.K, h.Config, h.Seed)...)
+	return corpusFingerprint(offers, idxs, h.words()...)
 }
 
+// loadSnapshot restores an HNSW index from snapshot bytes; the trust rule
+// of MinHashBlocker.loadSnapshot applies (model included: its content
+// hash is part of the fingerprint). Loading skips tokenization, encoding,
+// and graph construction — the dominant build costs.
 func (h *HNSWBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int) (Index, error) {
-	return LoadHNSWIndex(data, offers, idxs, h.Model, h.K, h.Config, h.Seed)
+	x := newKNNIndex(h.Name(), offers, idxs, h.Model, h.K, h.Config.Workers, h.words())
+	err := x.load(data, offers, idxs, func(r *persist.Reader) (knnEngine, error) {
+		return hnsw.Restore(x.vecs, h.Config, xrand.New(h.Seed).Stream("hnsw-knn"), r)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 func (b *IVFBlocker) snapshotFingerprint(offers []schemaorg.Offer, idxs []int) uint64 {
-	return corpusFingerprint(offers, idxs, ivfWords(b.Model, b.K, b.Config, b.Seed)...)
+	return corpusFingerprint(offers, idxs, b.words()...)
 }
 
+// loadSnapshot restores an IVF index from snapshot bytes; the trust rule
+// of HNSWBlocker.loadSnapshot applies. Loading skips tokenization,
+// encoding, and the k-means fit.
 func (b *IVFBlocker) loadSnapshot(data []byte, offers []schemaorg.Offer, idxs []int) (Index, error) {
-	return LoadIVFIndex(data, offers, idxs, b.Model, b.K, b.Config, b.Seed)
+	x := newKNNIndex(b.Name(), offers, idxs, b.Model, b.K, b.Config.Workers, b.words())
+	err := x.load(data, offers, idxs, func(r *persist.Reader) (knnEngine, error) {
+		return ivf.Restore(x.vecs, b.Config, r)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 // IndexOptions parameterizes OpenIndex.

@@ -21,6 +21,7 @@ import (
 	"wdcproducts/internal/hnsw"
 	"wdcproducts/internal/lsh"
 	"wdcproducts/internal/schemaorg"
+	"wdcproducts/internal/xrand"
 )
 
 // expandTitlePairs converts title-level candidate pairs into offer-level
@@ -79,9 +80,21 @@ func NewMinHashBlocker() *MinHashBlocker {
 // Name implements Blocker.
 func (m *MinHashBlocker) Name() string { return "minhash-lsh" }
 
-// BuildIndex implements IndexedBlocker.
+// BuildIndex implements IndexedBlocker with a MinHashIndex: the titles of
+// the offers at idxs are interned and the banded LSH index is built over
+// their distinct token sets. Signature computation fans out across
+// Config.Workers; the index contents are identical at any worker count
+// for a fixed seed.
 func (m *MinHashBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index {
-	return BuildMinHashIndex(offers, idxs, m.Config, m.Seed)
+	x := m.newIndex(offers, idxs)
+	prep := x.corpus.prep()
+	sets := make([][]int32, x.corpus.titleCount())
+	for t := range sets {
+		sets[t] = prep.TokenSet(t)
+	}
+	x.ix = lsh.NewIndex(m.Config, xrand.New(m.Seed).Stream("minhash-lsh"))
+	x.ix.Build(sets)
+	return x
 }
 
 // Candidates implements Blocker through a one-shot index. Each distinct
@@ -118,9 +131,13 @@ func NewHNSWBlocker(model *embed.Model, k int) *HNSWBlocker {
 func (h *HNSWBlocker) Name() string { return "hnsw-knn" }
 
 // BuildIndex implements IndexedBlocker with a KNNIndex over one HNSW
-// graph.
+// graph built over the encodings of the distinct titles of the offers at
+// idxs.
 func (h *HNSWBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) Index {
-	return BuildHNSWIndex(offers, idxs, h.Model, h.K, h.Config, h.Seed)
+	x := newKNNIndex(h.Name(), offers, idxs, h.Model, h.K, h.Config.Workers, h.words())
+	x.vecs = encodeTitles(x.corpus, h.Model, 0, h.Config.Workers)
+	x.engine = hnsw.Build(x.vecs, h.Config, xrand.New(h.Seed).Stream("hnsw-knn"))
+	return x
 }
 
 // Candidates implements Blocker through a one-shot index. Encoding, graph

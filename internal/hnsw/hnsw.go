@@ -58,13 +58,6 @@ func DefaultConfig() Config {
 	return Config{M: 8, EfConstruction: 64, EfSearch: 48, BatchSize: 64, Workers: 0}
 }
 
-// Result is one approximate nearest neighbour: the vector's build index
-// and its cosine similarity to the query.
-type Result struct {
-	ID  int
-	Sim float64
-}
-
 // Graph is a built HNSW index. It can be grown incrementally with Add;
 // between mutations Search is read-only and safe for concurrent use by
 // multiple goroutines.
@@ -132,7 +125,7 @@ func Build(vecs [][]float32, cfg Config, rng *rand.Rand) *Graph {
 	g.dim = len(vecs[0])
 	g.vecs = make([][]float32, len(vecs))
 	parallel.Run(len(vecs), cfg.Workers, func(i int) error {
-		g.vecs[i] = normalize(vecs[i])
+		g.vecs[i] = vector.Unit(vecs[i])
 		return nil
 	}, nil)
 
@@ -203,7 +196,7 @@ func (g *Graph) Add(vec []float32) int {
 		g.shadow = nil
 	}
 	mL := 1 / math.Log(float64(g.cfg.M))
-	g.vecs = append(g.vecs, normalize(vec))
+	g.vecs = append(g.vecs, vector.Unit(vec))
 	g.levels = append(g.levels, int(math.Floor(-math.Log(1-g.rng.Float64())*mL)))
 	g.links = append(g.links, make([][]int32, g.levels[i]+1))
 	cands := g.insertCandidates(i, g.batchEntry, g.batchMax, batchStart)
@@ -442,7 +435,7 @@ func (g *Graph) Len() int { return len(g.vecs) }
 // Search returns the k approximate nearest neighbours of q by cosine
 // similarity, best first (ties by ascending id), using the configured
 // EfSearch. The query is normalized internally.
-func (g *Graph) Search(q []float32, k int) []Result {
+func (g *Graph) Search(q []float32, k int) []vector.Neighbor {
 	return g.SearchEf(q, k, g.cfg.EfSearch)
 }
 
@@ -450,7 +443,7 @@ func (g *Graph) Search(q []float32, k int) []Result {
 // ef raises recall at proportional cost. The query must have the indexed
 // dimension; a mismatch panics rather than silently truncating the dot
 // products.
-func (g *Graph) SearchEf(q []float32, k, ef int) []Result {
+func (g *Graph) SearchEf(q []float32, k, ef int) []vector.Neighbor {
 	if k <= 0 || len(g.vecs) == 0 {
 		return nil
 	}
@@ -460,7 +453,7 @@ func (g *Graph) SearchEf(q []float32, k, ef int) []Result {
 	if ef < k {
 		ef = k
 	}
-	nq := normalize(q)
+	nq := vector.Unit(q)
 	ep := scored{id: int32(g.entry), dist: g.dist(nq, g.entry)}
 	for l := g.maxLevel; l > 0; l-- {
 		ep = g.greedyStep(nq, ep, l, len(g.vecs))
@@ -469,26 +462,9 @@ func (g *Graph) SearchEf(q []float32, k, ef int) []Result {
 	if len(found) > k {
 		found = found[:k]
 	}
-	out := make([]Result, len(found))
+	out := make([]vector.Neighbor, len(found))
 	for i, s := range found {
-		out[i] = Result{ID: int(s.id), Sim: 1 - s.dist}
-	}
-	return out
-}
-
-// normalize returns a unit-length copy of v (zero vectors stay zero).
-func normalize(v []float32) []float32 {
-	out := make([]float32, len(v))
-	var sum float64
-	for _, x := range v {
-		sum += float64(x) * float64(x)
-	}
-	if sum == 0 {
-		return out
-	}
-	inv := 1 / math.Sqrt(sum)
-	for i, x := range v {
-		out[i] = float32(float64(x) * inv)
+		out[i] = vector.Neighbor{ID: int(s.id), Sim: 1 - s.dist}
 	}
 	return out
 }

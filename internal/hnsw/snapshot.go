@@ -19,6 +19,7 @@ import (
 
 	"wdcproducts/internal/parallel"
 	"wdcproducts/internal/persist"
+	"wdcproducts/internal/vector"
 )
 
 // maxLevelBound caps plausible node levels; levels are exponentially
@@ -163,7 +164,7 @@ func Restore(vecs [][]float32, cfg Config, rng *rand.Rand, r *persist.Reader) (*
 	}
 	g.vecs = make([][]float32, n)
 	parallel.Run(n, cfg.Workers, func(i int) error {
-		g.vecs[i] = normalize(vecs[i])
+		g.vecs[i] = vector.Unit(vecs[i])
 		return nil
 	}, nil)
 	// Consume the level draws Build already spent, so post-restore Adds

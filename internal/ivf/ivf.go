@@ -122,13 +122,6 @@ func (c Config) withDefaults(trainN int) Config {
 	return c
 }
 
-// Result is one approximate nearest neighbour: the vector's id (its Build
-// or Add insertion order) and its cosine similarity to the query.
-type Result struct {
-	ID  int
-	Sim float64
-}
-
 // Index is a built IVF index. It can be grown incrementally with Add;
 // between mutations Search is read-only and safe for concurrent use by
 // multiple goroutines.
@@ -174,7 +167,7 @@ func Build(vecs [][]float32, cfg Config, rng *rand.Rand) *Index {
 	ix.dim = len(vecs[0])
 	ix.vecs = make([][]float32, len(vecs))
 	parallel.Run(len(vecs), cfg.Workers, func(i int) error {
-		ix.vecs[i] = normalize(vecs[i])
+		ix.vecs[i] = vector.Unit(vecs[i])
 		return nil
 	}, nil)
 	ix.train(ix.vecs[:trainN], rng)
@@ -263,7 +256,7 @@ func (ix *Index) train(train [][]float32, rng *rand.Rand) {
 			for d := range nc {
 				nc[d] = float32(sums[c][d] / float64(counts[c]))
 			}
-			nc = normalize(nc)
+			nc = vector.Unit(nc)
 			if !equalVec(nc, ix.centroids[c]) {
 				ix.centroids[c] = nc
 				changed = true
@@ -287,7 +280,7 @@ func (ix *Index) train(train [][]float32, rng *rand.Rand) {
 func (ix *Index) Add(vec []float32) int {
 	if len(ix.centroids) == 0 {
 		ix.dim = len(vec)
-		ix.centroids = [][]float32{normalize(vec)}
+		ix.centroids = [][]float32{vector.Unit(vec)}
 		ix.lists = make([][]int32, 1)
 		ix.cfg = ix.cfg.withDefaults(1)
 		ix.cfg.NLists = 1
@@ -298,7 +291,7 @@ func (ix *Index) Add(vec []float32) int {
 		panic("ivf: added vector dimension does not match the indexed vectors")
 	}
 	i := len(ix.vecs)
-	nv := normalize(vec)
+	nv := vector.Unit(vec)
 	ix.vecs = append(ix.vecs, nv)
 	c := ix.nearestCentroid(nv)
 	ix.lists[c] = append(ix.lists[c], int32(i))
@@ -327,84 +320,83 @@ func (ix *Index) ListSizes() []int {
 // truncating the dot products. Under a quantized precision the probed
 // members are scored approximately and the best RerankK re-ranked with
 // exact dots (see Config.Precision).
-func (ix *Index) Search(q []float32, k int) []Result {
+func (ix *Index) Search(q []float32, k int) []vector.Neighbor {
 	if k <= 0 || len(ix.vecs) == 0 {
 		return nil
 	}
 	if len(q) != ix.dim {
 		panic("ivf: query dimension does not match the indexed vectors")
 	}
-	nq := normalize(q)
+	nq := vector.Unit(q)
+	sc := ix.getScratch()
+	defer ix.scratch.Put(sc)
+	probes := ix.probeOrder(nq, sc)
 	if ix.i8 != nil || ix.pq != nil {
-		return ix.searchQuant(nq, k)
+		return ix.searchQuant(nq, k, probes, sc)
 	}
-	probes := ix.nearestCentroids(nq, ix.cfg.NProbe)
-	// Bounded top-k selection over the probed members: the kept set is
-	// exactly the first k of the full (Sim descending, ID ascending) sort,
-	// at O(m log k) instead of O(m log m) for m probed members.
-	heap := make(resultHeap, 0, k)
+	top := make(vector.TopK, 0, k)
 	for _, c := range probes {
 		for _, id := range ix.lists[c] {
-			heap.offer(Result{ID: int(id), Sim: vector.Dot(nq, ix.vecs[id])}, k)
+			top.Offer(vector.Neighbor{ID: int(id), Sim: vector.Dot(nq, ix.vecs[id])}, k)
 		}
 	}
-	out := []Result(heap)
-	sort.Slice(out, func(a, b int) bool { return resultWorse(out[b], out[a]) })
-	return out
+	return top.Sorted()
 }
 
-// resultWorse reports whether a ranks strictly below b in the search
-// order (similarity descending, id ascending).
-func resultWorse(a, b Result) bool {
-	if a.Sim != b.Sim {
-		return a.Sim < b.Sim
+// probeOrder scores every centroid against the normalized query into
+// sc.dots and returns the NProbe nearest centroid ids by (dot descending,
+// id ascending): the one probe order of every search path.
+func (ix *Index) probeOrder(nq []float32, sc *searchScratch) []int {
+	sc.dots = growF64(sc.dots, len(ix.centroids))
+	for c, cent := range ix.centroids {
+		sc.dots[c] = vector.Dot(nq, cent)
 	}
-	return a.ID > b.ID
+	if cap(sc.order) < len(ix.centroids) {
+		sc.order = make([]int, len(ix.centroids))
+	}
+	order := sc.order[:len(ix.centroids)]
+	for c := range order {
+		order[c] = c
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if sc.dots[order[a]] != sc.dots[order[b]] {
+			return sc.dots[order[a]] > sc.dots[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	p := ix.cfg.NProbe
+	if p > len(order) {
+		p = len(order)
+	}
+	sc.order = order
+	return order[:p]
 }
 
-// resultHeap keeps the k best results with the worst kept element at the
-// root, so it can be evicted in O(log k).
-type resultHeap []Result
+// searchScratch pools the per-query buffers of Search.
+type searchScratch struct {
+	dots  []float64   // centroid -> query dot
+	order []int       // probe-order scratch
+	lut   []float64   // ADC lookup table (m*ks)
+	qlut  []lutRow    // int16-quantized ADC table the scan reads
+	q8    []int8      // quantized query (int8 tier)
+	heap  vector.TopK // approximate candidates (quantized tiers)
+}
 
-// offer inserts r if the heap holds fewer than k elements or r beats the
-// current worst element.
-func (h *resultHeap) offer(r Result, k int) {
-	if k <= 0 {
-		return
+// getScratch takes a scratch from the pool (or allocates the first one).
+func (ix *Index) getScratch() *searchScratch {
+	sc, _ := ix.scratch.Get().(*searchScratch)
+	if sc == nil {
+		sc = &searchScratch{}
 	}
-	if len(*h) < k {
-		*h = append(*h, r)
-		i := len(*h) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !resultWorse((*h)[i], (*h)[parent]) {
-				break
-			}
-			(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-			i = parent
-		}
-		return
+	return sc
+}
+
+// growF64 returns s resized to n, reusing capacity.
+func growF64(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
 	}
-	if !resultWorse((*h)[0], r) {
-		return
-	}
-	(*h)[0] = r
-	i := 0
-	for {
-		l, r2 := 2*i+1, 2*i+2
-		min := i
-		if l < len(*h) && resultWorse((*h)[l], (*h)[min]) {
-			min = l
-		}
-		if r2 < len(*h) && resultWorse((*h)[r2], (*h)[min]) {
-			min = r2
-		}
-		if min == i {
-			return
-		}
-		(*h)[i], (*h)[min] = (*h)[min], (*h)[i]
-		i = min
-	}
+	return s[:n]
 }
 
 // nearestCentroid returns the centroid with the smallest cosine distance to
@@ -417,33 +409,6 @@ func (ix *Index) nearestCentroid(v []float32) int {
 		}
 	}
 	return best
-}
-
-// nearestCentroids returns the p nearest centroid ids in (distance, id)
-// order.
-func (ix *Index) nearestCentroids(v []float32, p int) []int {
-	type scored struct {
-		c int
-		d float64
-	}
-	all := make([]scored, len(ix.centroids))
-	for c, cent := range ix.centroids {
-		all[c] = scored{c, cosDist(v, cent)}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].d != all[b].d {
-			return all[a].d < all[b].d
-		}
-		return all[a].c < all[b].c
-	})
-	if p > len(all) {
-		p = len(all)
-	}
-	out := make([]int, p)
-	for i := 0; i < p; i++ {
-		out[i] = all[i].c
-	}
-	return out
 }
 
 // cosDist is the cosine distance of two normalized vectors: 1 - dot.
@@ -460,21 +425,4 @@ func equalVec(a, b []float32) bool {
 		}
 	}
 	return true
-}
-
-// normalize returns a unit-length copy of v (zero vectors stay zero).
-func normalize(v []float32) []float32 {
-	out := make([]float32, len(v))
-	var sum float64
-	for _, x := range v {
-		sum += float64(x) * float64(x)
-	}
-	if sum == 0 {
-		return out
-	}
-	inv := 1 / math.Sqrt(sum)
-	for i, x := range v {
-		out[i] = float32(float64(x) * inv)
-	}
-	return out
 }

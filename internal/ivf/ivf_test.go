@@ -2,6 +2,7 @@ package ivf
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -56,18 +57,6 @@ func bruteKNN(vecs [][]float32, q []float32, k int) []int {
 		ids[i] = all[i].id
 	}
 	return ids
-}
-
-func sameResults(a, b []Result) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestExhaustiveProbeMatchesBruteForce: with NProbe == NLists every list
@@ -137,7 +126,7 @@ func TestDeterministicAndWorkerInvariant(t *testing.T) {
 		}
 	}
 	for q := 0; q < len(vecs); q += 31 {
-		if !sameResults(a.Search(vecs[q], 6), b.Search(vecs[q], 6)) {
+		if !slices.Equal(a.Search(vecs[q], 6), b.Search(vecs[q], 6)) {
 			t.Fatalf("query %d differs across worker counts", q)
 		}
 	}
@@ -167,7 +156,7 @@ func TestAddMatchesBuild(t *testing.T) {
 			}
 		}
 		for q := 0; q < len(vecs); q += 17 {
-			if !sameResults(grown.Search(vecs[q], 7), full.Search(vecs[q], 7)) {
+			if !slices.Equal(grown.Search(vecs[q], 7), full.Search(vecs[q], 7)) {
 				t.Fatalf("cut %d: query %d differs between grown and built index", cut, q)
 			}
 		}

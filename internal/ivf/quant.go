@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"wdcproducts/internal/parallel"
 	"wdcproducts/internal/vector"
@@ -540,33 +539,6 @@ func (ix *Index) quantizeAdd(nv []float32, c int) {
 	}
 }
 
-// searchScratch pools the per-query buffers of the quantized search path.
-type searchScratch struct {
-	dots  []float64 // centroid -> query dot
-	order []int     // probe-order scratch
-	lut   []float64 // ADC lookup table (m*ks)
-	qlut  []lutRow  // int16-quantized ADC table the scan reads
-	q8    []int8    // quantized query (int8 tier)
-	heap  resultHeap
-}
-
-// getScratch takes a scratch from the pool (or allocates the first one).
-func (ix *Index) getScratch() *searchScratch {
-	sc, _ := ix.scratch.Get().(*searchScratch)
-	if sc == nil {
-		sc = &searchScratch{}
-	}
-	return sc
-}
-
-// grow returns s resized to n, reusing capacity.
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
 // growLUT is growF64 for the quantized-table scratch.
 func growLUT(s []lutRow, n int) []lutRow {
 	if cap(s) < n {
@@ -576,19 +548,13 @@ func growLUT(s []lutRow, n int) []lutRow {
 }
 
 // searchQuant is the quantized search path shared by the int8 and PQ
-// tiers: score every centroid exactly, probe the NProbe nearest lists with
-// the approximate scan, keep the rerankDepth best approximately, then
-// re-rank those with exact f32 dots and return the top k. Every step is a
-// pure function of the (normalized) query, so searches agree bit for bit
-// at any worker count and whatever the pooled scratch held before.
-func (ix *Index) searchQuant(nq []float32, k int) []Result {
-	sc := ix.getScratch()
-	defer ix.scratch.Put(sc)
-	sc.dots = growF64(sc.dots, len(ix.centroids))
-	for c, cent := range ix.centroids {
-		sc.dots[c] = vector.Dot(nq, cent)
-	}
-	probes := ix.probeOrder(sc)
+// tiers: scan the probed lists (probeOrder left their centroid dots in
+// sc) with the approximate scores, keep the rerankDepth best
+// approximately, then re-rank those with exact f32 dots and return the
+// top k. Every step is a pure function of the (normalized) query, so
+// searches agree bit for bit at any worker count and whatever the pooled
+// scratch held before.
+func (ix *Index) searchQuant(nq []float32, k int, probes []int, sc *searchScratch) []vector.Neighbor {
 	rr := ix.cfg.rerankDepth(k)
 	h := sc.heap[:0]
 	if ix.pq != nil {
@@ -611,22 +577,18 @@ func (ix *Index) searchQuant(nq []float32, k int) []Result {
 				if len(h) == rr && sim < h[0].Sim {
 					continue
 				}
-				h.offer(Result{ID: int(id), Sim: sim}, rr)
+				h.Offer(vector.Neighbor{ID: int(id), Sim: sim}, rr)
 			}
 		}
 	}
 	sc.heap = h[:0]
-	// Exact re-rank through a second bounded top-k selection: the kept set
-	// is exactly the first k of the full (Sim descending, ID ascending)
-	// sort over the re-ranked scores — the same invariant the f32 path's
-	// heap pins — at O(rr log k) instead of sorting all rr survivors.
-	top := make(resultHeap, 0, k)
+	// Exact re-rank through a second bounded top-k selection over the
+	// re-ranked scores, at O(rr log k) instead of sorting all rr survivors.
+	top := make(vector.TopK, 0, k)
 	for _, r := range h {
-		top.offer(Result{ID: r.ID, Sim: vector.Dot(nq, ix.vecs[r.ID])}, k)
+		top.Offer(vector.Neighbor{ID: r.ID, Sim: vector.Dot(nq, ix.vecs[r.ID])}, k)
 	}
-	out := []Result(top)
-	sort.Slice(out, func(a, b int) bool { return resultWorse(out[b], out[a]) })
-	return out
+	return top.Sorted()
 }
 
 // scanPQList scores every member of one inverted list through the
@@ -637,7 +599,7 @@ func (ix *Index) searchQuant(nq []float32, k int) []Result {
 // strictly below a full heap's root is rejected on one comparison
 // without the offer call. Scores exactly match adcQuant — the
 // equivalence the ADC error-bound property test pins.
-func (ix *Index) scanPQList(h *resultHeap, list []int32, base float64, qlut []lutRow, step float64, rr int) {
+func (ix *Index) scanPQList(h *vector.TopK, list []int32, base float64, qlut []lutRow, step float64, rr int) {
 	m := ix.pq.m
 	codes := ix.pq.codes
 	if m == 16 && len(qlut) >= 16 {
@@ -656,7 +618,7 @@ func (ix *Index) scanPQList(h *resultHeap, list []int32, base float64, qlut []lu
 			if len(*h) == rr && sim < (*h)[0].Sim {
 				continue
 			}
-			h.offer(Result{ID: int(id), Sim: sim}, rr)
+			h.Offer(vector.Neighbor{ID: int(id), Sim: sim}, rr)
 		}
 		return
 	}
@@ -677,30 +639,6 @@ func (ix *Index) scanPQList(h *resultHeap, list []int32, base float64, qlut []lu
 		if len(*h) == rr && sim < (*h)[0].Sim {
 			continue
 		}
-		h.offer(Result{ID: int(id), Sim: sim}, rr)
+		h.Offer(vector.Neighbor{ID: int(id), Sim: sim}, rr)
 	}
-}
-
-// probeOrder returns the NProbe nearest centroid ids by (dot descending,
-// id ascending), reading the dots sc already holds.
-func (ix *Index) probeOrder(sc *searchScratch) []int {
-	if cap(sc.order) < len(ix.centroids) {
-		sc.order = make([]int, len(ix.centroids))
-	}
-	order := sc.order[:len(ix.centroids)]
-	for c := range order {
-		order[c] = c
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if sc.dots[order[a]] != sc.dots[order[b]] {
-			return sc.dots[order[a]] > sc.dots[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	p := ix.cfg.NProbe
-	if p > len(order) {
-		p = len(order)
-	}
-	sc.order = order
-	return order[:p]
 }

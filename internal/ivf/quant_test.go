@@ -3,7 +3,7 @@ package ivf
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"wdcproducts/internal/persist"
@@ -66,7 +66,7 @@ func TestQuantizedWorkerInvariant(t *testing.T) {
 		one := Build(vecs, quantCfg(p, 1), xrand.New(9).Stream("ivf"))
 		eight := Build(vecs, quantCfg(p, 8), xrand.New(9).Stream("ivf"))
 		for i, q := range vecs {
-			if !sameResults(one.Search(q, 4), eight.Search(q, 4)) {
+			if !slices.Equal(one.Search(q, 4), eight.Search(q, 4)) {
 				t.Fatalf("%s: query %d differs between workers=1 and workers=8", p, i)
 			}
 		}
@@ -89,7 +89,7 @@ func TestQuantizedAddMatchesBuild(t *testing.T) {
 		}
 		union := Build(vecs, cfg, xrand.New(4).Stream("ivf"))
 		for i, q := range vecs {
-			if !sameResults(grown.Search(q, 5), union.Search(q, 5)) {
+			if !slices.Equal(grown.Search(q, 5), union.Search(q, 5)) {
 				t.Fatalf("%s: query %d differs between grown and union index", p, i)
 			}
 		}
@@ -176,7 +176,7 @@ func TestADCErrorBound(t *testing.T) {
 		for d := range q {
 			q[d] = float32(rng.NormFloat64())
 		}
-		queries[i] = normalize(q)
+		queries[i] = vector.Unit(q)
 	}
 	const eps = 1e-5
 
@@ -260,7 +260,7 @@ func TestScanPQListMatchesADCQuant(t *testing.T) {
 		lut := make([]float64, ix.pq.m*ix.pq.ks)
 		qlut := make([]lutRow, ix.pq.m)
 		for qi := 0; qi < 15; qi++ {
-			q := normalize(vecs[rng.Intn(len(vecs))])
+			q := vector.Unit(vecs[rng.Intn(len(vecs))])
 			ix.pq.buildLUT(q, lut)
 			step := quantizeLUT(lut, ix.pq.ks, qlut)
 			for c, list := range ix.lists {
@@ -269,15 +269,13 @@ func TestScanPQListMatchesADCQuant(t *testing.T) {
 				}
 				base := vector.Dot(q, ix.centroids[c])
 				for _, rr := range []int{3, len(list)} {
-					var got resultHeap
+					var got vector.TopK
 					ix.scanPQList(&got, list, base, qlut, step, rr)
-					var want resultHeap
+					var want vector.TopK
 					for _, id := range list {
-						want.offer(Result{ID: int(id), Sim: ix.pq.adcQuant(base, qlut, step, int(id))}, rr)
+						want.Offer(vector.Neighbor{ID: int(id), Sim: ix.pq.adcQuant(base, qlut, step, int(id))}, rr)
 					}
-					sort.Slice(got, func(a, b int) bool { return resultWorse(got[b], got[a]) })
-					sort.Slice(want, func(a, b int) bool { return resultWorse(want[b], want[a]) })
-					if !sameResults(got, want) {
+					if !slices.Equal(got.Sorted(), want.Sorted()) {
 						t.Fatalf("dim=%d list %d rr=%d: scanPQList diverged from adcQuant reference", dim, c, rr)
 					}
 				}

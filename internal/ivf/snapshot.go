@@ -15,6 +15,7 @@ import (
 
 	"wdcproducts/internal/parallel"
 	"wdcproducts/internal/persist"
+	"wdcproducts/internal/vector"
 )
 
 // AppendSnapshot writes the quantizer and list assignments into b:
@@ -143,7 +144,7 @@ func Restore(vecs [][]float32, cfg Config, r *persist.Reader) (*Index, error) {
 	}
 	ix.vecs = make([][]float32, n)
 	parallel.Run(n, cfg.Workers, func(i int) error {
-		ix.vecs[i] = normalize(vecs[i])
+		ix.vecs[i] = vector.Unit(vecs[i])
 		return nil
 	}, nil)
 	if prec == PrecisionInt8 {

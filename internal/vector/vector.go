@@ -1,5 +1,6 @@
 // Package vector provides the sparse and dense vector primitives shared by
-// DBSCAN grouping, the embedding model, and the learned matchers.
+// DBSCAN grouping, the embedding model, and the learned matchers, and the
+// neighbour type, bounded top-K and unit copy the kNN engines share.
 package vector
 
 import (

@@ -644,8 +644,12 @@ var matcherBlockingVariant = core.VariantKey{Corner: 50, Dev: core.Medium, Unsee
 // (embedding, hnsw, ivf) spend each title's K-neighbour budget on the
 // full indexed corpus, and neighbours outside the test split are dropped
 // rather than refilled, so their completeness here can sit below
-// BlockingReport's numbers, whose index covers the test split alone. The
-// metrics describe exactly the candidate set the pair restriction used.
+// BlockingReport's numbers, whose index covers the test split alone.
+// MinHash candidates depend on the indexed universe too: signatures hash
+// token ids numbered in first-seen order over the indexed titles, so the
+// union index can collide a different set of test pairs than a
+// split-only index. The metrics describe exactly the candidate set the
+// pair restriction used.
 func matcherBlockingTask(b *Benchmark, bl blocking.Blocker, split *blockingSplit,
 	train, val, test []Pair, opts BlockingOptions) (experiments.MatcherBlockingTask, error) {
 	trainU := blocking.PairUniverse(train)
