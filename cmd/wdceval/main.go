@@ -32,8 +32,7 @@
 // The three studies are the repository's one command-line entry point for
 // §6: they run on the benchmark built from -seed and -scale, which is the
 // one wdcgen writes for the same flags. -snapshot-dir loads and saves
-// their blocking indexes, -ivf-precision selects the IVF scan tier, and
-// -v logs each index acquisition.
+// their blocking indexes and -v logs each index acquisition.
 package main
 
 import (
@@ -81,8 +80,6 @@ func main() {
 		"run the matcher-in-the-loop blocking study: train the -systems matchers on each blocker's candidate-restricted pair sets and report downstream P/R/F1 next to completeness/reduction (uses the -blocking blocker list, default all)")
 	snapshotDir := flag.String("snapshot-dir", "",
 		"persist blocking indexes: load each index from this directory when a snapshot matches the corpus/config fingerprint, save it after a fresh build (empty = rebuild every run)")
-	ivfPrecision := flag.String("ivf-precision", "",
-		"IVF blocker scan precision: f32 (default, exact), int8 (symmetric 8-bit rows), or pq (product-quantized residuals); quantized tiers re-rank with exact dots")
 	quiet := flag.Bool("q", false, "suppress progress lines")
 	verbose := flag.Bool("v", false,
 		"log blocking-index acquisition: snapshot load vs rebuild and the typed fallback reason")
@@ -106,7 +103,7 @@ func main() {
 
 	if *blockingFlag != "" || *blockScale || *matchBlock {
 		names := wdcproducts.ParseBlockerNames(*blockingFlag)
-		opts := wdcproducts.BlockingOptions{SnapshotDir: *snapshotDir, IVFPrecision: *ivfPrecision}
+		opts := wdcproducts.BlockingOptions{SnapshotDir: *snapshotDir}
 		if *verbose {
 			opts.Log = os.Stderr
 		}

@@ -8,9 +8,9 @@
 // Usage:
 //
 //	wdcserve [-addr :8080] [-scale tiny] [-seed 42] [-blocker minhash]
-//	         [-ivf-precision f32] [-snapshot-dir DIR]
-//	         [-stream 0.2] [-ingest FILE] [-dead-letter FILE] [-queue 256]
-//	         [-batch 64] [-query-timeout 2s] [-drain-timeout 10s] [-v]
+//	         [-snapshot-dir DIR] [-stream 0.2] [-ingest FILE]
+//	         [-dead-letter FILE] [-queue 256] [-batch 64]
+//	         [-query-timeout 2s] [-drain-timeout 10s] [-v]
 //
 // By default the daemon seeds its index with all but a -stream fraction
 // of the benchmark offers and replays the held-out remainder through
@@ -49,7 +49,6 @@ func main() {
 	batch := flag.Int("batch", 64, "most offers applied per index write (each write takes what is queued)")
 	queryTimeout := flag.Duration("query-timeout", 2*time.Second, "per-query deadline cap")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "shutdown drain budget")
-	ivfPrecision := flag.String("ivf-precision", "", "IVF blocker scan precision: f32 (default, exact), int8, or pq (quantized tiers re-rank with exact dots)")
 	verbose := flag.Bool("v", false, "log index acquisition (snapshot load vs rebuild) and pipeline progress")
 	flag.Parse()
 
@@ -68,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("build corpus: %v", err)
 	}
-	bl, err := wdcproducts.NewIndexedBlocker(b, *blockerName, *seed, wdcproducts.BlockingOptions{IVFPrecision: *ivfPrecision})
+	bl, err := wdcproducts.NewIndexedBlocker(b, *blockerName, *seed)
 	if err != nil {
 		log.Fatalf("blocker: %v", err)
 	}

@@ -100,54 +100,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 			}
 		}
 		for _, b := range blockers {
-			_, err := b.loadSnapshot(data, offers, idxs)
-			check(b.Name(), err)
-		}
-	})
-}
-
-// fuzzQuantIVFConfig returns the per-precision IVF configurations the PQ
-// fuzzer loads against (quantization knobs are fingerprint words, so each
-// tier addresses its own snapshots).
-func fuzzQuantIVFConfig(p ivf.Precision) ivf.Config {
-	cfg := fuzzIVFConfig()
-	cfg.Precision = p
-	cfg.M = 2
-	return cfg
-}
-
-// FuzzPQSnapshotDecode narrows FuzzSnapshotDecode onto the quantized IVF
-// payload sections: damaged codebook or code bytes — truncated tables,
-// out-of-range entry addresses, implausible shapes, flipped presence
-// flags — must yield typed persist errors, never a panic or an index that
-// panics when searched. The seed corpus holds valid int8 and PQ
-// snapshots, so mutations explore the quantized decode paths
-// specifically.
-func FuzzPQSnapshotDecode(f *testing.F) {
-	offers, idxs, model := fuzzFixture()
-	const seed = 1
-	blockers := []*IVFBlocker{
-		{Model: model, K: 2, Config: fuzzQuantIVFConfig(ivf.PrecisionInt8), Seed: seed},
-		{Model: model, K: 2, Config: fuzzQuantIVFConfig(ivf.PrecisionPQ), Seed: seed},
-	}
-	for _, b := range blockers {
-		f.Add(b.BuildIndex(offers, idxs).(SnapshotIndex).EncodeSnapshot())
-	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		check := func(name string, err error) {
-			if err == nil {
-				return
-			}
-			var corrupt *persist.CorruptSnapshotError
-			var mismatch *persist.FingerprintMismatchError
-			if !errors.As(err, &corrupt) && !errors.As(err, &mismatch) {
-				t.Fatalf("%s: untyped load error %T: %v", name, err, err)
-			}
-		}
-		for _, b := range blockers {
 			ix, err := b.loadSnapshot(data, offers, idxs)
-			check(string(b.Config.Precision), err)
+			check(b.Name(), err)
 			if err == nil {
 				// A load that passed every structural check must be
 				// queryable without panicking.

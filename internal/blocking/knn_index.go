@@ -149,6 +149,7 @@ type EmbeddingIndex struct {
 	k      int
 	slotOf map[int]int // offer idx -> slot
 	vecs   [][]float32 // slot -> encoding (shared per distinct title)
+	norms  []float64   // slot -> vector.Norm of its encoding
 	memo   *memoSlots[int32]
 }
 
@@ -167,6 +168,7 @@ func (e *EmbeddingIndex) grow(fromSlot, fromTitle int) {
 		}
 		e.slotOf[i] = len(e.vecs)
 		e.vecs = append(e.vecs, vec)
+		e.norms = append(e.norms, vector.Norm(vec))
 	}
 	e.memo = newMemoSlots[int32](len(e.vecs))
 }
@@ -185,14 +187,21 @@ func (e *EmbeddingIndex) Add(offers []schemaorg.Offer, idxs []int) {
 
 // neighbourSlots returns slot a's memoized top-K neighbour slots (exact,
 // by cosine similarity descending with ties broken by ascending slot).
+// Each cosine is vector.Cosine's expression over the slot norms grow
+// computed once, so the scores are bit-identical to it.
 func (e *EmbeddingIndex) neighbourSlots(a int) []int32 {
 	return e.memo.get(a, func() []int32 {
 		top := make(vector.TopK, 0, e.k)
+		na := e.norms[a]
 		for b := range e.vecs {
 			if b == a {
 				continue
 			}
-			top.Offer(vector.Neighbor{ID: b, Sim: vector.Cosine(e.vecs[a], e.vecs[b])}, e.k)
+			var sim float64
+			if nb := e.norms[b]; na != 0 && nb != 0 {
+				sim = vector.Dot(e.vecs[a], e.vecs[b]) / (na * nb)
+			}
+			top.Offer(vector.Neighbor{ID: b, Sim: sim}, e.k)
 		}
 		return neighbourIDs(top)
 	})

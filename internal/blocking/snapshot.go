@@ -73,14 +73,11 @@ func (h *HNSWBlocker) words() []uint64 {
 }
 
 // words returns the configuration words of the IVF index content
-// address. The quantization knobs (precision tier, PQ sub-space count,
-// re-rank depth) are part of the address: a snapshot built at one
-// precision must never satisfy a load at another.
+// address.
 func (b *IVFBlocker) words() []uint64 {
 	cfg := b.Config
 	return []uint64{uint64(b.K), uint64(cfg.NLists), uint64(cfg.NProbe),
 		uint64(cfg.TrainSize), uint64(cfg.Iters), uint64(b.Seed),
-		uint64(cfg.Precision.Ordinal()), uint64(cfg.M), uint64(cfg.RerankK),
 		modelFingerprint(b.Model)}
 }
 

@@ -57,29 +57,6 @@ type Config struct {
 	// Workers bounds the goroutines of the batch-parallel assignment passes
 	// (<= 0 selects runtime.NumCPU(); results are identical at any value).
 	Workers int
-	// Precision selects the representation the probed inverted lists are
-	// scanned in: PrecisionF32 (the default, exact dot products),
-	// PrecisionInt8 (symmetric int8 rows, ~4x smaller), or PrecisionPQ
-	// (per-cell residual product quantization, M bytes per row, scanned
-	// through per-query lookup tables). The quantized tiers score
-	// approximately and re-rank the best RerankK candidates with exact f32
-	// dots; see quant.go for the accuracy contract.
-	Precision Precision
-	// M is the number of product-quantizer sub-spaces (PrecisionPQ only).
-	// 0 selects 16; values are clamped to the vector dimension. Each
-	// sub-space gets its own codebook of up to 256 entries, so a PQ row
-	// costs M bytes. More sub-spaces mean finer reconstruction (higher
-	// recall) and a proportionally slower list scan.
-	M int
-	// RerankK bounds the exact f32 re-rank of the quantized search paths:
-	// the RerankK best candidates by approximate score are re-scored with
-	// exact dot products before the top k are returned. 0 selects 32k+32 at
-	// query time — deep enough that near-duplicate-heavy corpora (where
-	// many rows sit inside one quantization-error band of the true top k)
-	// keep >99% of the exact neighbour sets; values below k are raised to
-	// k. Smaller values trade recall for scan speed. Ignored by
-	// PrecisionF32.
-	RerankK int
 }
 
 // DefaultConfig returns the standard blocking configuration: automatic
@@ -111,14 +88,6 @@ func (c Config) withDefaults(trainN int) Config {
 	if c.NProbe > c.NLists {
 		c.NProbe = c.NLists
 	}
-	if c.Precision == "" {
-		c.Precision = PrecisionF32
-	}
-	switch c.Precision {
-	case PrecisionF32, PrecisionInt8, PrecisionPQ:
-	default:
-		panic("ivf: unknown precision " + string(c.Precision) + " (valid: f32, int8, pq)")
-	}
 	return c
 }
 
@@ -132,16 +101,9 @@ type Index struct {
 	lists     [][]int32   // centroid -> member vector ids, insertion order
 	vecs      [][]float32 // normalized copies of the indexed vectors
 
-	// Quantized row tiers (see quant.go): exactly one is non-nil when
-	// cfg.Precision is int8 or pq, both nil for f32. Like the centroids,
-	// the PQ codebooks are trained once at Build and never move, which is
-	// what keeps incremental Add exact.
-	i8 *int8Rows
-	pq *pqRows
-
-	// scratch pools the per-query search buffers (probe order, lookup
-	// tables, candidate heaps) so concurrent searches reuse their
-	// allocations; pooled state never influences results.
+	// scratch pools the per-query probe-order buffers so concurrent
+	// searches reuse their allocations; pooled state never influences
+	// results.
 	scratch sync.Pool
 }
 
@@ -180,7 +142,6 @@ func Build(vecs [][]float32, cfg Config, rng *rand.Rand) *Index {
 	for i, c := range assign {
 		ix.lists[c] = append(ix.lists[c], int32(i))
 	}
-	ix.quantizeBuild(assign, trainN, rng)
 	return ix
 }
 
@@ -285,7 +246,6 @@ func (ix *Index) Add(vec []float32) int {
 		ix.cfg = ix.cfg.withDefaults(1)
 		ix.cfg.NLists = 1
 		ix.cfg.NProbe = 1
-		ix.bootstrapQuant()
 	}
 	if len(vec) != ix.dim {
 		panic("ivf: added vector dimension does not match the indexed vectors")
@@ -295,7 +255,6 @@ func (ix *Index) Add(vec []float32) int {
 	ix.vecs = append(ix.vecs, nv)
 	c := ix.nearestCentroid(nv)
 	ix.lists[c] = append(ix.lists[c], int32(i))
-	ix.quantizeAdd(nv, c)
 	return i
 }
 
@@ -317,9 +276,7 @@ func (ix *Index) ListSizes() []int {
 // Search returns the k best members of the NProbe nearest inverted lists
 // by cosine similarity, best first (ties by ascending id). The query is
 // normalized internally; a dimension mismatch panics rather than silently
-// truncating the dot products. Under a quantized precision the probed
-// members are scored approximately and the best RerankK re-ranked with
-// exact dots (see Config.Precision).
+// truncating the dot products.
 func (ix *Index) Search(q []float32, k int) []vector.Neighbor {
 	if k <= 0 || len(ix.vecs) == 0 {
 		return nil
@@ -331,9 +288,6 @@ func (ix *Index) Search(q []float32, k int) []vector.Neighbor {
 	sc := ix.getScratch()
 	defer ix.scratch.Put(sc)
 	probes := ix.probeOrder(nq, sc)
-	if ix.i8 != nil || ix.pq != nil {
-		return ix.searchQuant(nq, k, probes, sc)
-	}
 	top := make(vector.TopK, 0, k)
 	for _, c := range probes {
 		for _, id := range ix.lists[c] {
@@ -345,7 +299,7 @@ func (ix *Index) Search(q []float32, k int) []vector.Neighbor {
 
 // probeOrder scores every centroid against the normalized query into
 // sc.dots and returns the NProbe nearest centroid ids by (dot descending,
-// id ascending): the one probe order of every search path.
+// id ascending).
 func (ix *Index) probeOrder(nq []float32, sc *searchScratch) []int {
 	sc.dots = growF64(sc.dots, len(ix.centroids))
 	for c, cent := range ix.centroids {
@@ -374,12 +328,8 @@ func (ix *Index) probeOrder(nq []float32, sc *searchScratch) []int {
 
 // searchScratch pools the per-query buffers of Search.
 type searchScratch struct {
-	dots  []float64   // centroid -> query dot
-	order []int       // probe-order scratch
-	lut   []float64   // ADC lookup table (m*ks)
-	qlut  []lutRow    // int16-quantized ADC table the scan reads
-	q8    []int8      // quantized query (int8 tier)
-	heap  vector.TopK // approximate candidates (quantized tiers)
+	dots  []float64 // centroid -> query dot
+	order []int     // probe-order scratch
 }
 
 // getScratch takes a scratch from the pool (or allocates the first one).

@@ -19,13 +19,8 @@ import (
 )
 
 // AppendSnapshot writes the quantizer and list assignments into b:
-// resolved NLists/NProbe, every centroid, every inverted list, and the
-// quantized row tier — the precision ordinal, then for PrecisionPQ the
-// trained codebooks and per-row codes (the only quantized state that
-// cannot be re-derived: its training consumed the Build rng). int8 rows
-// are recomputed from the vectors at Restore instead of being stored.
-// Vectors and the raw configuration are the caller's to persist (or
-// re-derive).
+// resolved NLists/NProbe, every centroid and every inverted list. Vectors
+// and the raw configuration are the caller's to persist (or re-derive).
 func (ix *Index) AppendSnapshot(b *persist.Buffer) {
 	b.Int(ix.Len())
 	b.Int(ix.dim)
@@ -37,34 +32,15 @@ func (ix *Index) AppendSnapshot(b *persist.Buffer) {
 	for _, l := range ix.lists {
 		b.Int32s(l)
 	}
-	b.Int(ix.cfg.Precision.Ordinal())
-	if ix.cfg.Precision.Ordinal() == PrecisionPQ.Ordinal() {
-		if ix.pq == nil {
-			// An empty index built under PrecisionPQ has no trained
-			// codebooks yet; the presence flag lets Restore tell that
-			// apart from a truncated payload.
-			b.Int(0)
-			return
-		}
-		b.Int(1)
-		b.Int(ix.pq.m)
-		b.Int(ix.pq.ks)
-		for _, c := range ix.pq.cents {
-			b.Float32s(c)
-		}
-		b.Blob(ix.pq.codes)
-	}
 }
 
 // Restore rebuilds an index from a snapshot written by AppendSnapshot.
 // vecs and cfg must match the Build-time inputs: vectors are
 // re-normalized across the configured worker pool exactly as Build does,
-// while NLists, NProbe, Precision and (for PQ) M take the persisted
-// resolved values (the snapshot was written after withDefaults ran).
-// Every persisted list member is bounds-checked and must appear exactly
-// once, PQ codebooks and codes are structurally validated, and int8 rows
-// are recomputed from the supplied vectors; damaged input yields an
-// error, never a panic.
+// while NLists and NProbe take the persisted resolved values (the
+// snapshot was written after withDefaults ran). Every persisted list
+// member is bounds-checked and must appear exactly once; damaged input
+// yields an error, never a panic.
 func Restore(vecs [][]float32, cfg Config, r *persist.Reader) (*Index, error) {
 	n := r.Int()
 	dim := r.Int()
@@ -125,20 +101,6 @@ func Restore(vecs [][]float32, cfg Config, r *persist.Reader) (*Index, error) {
 	if total != n {
 		return nil, fmt.Errorf("ivf: lists hold %d of %d vectors", total, n)
 	}
-	ord := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	prec, ok := precisionFromOrdinal(ord)
-	if !ok {
-		return nil, fmt.Errorf("ivf: unknown precision ordinal %d", ord)
-	}
-	ix.cfg.Precision = prec
-	if prec == PrecisionPQ {
-		if err := ix.restorePQ(n, dim, r); err != nil {
-			return nil, err
-		}
-	}
 	if n == 0 {
 		return ix, nil
 	}
@@ -147,83 +109,5 @@ func Restore(vecs [][]float32, cfg Config, r *persist.Reader) (*Index, error) {
 		ix.vecs[i] = vector.Unit(vecs[i])
 		return nil
 	}, nil)
-	if prec == PrecisionInt8 {
-		// int8 rows are a pure function of the normalized vectors, so they
-		// are recomputed rather than persisted — cheaper than codebooks and
-		// impossible to corrupt independently of the vectors.
-		ix.i8 = &int8Rows{dim: dim, codes: make([]int8, n*dim), scale: make([]float32, n)}
-		parallel.Run(n, cfg.Workers, func(i int) error {
-			ix.i8.scale[i] = quantizeInt8(ix.vecs[i], ix.i8.codes[i*dim:(i+1)*dim])
-			return nil
-		}, nil)
-	}
 	return ix, nil
-}
-
-// restorePQ reads and validates the PQ codebooks and row codes written by
-// AppendSnapshot. Every structural invariant is checked — sub-space
-// geometry, codebook entry widths, one m-byte code per vector, every code
-// addressing an existing entry — so damaged bytes yield an error, never a
-// panic or an index that panics later.
-func (ix *Index) restorePQ(n, dim int, r *persist.Reader) error {
-	present := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	switch present {
-	case 0:
-		if n > 0 {
-			return fmt.Errorf("ivf: quantized snapshot of %d vectors is missing its PQ codebooks", n)
-		}
-		return nil
-	case 1:
-	default:
-		return fmt.Errorf("ivf: PQ presence flag %d is not 0 or 1", present)
-	}
-	m := r.Int()
-	ks := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if m < 1 || m > dim {
-		return fmt.Errorf("ivf: PQ sub-space count %d out of range [1,%d]", m, dim)
-	}
-	if ks < 1 || ks > 256 {
-		return fmt.Errorf("ivf: PQ codebook size %d out of range [1,256]", ks)
-	}
-	if m*ks > r.Remaining()/4 {
-		return fmt.Errorf("ivf: implausible PQ codebook shape %dx%d", m, ks)
-	}
-	p := &pqRows{m: m, ks: ks, dim: dim, dsub: (dim + m - 1) / m}
-	p.cents = make([][]float32, m*ks)
-	for mi := 0; mi < m; mi++ {
-		lo, hi := p.subRange(mi)
-		for j := 0; j < ks; j++ {
-			c := r.Float32s()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if len(c) != hi-lo {
-				return fmt.Errorf("ivf: PQ entry %d of sub-space %d has width %d, want %d", j, mi, len(c), hi-lo)
-			}
-			p.cents[mi*ks+j] = c
-		}
-	}
-	codes := r.Blob()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(codes) != n*m {
-		return fmt.Errorf("ivf: PQ codes hold %d bytes, want %d", len(codes), n*m)
-	}
-	for i, c := range codes {
-		if int(c) >= ks {
-			return fmt.Errorf("ivf: PQ code %d of row %d addresses entry %d of a %d-entry codebook", i%m, i/m, c, ks)
-		}
-	}
-	p.codes = codes
-	p.refreshFlat()
-	ix.pq = p
-	ix.cfg.M = m
-	return nil
 }

@@ -29,7 +29,6 @@ import (
 	"wdcproducts/internal/corpus"
 	"wdcproducts/internal/embed"
 	"wdcproducts/internal/experiments"
-	"wdcproducts/internal/ivf"
 	"wdcproducts/internal/labelcheck"
 	"wdcproducts/internal/matchers"
 	"wdcproducts/internal/profilestats"
@@ -326,9 +325,8 @@ func blockerNeedsModel(name string) bool {
 }
 
 // newBlocker constructs the named §6 blocker. The embedding-space blockers
-// (blockerNeedsModel) require a trained title encoder; opts carries the
-// cross-blocker tuning knobs (currently the IVF scan precision).
-func newBlocker(name string, model *embed.Model, workers int, opts BlockingOptions) (blocking.Blocker, error) {
+// (blockerNeedsModel) require a trained title encoder.
+func newBlocker(name string, model *embed.Model, workers int) (blocking.Blocker, error) {
 	switch name {
 	case "token":
 		return blocking.NewTokenBlocker(), nil
@@ -345,13 +343,8 @@ func newBlocker(name string, model *embed.Model, workers int, opts BlockingOptio
 		hb.Config.Workers = workers
 		return hb, nil
 	case "ivf":
-		prec, err := ivf.ParsePrecision(opts.IVFPrecision)
-		if err != nil {
-			return nil, fmt.Errorf("wdcproducts: %v", err)
-		}
 		ib := blocking.NewIVFBlocker(model, blockKNNBudget)
 		ib.Config.Workers = workers
-		ib.Config.Precision = prec
 		return ib, nil
 	default:
 		return nil, fmt.Errorf("wdcproducts: unknown blocker %q (valid: %s)",
@@ -362,11 +355,9 @@ func newBlocker(name string, model *embed.Model, workers int, opts BlockingOptio
 // NewIndexedBlocker constructs the named §6 blocker whose index can be
 // opened once and grown (every name in BlockerNames but "token"), for a
 // process that serves one index over b's offers. The embedding-space
-// blockers get the title encoder trained over b's offers from seed, and
-// opts.IVFPrecision selects the IVF scan tier; the other options are the
-// caller's to apply when it opens the index.
-func NewIndexedBlocker(b *Benchmark, name string, seed int64, opts BlockingOptions) (blocking.IndexedBlocker, error) {
-	bl, err := newBlocker(name, blockerModel(b, []string{name}, seed), 0, opts)
+// blockers get the title encoder trained over b's offers from seed.
+func NewIndexedBlocker(b *Benchmark, name string, seed int64) (blocking.IndexedBlocker, error) {
+	bl, err := newBlocker(name, blockerModel(b, []string{name}, seed), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -401,11 +392,6 @@ func blockerModel(b *Benchmark, names []string, seed int64) *embed.Model {
 type BlockingOptions struct {
 	// SnapshotDir enables index persistence when non-empty.
 	SnapshotDir string
-	// IVFPrecision selects the representation the IVF blocker scans its
-	// inverted lists in: "f32" (or empty — exact, the default), "int8"
-	// (symmetric 8-bit rows), or "pq" (product-quantized residuals).
-	// The quantized tiers re-rank with exact dots; see ivf.Config.
-	IVFPrecision string
 	// Log, when non-nil, receives one line per index acquisition
 	// describing the blocking.OpenStats outcome: loaded from snapshot,
 	// refused (with the typed reason) and rebuilt, or built fresh.
@@ -516,7 +502,7 @@ func BlockingReport(b *Benchmark, names []string, seed int64, workers int, opts 
 			len(split.idxs), len(split.idxs)*(len(split.idxs)-1)/2),
 		"blocker", "candidates", "pair completeness", "reduction ratio", "build ms", "query ms")
 	for _, name := range names {
-		bl, err := newBlocker(name, model, workers, opts)
+		bl, err := newBlocker(name, model, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -583,7 +569,7 @@ func BlockingScaleReport(b *Benchmark, names []string, seed int64, workers int, 
 		fmt.Sprintf("Blocking at scale (§6): index built once over %d offers, queried per split", len(union)),
 		"blocker", "split", "offers", "candidates", "pair completeness", "reduction ratio", "ms")
 	for _, name := range names {
-		bl, err := newBlocker(name, model, workers, opts)
+		bl, err := newBlocker(name, model, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -744,7 +730,7 @@ func MatcherBlockingReport(b *Benchmark, names, systems []string, seed int64, re
 	model := blockerModel(b, names, seed)
 	tasks := []experiments.MatcherBlockingTask{noBlockingTask(split, train, val, test)}
 	for _, name := range names {
-		bl, err := newBlocker(name, model, workers, opts)
+		bl, err := newBlocker(name, model, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"wdcproducts"
-	"wdcproducts/internal/blocking"
-	"wdcproducts/internal/ivf"
 	"wdcproducts/internal/matchers"
 )
 
@@ -229,24 +227,21 @@ func TestFacadeMatcherBlockingReportErrors(t *testing.T) {
 }
 
 // TestFacadeNewIndexedBlocker: the daemon's blocker factory builds every
-// indexed §6 blocker, applies the IVF precision, and refuses the
-// non-indexed token blocker, unknown names and unknown precisions.
+// indexed §6 blocker and refuses the non-indexed token blocker and
+// unknown names.
 func TestFacadeNewIndexedBlocker(t *testing.T) {
 	ensureBuild(t)
-	mh, err := wdcproducts.NewIndexedBlocker(benchB, "minhash", 42, wdcproducts.BlockingOptions{})
+	mh, err := wdcproducts.NewIndexedBlocker(benchB, "minhash", 42)
 	if err != nil || mh.Name() != "minhash-lsh" {
 		t.Fatalf("minhash: %v, %v", mh, err)
 	}
-	ib, err := wdcproducts.NewIndexedBlocker(benchB, "ivf", 42, wdcproducts.BlockingOptions{IVFPrecision: "int8"})
-	if err != nil {
-		t.Fatal(err)
+	ib, err := wdcproducts.NewIndexedBlocker(benchB, "ivf", 42)
+	if err != nil || ib.Name() != "ivf-knn" {
+		t.Fatalf("ivf: %v, %v", ib, err)
 	}
-	if got := ib.(*blocking.IVFBlocker).Config.Precision; got != ivf.PrecisionInt8 {
-		t.Fatalf("ivf precision = %v, want int8", got)
-	}
-	for _, c := range []struct{ name, prec string }{{"token", ""}, {"bogus", ""}, {"ivf", "bogus"}} {
-		if _, err := wdcproducts.NewIndexedBlocker(benchB, c.name, 42, wdcproducts.BlockingOptions{IVFPrecision: c.prec}); err == nil {
-			t.Fatalf("%s (precision %q) did not error", c.name, c.prec)
+	for _, name := range []string{"token", "bogus"} {
+		if _, err := wdcproducts.NewIndexedBlocker(benchB, name, 42); err == nil {
+			t.Fatalf("%s did not error", name)
 		}
 	}
 }
