@@ -12,7 +12,9 @@ GO ?= go
 # and sustained ingest QPS through the incremental delta write path at
 # n=10k/100k, against the full-adjacency-rebuild baseline it replaced,
 # and the serve cold-start bench (BenchmarkServeNew: index build and
-# initial epoch view timed apart at n=10k/100k). The record goes to the
+# initial epoch view timed apart at n=10k/100k), and the MinHash write-path
+# wait (BenchmarkMinHashAddUnderSweep: Add latency while subset queries
+# sweep the index, at n=10k/100k). The record goes to the
 # gitignored bench-ci.json by default, so a local run never overwrites a
 # committed BENCH_*.json; pass BENCH_OUT (and a BENCH_NOTE saying what it
 # measures) to write a new one.
@@ -84,7 +86,9 @@ fuzz:
 # bench affordable. BenchmarkBlockingScale runs five times (about 9 s
 # each on a 2-vCPU Xeon), since its MinHash rows move by up to a third
 # between single runs, and so does BenchmarkIVFQueryScale, whose 100k
-# row spans more than 2x between single runs; benchjson folds the repeats
+# row spans more than 2x between single runs, and so does
+# BenchmarkMinHashAddUnderSweep, whose Add percentiles depend on where
+# each Add lands in a sweep; benchjson folds the repeats
 # into a median with min and max. The
 # runs are collected into a temp file with && so a failing benchmark
 # fails the target (and the CI job) instead of being swallowed by the
@@ -103,6 +107,7 @@ bench:
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeLoadScale$$' -benchmem -benchtime 1x -timeout 30m ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeIngestScale$$' -benchmem -benchtime 1x -timeout 30m ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeNew$$' -benchmem -benchtime 1x -timeout 30m ./internal/serve && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkMinHashAddUnderSweep$$' -benchmem -benchtime 200x -count 5 -timeout 30m ./internal/blocking && \
 	  $(GO) test -run '^$$' -bench 'CornerSearch' -benchmem -benchtime 50x ./internal/selection && \
 	  $(GO) test -run '^$$' -bench 'Sigmoid' -benchtime 0.5s ./internal/embed ) > "$$tmp"; \
 	status=$$?; cat "$$tmp"; \

@@ -14,6 +14,16 @@
 // it records the run count and each metric's min and max (ns/op
 // included). An entry from a single line has no runs, min or max.
 // Non-benchmark lines (table prints, PASS/ok) are ignored.
+//
+// With -compare, benchjson reads two such records instead and prints,
+// for every benchmark and metric found in both, the old and the new
+// median:
+//
+//	benchjson -compare BENCH_old.json BENCH_new.json
+//
+// A new median outside the old entry's [min, max] is flagged "outside".
+// An old entry of one run has no spread to judge against: it prints
+// "no spread" and is never flagged.
 package main
 
 import (
@@ -23,11 +33,14 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"os"
+	"path"
 	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // Result is one benchmark entry: a parsed result line, or the fold of
@@ -57,7 +70,24 @@ func main() {
 	log.SetPrefix("benchjson: ")
 	out := flag.String("out", "", "output file (default stdout)")
 	note := flag.String("note", "", "free-text note recorded in the document")
+	cmpMode := flag.Bool("compare", false, "compare two records: benchjson -compare OLD NEW")
 	flag.Parse()
+
+	if *cmpMode {
+		if flag.NArg() != 2 {
+			log.Fatal("usage: benchjson -compare OLD NEW")
+		}
+		old, err := load(flag.Arg(0))
+		if err != nil {
+			log.Fatal(err)
+		}
+		cur, err := load(flag.Arg(1))
+		if err != nil {
+			log.Fatal(err)
+		}
+		printComparison(os.Stdout, compare(old, cur))
+		return
+	}
 
 	// The bench output carries no toolchain line; benchjson runs under the
 	// same `go run` invocation as the benchmarks, so its own runtime
@@ -174,3 +204,104 @@ func fold(rs []Result) Result {
 	}
 	return out
 }
+
+// load reads a benchmark record written by benchjson.
+func load(path string) (Record, error) {
+	var rec Record
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return rec, err
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return rec, fmt.Errorf("%s: %w", path, err)
+	}
+	return rec, nil
+}
+
+// comparison is one metric of one benchmark found in both records.
+type comparison struct {
+	Package, Name, Unit string
+	Old, New            float64
+	// Spread is false when the old entry ran once; Min and Max are then
+	// unset and the row is never Outside.
+	Spread   bool
+	Min, Max float64
+	Outside  bool
+}
+
+// compare pairs the entries of two records by package and name, in the
+// new record's order, and each pair's metrics (ns/op first, then by
+// unit): every metric either entry lacks is skipped.
+func compare(old, cur Record) []comparison {
+	byKey := make(map[[2]string]Result, len(old.Benchmarks))
+	for _, r := range old.Benchmarks {
+		byKey[[2]string{r.Package, r.Name}] = r
+	}
+	var out []comparison
+	for _, n := range cur.Benchmarks {
+		o, ok := byKey[[2]string{n.Package, n.Name}]
+		if !ok {
+			continue
+		}
+		ov, nv := values(o), values(n)
+		for _, unit := range slices.SortedFunc(maps.Keys(nv), compareUnits) {
+			if _, ok := ov[unit]; !ok {
+				continue
+			}
+			c := comparison{Package: n.Package, Name: n.Name, Unit: unit, Old: ov[unit], New: nv[unit]}
+			lo, hasLo := o.Min[unit]
+			hi, hasHi := o.Max[unit]
+			if o.Runs > 1 && hasLo && hasHi {
+				c.Spread, c.Min, c.Max = true, lo, hi
+				c.Outside = c.New < lo || c.New > hi
+			}
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// compareUnits orders ns/op before every other unit.
+func compareUnits(a, b string) int {
+	switch {
+	case a == b:
+		return 0
+	case a == "ns/op":
+		return -1
+	case b == "ns/op":
+		return 1
+	}
+	return strings.Compare(a, b)
+}
+
+// values returns an entry's medians by unit, ns/op included.
+func values(r Result) map[string]float64 {
+	m := make(map[string]float64, len(r.Metrics)+1)
+	maps.Copy(m, r.Metrics)
+	m["ns/op"] = r.NsPerOp
+	return m
+}
+
+// printComparison writes one aligned line per comparison and a closing
+// count of flagged rows.
+func printComparison(w io.Writer, cs []comparison) {
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "package\tbenchmark\tmetric\told\tnew\told [min, max]")
+	flagged := 0
+	for _, c := range cs {
+		spread := "no spread"
+		if c.Spread {
+			spread = fmt.Sprintf("[%s, %s]", num(c.Min), num(c.Max))
+		}
+		if c.Outside {
+			spread += "\toutside"
+			flagged++
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n", path.Base(c.Package), c.Name, c.Unit, num(c.Old), num(c.New), spread)
+	}
+	tw.Flush()
+	fmt.Fprintf(w, "%d of %d metrics outside the old spread\n", flagged, len(cs))
+}
+
+// num formats a metric value compactly.
+func num(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }

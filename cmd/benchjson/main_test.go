@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -69,5 +70,85 @@ BenchmarkX-2	4	50 ns/op
 	}
 	if x2.Package != "p2" || x2.Runs != 0 || x2.Min != nil || x2.NsPerOp != 50 {
 		t.Fatalf("p2's BenchmarkX-2 = %+v, want its single run unfolded", x2)
+	}
+}
+
+// TestCompare pins -compare: entries pair by package and name, metrics
+// present in both entries are compared (ns/op first), a new median
+// outside the old [min, max] is flagged, and an old single-run entry is
+// reported with no spread and never flagged.
+func TestCompare(t *testing.T) {
+	folded := func(name string, ns, lo, hi float64, metrics, min, max map[string]float64) Result {
+		r := Result{Name: name, Package: "p", NsPerOp: ns, Runs: 5, Metrics: metrics,
+			Min: map[string]float64{"ns/op": lo}, Max: map[string]float64{"ns/op": hi}}
+		for u := range min {
+			r.Min[u], r.Max[u] = min[u], max[u]
+		}
+		return r
+	}
+	for _, c := range []struct {
+		name     string
+		old, cur []Result
+		want     []comparison
+	}{
+		{
+			name: "inside the spread",
+			old:  []Result{folded("BenchmarkA", 100, 90, 120, nil, nil, nil)},
+			cur:  []Result{{Name: "BenchmarkA", Package: "p", NsPerOp: 120}},
+			want: []comparison{{Package: "p", Name: "BenchmarkA", Unit: "ns/op", Old: 100, New: 120, Spread: true, Min: 90, Max: 120}},
+		},
+		{
+			name: "below and above the spread",
+			old: []Result{folded("BenchmarkA", 100, 90, 120,
+				map[string]float64{"add-p50-us": 40, "pairs": 7},
+				map[string]float64{"add-p50-us": 35, "pairs": 7},
+				map[string]float64{"add-p50-us": 45, "pairs": 7})},
+			cur: []Result{{Name: "BenchmarkA", Package: "p", NsPerOp: 89, Runs: 5,
+				Metrics: map[string]float64{"add-p50-us": 4, "pairs": 8, "new-only": 1}}},
+			want: []comparison{
+				{Package: "p", Name: "BenchmarkA", Unit: "ns/op", Old: 100, New: 89, Spread: true, Min: 90, Max: 120, Outside: true},
+				{Package: "p", Name: "BenchmarkA", Unit: "add-p50-us", Old: 40, New: 4, Spread: true, Min: 35, Max: 45, Outside: true},
+				{Package: "p", Name: "BenchmarkA", Unit: "pairs", Old: 7, New: 8, Spread: true, Min: 7, Max: 7, Outside: true},
+			},
+		},
+		{
+			name: "single-run old entry",
+			old:  []Result{{Name: "BenchmarkA", Package: "p", NsPerOp: 100}},
+			cur:  []Result{{Name: "BenchmarkA", Package: "p", NsPerOp: 1e6}},
+			want: []comparison{{Package: "p", Name: "BenchmarkA", Unit: "ns/op", Old: 100, New: 1e6}},
+		},
+		{
+			name: "unpaired entries",
+			old:  []Result{{Name: "BenchmarkA", Package: "p", NsPerOp: 1}, {Name: "BenchmarkB", Package: "q", NsPerOp: 2}},
+			cur:  []Result{{Name: "BenchmarkB", Package: "p", NsPerOp: 3}, {Name: "BenchmarkC", Package: "p", NsPerOp: 4}},
+			want: nil,
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := compare(Record{Benchmarks: c.old}, Record{Benchmarks: c.cur})
+			if !slices.Equal(got, c.want) {
+				t.Fatalf("compare:\n got %+v\nwant %+v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestPrintComparison pins the report: one line per metric, the old
+// spread or "no spread", "outside" on flagged rows, and a closing count.
+func TestPrintComparison(t *testing.T) {
+	var buf strings.Builder
+	printComparison(&buf, []comparison{
+		{Package: "wdcproducts/internal/blocking", Name: "BenchmarkA", Unit: "add-p50-us", Old: 4423, New: 416.4, Spread: true, Min: 4100, Max: 4600, Outside: true},
+		{Package: "wdcproducts/internal/blocking", Name: "BenchmarkA", Unit: "sweep-ms", Old: 4.3, New: 4.4, Spread: true, Min: 4.2, Max: 4.5},
+		{Package: "wdcproducts", Name: "BenchmarkB", Unit: "ns/op", Old: 100, New: 500},
+	})
+	want := `package      benchmark   metric      old   new    old [min, max]
+blocking     BenchmarkA  add-p50-us  4423  416.4  [4100, 4600]  outside
+blocking     BenchmarkA  sweep-ms    4.3   4.4    [4.2, 4.5]
+wdcproducts  BenchmarkB  ns/op       100   500    no spread
+1 of 3 metrics outside the old spread
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("report:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -32,7 +32,13 @@ import (
 // reader/writer scheme — Candidates holds a shared (read) lock, Add an
 // exclusive one — so a query observes either the state before or after
 // a concurrent Add, never a half-applied one. Queries stay lock-cheap:
-// readers only contend when a writer is actually landing.
+// readers only contend when a writer is actually landing. A MinHash
+// query takes the read lock once to resolve and then once per band of
+// its sweep, so Adds may land between bands; its answer is still the
+// one at its start, because Add only appends newer titles to bucket
+// member lists and the sweep admits only titles indexed when it
+// resolved. The kNN and embedding indexes hold the lock for the whole
+// query: their adjacency is not monotone under Add.
 type Index interface {
 	// Name identifies the blocking strategy (matches the blocker's Name).
 	Name() string

@@ -54,20 +54,44 @@ func (m *MinHashIndex) Add(offers []schemaorg.Offer, idxs []int) {
 // simlib.Prepared numbers in first-seen order of the indexed universe,
 // so the same two titles can collide in an index over one universe and
 // not in an index over another.
+//
+// The query resolves under one read lock, then takes the read lock once
+// per band (lsh.Index.AppendBandPairs), so a pending Add waits for at
+// most one band of the sweep, not all of it. The answer is still the one
+// at the query's start: its titles are fixed when it resolves, the
+// filter admits only titles below the count n seen then, and Add only
+// appends titles >= n to bucket member lists, so every band yields the
+// same pairs before and after any Add that lands between bands.
 func (m *MinHashIndex) Candidates(queryIdxs []int) []CandidatePair {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	v := m.corpus.view(queryIdxs)
-	// slot[t] is title t's query slot plus one (0: not queried): O(titles),
-	// like the sweep itself, and no map lookup per member or endpoint.
-	slot := make([]int32, m.ix.Len())
-	for s, tid := range v.titles {
-		slot[tid] = int32(s) + 1
+	v, slot := m.resolve(queryIdxs)
+	n := len(slot)
+	include := func(t int) bool { return t < n && slot[t] > 0 }
+	var keys []uint64
+	for band := range m.ix.Config().Bands {
+		m.mu.RLock()
+		keys = m.ix.AppendBandPairs(keys, band, include)
+		m.mu.RUnlock()
 	}
-	titlePairs := m.ix.CandidatePairsAmong(func(t int) bool { return slot[t] > 0 })
+	titlePairs := lsh.SortedPairs(keys)
 	slotPairs := make([][2]int, len(titlePairs))
 	for i, tp := range titlePairs {
 		slotPairs[i] = [2]int{int(slot[tp[0]]) - 1, int(slot[tp[1]]) - 1}
 	}
 	return expandTitlePairs(v.groups, slotPairs)
+}
+
+// resolve resolves a query under the read lock: its view, and slot[t],
+// title t's query slot plus one (0: not queried) for each of the n titles
+// indexed now — O(titles), like the sweep itself, and no map lookup per
+// member or endpoint. The deferred unlock releases the lock when view
+// panics with an *UnindexedQueryError.
+func (m *MinHashIndex) resolve(queryIdxs []int) (*queryView, []int32) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	v := m.corpus.view(queryIdxs)
+	slot := make([]int32, m.ix.Len())
+	for s, tid := range v.titles {
+		slot[tid] = int32(s) + 1
+	}
+	return v, slot
 }

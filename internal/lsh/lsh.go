@@ -147,9 +147,10 @@ func EstimateJaccard(a, b []uint64) float64 {
 
 // Index is a banded LSH index over a collection of token sets. Build it
 // once with Build (or grow it one set at a time with Add), then read
-// candidate pairs with CandidatePairsAmong or look up the sets colliding
-// with one indexed set through Bucket and BandKey. Reads are safe for
-// concurrent use as long as no Build or Add is in flight.
+// candidate pairs with CandidatePairsAmong (or one band at a time with
+// AppendBandPairs) or look up the sets colliding with one indexed set
+// through Bucket and BandKey. Reads are safe for concurrent use as long
+// as no Build or Add is in flight.
 type Index struct {
 	cfg    Config
 	signer *Signer
@@ -268,31 +269,56 @@ func (ix *Index) Bucket(band int, key uint64) []int32 {
 // pairs, not to the full quadratic pair space. Because a band collision is
 // a pairwise property — independent of what else is indexed — the result
 // equals the unrestricted pairs filtered to the included sets, which is
-// what makes one corpus-wide index queryable per split.
+// what makes one corpus-wide index queryable per split. It is one
+// AppendBandPairs sweep per band followed by SortedPairs.
 func (ix *Index) CandidatePairsAmong(include func(i int) bool) [][2]int {
-	ix.ensureBuckets()
-	// Colliding pairs pack into uint64 keys (members ascend, so the lower
-	// index is high); sort-and-compact dedups pairs across bands.
 	var keys []uint64
+	for band := range ix.cfg.Bands {
+		keys = ix.AppendBandPairs(keys, band, include)
+	}
+	return SortedPairs(keys)
+}
+
+// AppendBandPairs appends to keys every unordered pair of included sets
+// (nil include: every set) that shares a bucket of one band, packed as
+// lo<<32|hi with lo < hi, and returns the extended slice. Keys come out
+// unsorted and a pair sharing buckets of several bands repeats across
+// calls; SortedPairs orders and dedups the union.
+//
+// The band sweep is the unit of a query's read lock: Add only appends a
+// set with a larger index than every set already indexed to the end of
+// bucket member lists, and never removes or reorders a member. So a band
+// yields the same pairs among the first n sets before or after any Add,
+// and a caller whose include filter admits only sets below n may let
+// Adds land between bands and still get exactly the answer of one sweep
+// over the index as it stood with n sets.
+func (ix *Index) AppendBandPairs(keys []uint64, band int, include func(i int) bool) []uint64 {
+	ix.ensureBuckets()
 	var kept []int32
-	for _, bandBuckets := range ix.buckets {
-		for _, members := range bandBuckets {
-			if len(members) < 2 {
-				continue
+	for _, members := range ix.buckets[band] {
+		if len(members) < 2 {
+			continue
+		}
+		kept = kept[:0]
+		for _, m := range members {
+			if include == nil || include(int(m)) {
+				kept = append(kept, m)
 			}
-			kept = kept[:0]
-			for _, m := range members {
-				if include == nil || include(int(m)) {
-					kept = append(kept, m)
-				}
-			}
-			for x, a := range kept {
-				for _, b := range kept[x+1:] {
-					keys = append(keys, uint64(a)<<32|uint64(b))
-				}
+		}
+		// Members ascend, so the lower index packs high.
+		for x, a := range kept {
+			for _, b := range kept[x+1:] {
+				keys = append(keys, uint64(a)<<32|uint64(b))
 			}
 		}
 	}
+	return keys
+}
+
+// SortedPairs sorts and deduplicates packed pair keys (as AppendBandPairs
+// emits them) in place and unpacks them into lexicographically sorted
+// pairs.
+func SortedPairs(keys []uint64) [][2]int {
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
 	out := make([][2]int, len(keys))

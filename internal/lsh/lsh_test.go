@@ -353,3 +353,76 @@ func TestCandidatePairsAmongBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendBandPairsAcrossAdds pins the property a band-at-a-time query
+// rests on: a sweep of bands [0, k), then Adds, then a sweep of bands
+// [k, Bands), with the filter capped at the n sets indexed before the
+// Adds, yields exactly the pairs one CandidatePairsAmong took before
+// them. The Adds repeat included sets' tokens (colliding in every
+// band), perturb them by one token (colliding in some bands) and add
+// novel sets. Every cut k is checked, with no filter and with random
+// ones.
+func TestAppendBandPairsAcrossAdds(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	sets := make([][]int32, 70)
+	for i := range sets {
+		sets[i] = randomSet(rng, 4, 40)
+	}
+	n := len(sets)
+	var added [][]int32
+	for i := 0; i < 30; i++ {
+		src := sets[rng.Intn(n)]
+		switch i % 3 {
+		case 0: // equal to an indexed set
+			added = append(added, slices.Clone(src))
+		case 1: // one token off an indexed set
+			s := slices.Clone(src)
+			s[rng.Intn(len(s))] = int32(40 + rng.Intn(20))
+			slices.Sort(s)
+			added = append(added, slices.Compact(s))
+		default: // novel tokens
+			added = append(added, randomSet(rng, 4, 40+rng.Intn(60)))
+		}
+	}
+	cfg := Config{Bands: 8, Rows: 2, Workers: 1}
+	grown := NewIndex(cfg, xrand.New(5).Stream("minhash-lsh"))
+	grown.Build(append(slices.Clone(sets), added...))
+	cross := 0
+	for _, p := range grown.CandidatePairsAmong(nil) {
+		if p[0] < n && p[1] >= n {
+			cross++
+		}
+	}
+	if cross == 0 {
+		t.Fatal("no added set collides with an indexed one; the test checks nothing")
+	}
+	filters := []func(int) bool{nil}
+	for f := 0; f < 4; f++ {
+		keep := make([]bool, n)
+		for i := range keep {
+			keep[i] = rng.Intn(3) > 0
+		}
+		filters = append(filters, func(i int) bool { return keep[i] })
+	}
+	for f, filter := range filters {
+		include := func(i int) bool { return i < n && (filter == nil || filter(i)) }
+		for k := 0; k <= cfg.Bands; k++ {
+			ix := NewIndex(cfg, xrand.New(5).Stream("minhash-lsh"))
+			ix.Build(sets)
+			want := ix.CandidatePairsAmong(filter)
+			var keys []uint64
+			for band := 0; band < k; band++ {
+				keys = ix.AppendBandPairs(keys, band, include)
+			}
+			for _, s := range added {
+				ix.Add(s)
+			}
+			for band := k; band < cfg.Bands; band++ {
+				keys = ix.AppendBandPairs(keys, band, include)
+			}
+			if got := SortedPairs(keys); !slices.Equal(got, want) {
+				t.Fatalf("filter %d, k=%d: split sweep found %v, one sweep before the Adds %v", f, k, got, want)
+			}
+		}
+	}
+}

@@ -70,14 +70,14 @@ func (h *epochHistory) failed(err *Error) {
 	h.mu.Unlock()
 }
 
-// TestEpochHistory runs the checker per engine. The minhash row checks
-// Match and Candidates. The kNN rows check Match only: Candidates runs
-// on the live index, which a kNN batch changes before its view is
-// published, so a kNN Candidates answer can run one batch ahead of its
-// label. The kNN engines run with one worker and an IVF training prefix
-// inside the seed corpus, the settings under which a grown index equals
-// a fresh build. The stream length bounds the number of batches, and so
-// the run time under -race.
+// TestEpochHistory runs the checker per engine, on Match and Candidates
+// alike. The minhash row's Candidates answers come from the live index,
+// sweeping it one band at a time while Adds land between bands; the kNN
+// rows' come from the epoch view, since a kNN batch changes the index
+// before its view is published. The kNN engines run with one worker and
+// an IVF training prefix inside the seed corpus, the settings under
+// which a grown index equals a fresh build. The stream length bounds the
+// number of batches, and so the run time under -race.
 func TestEpochHistory(t *testing.T) {
 	all := fixture(t)
 	const seedN = 40
@@ -96,12 +96,11 @@ func TestEpochHistory(t *testing.T) {
 	ib.Config.TrainSize = 32
 
 	for _, r := range []struct {
-		name       string
-		blocker    blocking.IndexedBlocker
-		stream     int
-		candidates bool
+		name    string
+		blocker blocking.IndexedBlocker
+		stream  int
 	}{
-		{name: "minhash", blocker: blocking.NewMinHashBlocker(), stream: 480, candidates: true},
+		{name: "minhash", blocker: blocking.NewMinHashBlocker(), stream: 480},
 		{name: "ivf-knn", blocker: ib, stream: 160},
 		{name: "hnsw-knn", blocker: hb, stream: 160},
 	} {
@@ -109,7 +108,7 @@ func TestEpochHistory(t *testing.T) {
 			cfg := testConfig(all[:seedN])
 			cfg.Blocker = r.blocker
 			cfg.BatchSize = 8
-			h, s := recordHistory(t, cfg, all[seedN:seedN+r.stream], r.candidates)
+			h, s := recordHistory(t, cfg, all[seedN:seedN+r.stream])
 			h.check(t, r.blocker, s, seedN, r.stream)
 		})
 	}
@@ -118,7 +117,7 @@ func TestEpochHistory(t *testing.T) {
 // recordHistory runs two posters, two readers and a fault injector
 // against one daemon until the stream is posted and drained, and
 // returns the recorded history and the shut-down server.
-func recordHistory(t *testing.T, cfg Config, stream []schemaorg.Offer, candidates bool) (*epochHistory, *Server) {
+func recordHistory(t *testing.T, cfg Config, stream []schemaorg.Offer) (*epochHistory, *Server) {
 	t.Helper()
 	in := new(faults.Injector)
 	cfg.Faults = in
@@ -178,7 +177,7 @@ func recordHistory(t *testing.T, cfg Config, stream []schemaorg.Offer, candidate
 					return
 				default:
 				}
-				h.read(s, rng, candidates)
+				h.read(s, rng)
 			}
 		}(rand.New(rand.NewSource(int64(10 + r))))
 	}
@@ -195,7 +194,7 @@ func recordHistory(t *testing.T, cfg Config, stream []schemaorg.Offer, candidate
 // read issues one query at a random deadline and records its answer.
 // Ids are drawn from the served corpus, half from its newest offers,
 // where a wrongly published layer would show first.
-func (h *epochHistory) read(s *Server, rng *rand.Rand, candidates bool) {
+func (h *epochHistory) read(s *Server, rng *rand.Rand) {
 	offers := s.view.Load().offers
 	pick := func() int64 {
 		if rng.Intn(2) == 0 {
@@ -205,7 +204,7 @@ func (h *epochHistory) read(s *Server, rng *rand.Rand, candidates bool) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+rng.Intn(20))*time.Millisecond)
 	defer cancel()
-	if !candidates || rng.Intn(2) == 0 {
+	if rng.Intn(2) == 0 {
 		id := pick()
 		partners, epoch, err := s.Match(ctx, id)
 		if err != nil {

@@ -22,10 +22,12 @@
 // engine directly and has no error path. One publish step stores every
 // view, first folding stacked layers into a fresh base once they cross
 // the count/size thresholds (Config.CompactLayers, Config.CompactPairs),
-// so per-read merge work never degrades unboundedly. Candidate queries run
-// against the live index under its internal read lock (see the
-// blocking.Index contract), bounded by a query-slot semaphore and the
-// request deadline.
+// so per-read merge work never degrades unboundedly. Candidate queries on
+// a MinHash (delta) index run against the live index, which takes its
+// read lock one band of the bucket sweep at a time (see the
+// blocking.Index contract), so the applier's Add waits for at most one
+// band; on any other index they answer from the epoch view. Both are
+// bounded by a query-slot semaphore and the request deadline.
 //
 // Failure model. Ingest failures are retried with jittered exponential
 // backoff; a batch that exhausts its retry budget is written to the
@@ -541,9 +543,15 @@ func (s *Server) Match(ctx context.Context, id int64) ([]int64, int64, *Error) {
 	return a.partners, a.epoch, err
 }
 
-// Candidates runs a live subset query: the candidate pairs among the
-// given offer IDs, computed against the current index under its read
-// lock. Pairs come back as ID pairs (low, high), sorted.
+// Candidates returns the candidate pairs among the given offer IDs as
+// ID pairs (low, high), sorted, with the epoch the answer belongs to.
+// A MinHash index answers it as a live subset query under its read lock
+// (one band at a time): its answer already equals the view's, because a
+// collision is pairwise and Add only grows adjacency. Any other index
+// answers from the epoch view, as match(id) ∩ ids: the applier grows a
+// kNN index before it publishes the view, and a later title can evict a
+// pair from a neighbour list, so the live index may run one batch ahead
+// of the epoch the answer is labelled with.
 func (s *Server) Candidates(ctx context.Context, ids []int64) ([][2]int64, int64, *Error) {
 	type answer struct {
 		pairs [][2]int64
@@ -564,17 +572,28 @@ func (s *Server) Candidates(ctx context.Context, ids []int64) ([][2]int64, int64
 			}
 			idxs = append(idxs, idx)
 		}
-		cands, qerr := blocking.QueryCandidates(s.ix, idxs)
-		if qerr != nil {
-			return answer{}, Errorf(CodeInternal, "candidate query: %v", qerr)
-		}
-		pairs := make([][2]int64, len(cands))
-		for i, p := range cands {
-			a, b := v.offers[p.A].ID, v.offers[p.B].ID
-			if a > b {
-				a, b = b, a
+		var pairs [][2]int64
+		if s.delta == nil {
+			for id := range seen {
+				for _, p := range v.match(id) {
+					if id < p && seen[p] {
+						pairs = append(pairs, [2]int64{id, p})
+					}
+				}
 			}
-			pairs[i] = [2]int64{a, b}
+		} else {
+			cands, qerr := blocking.QueryCandidates(s.ix, idxs)
+			if qerr != nil {
+				return answer{}, Errorf(CodeInternal, "candidate query: %v", qerr)
+			}
+			pairs = make([][2]int64, len(cands))
+			for i, p := range cands {
+				a, b := v.offers[p.A].ID, v.offers[p.B].ID
+				if a > b {
+					a, b = b, a
+				}
+				pairs[i] = [2]int64{a, b}
+			}
 		}
 		slices.SortFunc(pairs, func(x, y [2]int64) int {
 			if c := cmp.Compare(x[0], y[0]); c != 0 {
