@@ -5,19 +5,21 @@ GO ?= go
 # The perf-trajectory benchmarks `make bench` records: the end-to-end
 # pipeline build, the corner-selection microbenchmarks, the
 # sigmoid lookup-table comparison, the blocking-scale / index-reuse /
-# matcher / persistence / serving / synthetic scale-out / IVF query
-# benches carried over from PRs 4-9 (every kNN index is one engine; its
-# build and query rows are the BlockingScale and BlockingReuse ones), and
-# the PR 10 serve ingest-scale bench — per-batch publication latency
-# and sustained ingest QPS through the incremental delta write path at
-# n=10k/100k, against the full-adjacency-rebuild baseline it replaced,
-# and the serve cold-start bench (BenchmarkServeNew: index build and
-# initial epoch view timed apart at n=10k/100k), and the MinHash write-path
-# wait (BenchmarkMinHashAddUnderSweep: Add latency while subset queries
-# sweep the index, at n=10k/100k). The record goes to the
-# gitignored bench-ci.json by default, so a local run never overwrites a
-# committed BENCH_*.json; pass BENCH_OUT (and a BENCH_NOTE saying what it
-# measures) to write a new one.
+# matcher / persistence / synthetic scale-out / IVF query benches (every
+# kNN index is one engine; its build and query rows are the BlockingScale
+# and BlockingReuse ones), the in-process serving benches at n=10k/100k —
+# the read path one endpoint at a time (BenchmarkServeReadScale: p50 and
+# p99 of single Match and Candidates calls), the ingest write path
+# (BenchmarkServeIngestScale: per-batch publication latency and sustained
+# ingest QPS through the incremental delta path, against the
+# full-adjacency-rebuild baseline it replaced) and the cold start
+# (BenchmarkServeNew: index build and initial epoch view timed apart) —
+# and the MinHash write-path wait (BenchmarkMinHashAddUnderSweep: Add
+# latency while subset queries sweep the index, at n=10k/100k). HTTP
+# serving numbers come from wdcbench. The record goes to the gitignored
+# bench-ci.json by default, so a local run never overwrites a committed
+# BENCH_*.json; pass BENCH_OUT (and a BENCH_NOTE saying what it measures)
+# to write a new one.
 BENCH_OUT ?= bench-ci.json
 BENCH_NOTE ?= local make bench run
 
@@ -88,8 +90,9 @@ fuzz:
 # between single runs, and so does BenchmarkIVFQueryScale, whose 100k
 # row spans more than 2x between single runs, and so does
 # BenchmarkMinHashAddUnderSweep, whose Add percentiles depend on where
-# each Add lands in a sweep; benchjson folds the repeats
-# into a median with min and max. The
+# each Add lands in a sweep, and so does BenchmarkServeReadScale, whose
+# candidates p50 moves by up to a third between runs; benchjson folds the
+# repeats into a median with min and max. The
 # runs are collected into a temp file with && so a failing benchmark
 # fails the target (and the CI job) instead of being swallowed by the
 # pipe into benchjson.
@@ -100,11 +103,10 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkBlockingReuse' -benchmem -benchtime 3x . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkMatcherBlocking' -benchmem -benchtime 1x . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSnapshotReload' -benchmem -benchtime 20x . && \
-	  $(GO) test -run '^$$' -bench '^BenchmarkServeLoad$$' -benchmem -benchtime 1x ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkSynthGrow$$' -benchmem -benchtime 1x -timeout 30m . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkSynthBlockingScale$$' -benchmem -benchtime 1x -timeout 30m . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIVFQueryScale$$' -benchmem -benchtime 3x -count 5 -timeout 30m . && \
-	  $(GO) test -run '^$$' -bench '^BenchmarkServeLoadScale$$' -benchmem -benchtime 1x -timeout 30m ./internal/serve && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkServeReadScale$$' -benchmem -benchtime 200x -count 5 -timeout 30m ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeIngestScale$$' -benchmem -benchtime 1x -timeout 30m ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeNew$$' -benchmem -benchtime 1x -timeout 30m ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkMinHashAddUnderSweep$$' -benchmem -benchtime 200x -count 5 -timeout 30m ./internal/blocking && \

@@ -1,9 +1,8 @@
-// BenchmarkServeLoad: the daemon under a closed-loop query fleet while
-// a connector streams fresh offers in — the serving-layer perf
-// trajectory. The recorded metrics are query latency percentiles and
-// throughput with ingest running concurrently, which is the
-// configuration the epoch-view design is for: match reads stay
-// lock-free while the applier lands batches.
+// Serving-layer benchmarks, all in process: the read path one endpoint
+// at a time (BenchmarkServeReadScale), the incremental write path
+// (BenchmarkServeIngestScale) and the cold start (BenchmarkServeNew),
+// each over synthetically grown corpora at n=10k and n=100k. The HTTP
+// round trip on top of these layers is measured by wdcbench.
 
 package serve
 
@@ -11,8 +10,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,86 +19,6 @@ import (
 	"wdcproducts/internal/schemaorg"
 	"wdcproducts/internal/synth"
 )
-
-// BenchmarkServeLoad drives one load-generation run per iteration
-// (Clients closed-loop clients, match + candidates mix) against a live
-// daemon with continuous concurrent ingest, and reports p50/p99 request
-// latency and sustained QPS.
-func BenchmarkServeLoad(b *testing.B) {
-	offers := fixture(b)
-	seed := offers[:1500]
-	cfg := testConfig(seed)
-	cfg.BatchSize = 64
-	conn := NewChanConnector(64)
-	cfg.Connector = conn
-	s, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Start()
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		s.Shutdown(context.Background())
-	}()
-
-	// Continuous ingest: clones of the held-out offers with fresh IDs,
-	// streamed for as long as the bench runs. The producer is paced so
-	// the applier is continuously busy without starving the query path
-	// of every core (unpaced, the full-adjacency recompute per batch
-	// saturates the machine and measures CPU contention, not serving).
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		tail := offers[1500:]
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		var nextID int64 = 1 << 40
-		for i := 0; ; i++ {
-			off := tail[i%len(tail)]
-			off.ID = nextID
-			nextID++
-			select {
-			case conn.C <- off:
-			case <-stop:
-				return
-			}
-			select {
-			case <-tick.C:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	ids := make([]int64, 512)
-	for i := range ids {
-		ids[i] = seed[i].ID
-	}
-	var report LoadReport
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := RunLoad(ts.URL, LoadOptions{
-			Clients:         8,
-			Requests:        600,
-			MatchIDs:        ids,
-			CandidateEvery:  4,
-			CandidateWindow: 16,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Failures > 0 {
-			b.Fatalf("%d of %d load requests failed", r.Failures, r.Requests)
-		}
-		report = r
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(report.P50.Microseconds()), "p50-us")
-	b.ReportMetric(float64(report.P99.Microseconds()), "p99-us")
-	b.ReportMetric(report.QPS, "qps")
-	b.ReportMetric(float64(s.Stats().Applied), "ingested-offers")
-}
 
 // BenchmarkServeIngestScale measures the write path over synthetically
 // grown corpora at n=10k and n=100k: the daemon builds its index and
@@ -275,68 +194,68 @@ func (t *timedBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) blocking
 	return ix
 }
 
-// BenchmarkServeLoadScale measures the read path over synthetically
-// grown corpora at n=10k and n=100k: the daemon builds its index and
-// full candidate adjacency over the grown universe (untimed setup), then
-// the closed-loop fleet drives the match/candidates mix against the
-// published view. Ingest stays off — at 100k an adjacency recompute per
-// flush costs tens of seconds and would measure rebuild cadence, not
-// serving; the steady-state read numbers are what the scale trajectory
-// records. The blocker is the scale-tuned MinHash banding (16 bands of 4
-// rows); the default 48x2 banding goes quadratic on a 100k
-// near-duplicate universe (see the synth blocking-scale bench).
-func BenchmarkServeLoadScale(b *testing.B) {
+// BenchmarkServeReadScale times the in-process read path one endpoint at
+// a time over synthetically grown corpora at n=10k and n=100k, served by
+// the scale-tuned MinHash banding (16 bands of 4 rows; the default 48x2
+// banding goes quadratic on a 100k near-duplicate universe, see the
+// synth blocking-scale bench). Setup (growth, index and initial view) is
+// untimed and ingest stays off. Each iteration of the match
+// sub-benchmark is one Server.Match of a random offer; each iteration of
+// candidates is one Server.Candidates over 16 random offers. Every call
+// is timed on its own, and each sub-benchmark reports the median and
+// p99 of those timings (p50-us, p99-us).
+func BenchmarkServeReadScale(b *testing.B) {
 	seed := fixture(b)
+	ctx := context.Background()
 	for _, n := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			c, err := synth.Grow(seed, synth.ScaleConfig(n, 42))
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := Config{
+			s, err := New(Config{
 				Blocker: &blocking.MinHashBlocker{Config: blocking.MinHashConfig{Bands: 16, Rows: 4}, Seed: 1},
 				Offers:  c.Offers,
-			}
-			s, err := New(cfg)
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			s.Start()
-			ts := httptest.NewServer(s.Handler())
-			defer func() {
-				ts.Close()
-				s.Shutdown(context.Background())
-			}()
-
-			// Query IDs spread across the whole grown universe, so the
-			// partner lookups touch seed, perturbed and unseen offers alike.
-			ids := make([]int64, 512)
-			step := len(c.Offers) / len(ids)
-			for i := range ids {
-				ids[i] = c.Offers[i*step].ID
+			// timed runs call once per iteration on k offer IDs drawn
+			// uniformly from the grown universe before the clock starts.
+			timed := func(b *testing.B, k int, call func(ids []int64) *Error) {
+				rng := rand.New(rand.NewSource(1))
+				ids := make([]int64, k)
+				var lat []time.Duration
+				for b.Loop() {
+					for i := range ids {
+						ids[i] = c.Offers[rng.Intn(len(c.Offers))].ID
+					}
+					t0 := time.Now()
+					err := call(ids)
+					lat = append(lat, time.Since(t0))
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				slices.Sort(lat)
+				at := func(p float64) float64 {
+					return float64(lat[int(p*float64(len(lat)-1))].Nanoseconds()) / 1e3
+				}
+				b.ReportMetric(at(0.5), "p50-us")
+				b.ReportMetric(at(0.99), "p99-us")
 			}
-			var report LoadReport
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := RunLoad(ts.URL, LoadOptions{
-					Clients:         8,
-					Requests:        600,
-					MatchIDs:        ids,
-					CandidateEvery:  4,
-					CandidateWindow: 16,
+			b.Run("match", func(b *testing.B) {
+				timed(b, 1, func(ids []int64) *Error {
+					_, _, err := s.Match(ctx, ids[0])
+					return err
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r.Failures > 0 {
-					b.Fatalf("%d of %d load requests failed", r.Failures, r.Requests)
-				}
-				report = r
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(report.P50.Microseconds()), "p50-us")
-			b.ReportMetric(float64(report.P99.Microseconds()), "p99-us")
-			b.ReportMetric(report.QPS, "qps")
+			})
+			b.Run("candidates", func(b *testing.B) {
+				timed(b, 16, func(ids []int64) *Error {
+					_, _, err := s.Candidates(ctx, ids)
+					return err
+				})
+			})
 		})
 	}
 }

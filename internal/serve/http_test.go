@@ -1,7 +1,7 @@
 // HTTP surface tests: the endpoint contract (statuses, typed error
 // envelope, Retry-After, deadline propagation) exercised over a real
-// listener, plus the load generator against a live daemon with
-// concurrent ingest.
+// listener, and the daemon's lifecycle with queries running during
+// connector ingest.
 
 package serve
 
@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -295,15 +296,17 @@ func TestHTTPShuttingDown(t *testing.T) {
 }
 
 // TestRunServesAndDrains drives the full daemon lifecycle the way
-// cmd/wdcserve does: Run on a real port, queries over HTTP, then
-// context cancellation (the SIGTERM path) with a snapshot on the way
-// out.
+// cmd/wdcserve does: Run on a real port, concurrent match and candidates
+// queries over HTTP while a connector streams offers in, then context
+// cancellation (the SIGTERM path) with a snapshot on the way out. Every
+// query must answer 2xx while the applier lands the stream's batches.
 func TestRunServesAndDrains(t *testing.T) {
 	offers := fixture(t)
 	dir := t.TempDir()
 	cfg := testConfig(offers[:150])
 	cfg.Index.SnapshotDir = dir
-	cfg.Connector = NewSliceConnector(offers[150:170]...)
+	conn := NewChanConnector(0)
+	cfg.Connector = conn
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -322,6 +325,61 @@ func TestRunServesAndDrains(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode == http.StatusOK
 	})
+
+	// Four readers query the seed offers, every fifth request a
+	// candidates query over eight ids, until the stream has been handed
+	// to the daemon and each reader has made at least 30 requests.
+	streamed := make(chan struct{})
+	failures := make(chan string, 4)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-streamed:
+					if n >= 30 {
+						return
+					}
+				default:
+				}
+				var resp *http.Response
+				var err error
+				if lo := (r*37 + n) % 140; n%5 == 4 {
+					ids := make([]int64, 8)
+					for i := range ids {
+						ids[i] = offers[lo+i].ID
+					}
+					body, _ := json.Marshal(candidatesRequest{IDs: ids})
+					resp, err = http.Post(base+"/v1/candidates", "application/json", bytes.NewReader(body))
+				} else {
+					resp, err = http.Get(fmt.Sprintf("%s/v1/match?id=%d", base, offers[lo].ID))
+				}
+				if err != nil {
+					failures <- err.Error()
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode < 200 || resp.StatusCode > 299 {
+					failures <- fmt.Sprintf("%s %s: status %d", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	for _, off := range offers[150:170] {
+		conn.C <- off
+		time.Sleep(time.Millisecond)
+	}
+	close(conn.C)
+	close(streamed)
+	wg.Wait()
+	close(failures)
+	for f := range failures {
+		t.Errorf("query during ingest failed: %s", f)
+	}
 	waitFor(t, 10*time.Second, "connector stream", func() bool {
 		return s.Stats().Applied == 20
 	})
@@ -359,39 +417,4 @@ func freeAddr(t *testing.T) string {
 	addr := l.Addr().String()
 	l.Close()
 	return addr
-}
-
-// TestLoadGenerator runs the closed-loop fleet against a live daemon
-// with concurrent ingest and sanity-checks the report.
-func TestLoadGenerator(t *testing.T) {
-	offers := fixture(t)
-	cfg := testConfig(offers[:200])
-	cfg.Connector = NewSliceConnector(offers[200:400]...)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Shutdown(context.Background())
-	})
-	ids := make([]int64, 100)
-	for i := range ids {
-		ids[i] = offers[i].ID
-	}
-	report, err := RunLoad(ts.URL, LoadOptions{Clients: 4, Requests: 120, MatchIDs: ids, CandidateEvery: 5, CandidateWindow: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Requests != 120 || report.Failures != 0 {
-		t.Fatalf("load report: %+v", report)
-	}
-	if report.QPS <= 0 || report.P50 <= 0 || report.P50 > report.P95 || report.P95 > report.P99 {
-		t.Fatalf("implausible percentiles: %+v", report)
-	}
-	if _, err := RunLoad(ts.URL, LoadOptions{}); err == nil {
-		t.Fatal("RunLoad accepted empty MatchIDs")
-	}
 }

@@ -1,5 +1,5 @@
-// Small-surface unit tests: connector semantics, the typed error map,
-// and the load-report percentile math.
+// Small-surface unit tests: connector semantics and the typed error
+// map.
 
 package serve
 
@@ -126,29 +126,6 @@ func TestErrorSurface(t *testing.T) {
 	cancel()
 	if e := ctxError(ctx); e.Code != CodeCanceled {
 		t.Fatalf("ctxError(cancelled) = %s", e.Code)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	if p := percentile(nil, 50); p != 0 {
-		t.Fatalf("percentile(nil) = %v", p)
-	}
-	ds := make([]time.Duration, 100)
-	for i := range ds {
-		ds[i] = time.Duration(i+1) * time.Millisecond
-	}
-	for p, want := range map[float64]time.Duration{
-		50:  50 * time.Millisecond,
-		99:  99 * time.Millisecond,
-		100: 100 * time.Millisecond,
-		1:   1 * time.Millisecond,
-	} {
-		if got := percentile(ds, p); got != want {
-			t.Errorf("percentile(%v) = %v, want %v", p, got, want)
-		}
-	}
-	if got := percentile(ds[:1], 99); got != time.Millisecond {
-		t.Fatalf("percentile of singleton = %v", got)
 	}
 }
 
