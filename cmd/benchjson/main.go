@@ -23,7 +23,9 @@
 //
 // A new median outside the old entry's [min, max] is flagged "outside".
 // An old entry of one run has no spread to judge against: it prints
-// "no spread" and is never flagged.
+// "no spread" and is never flagged. A benchmark found in only one
+// record (added, removed or renamed) is listed on an "only in old" or
+// "only in new" line.
 package main
 
 import (
@@ -218,7 +220,8 @@ func load(path string) (Record, error) {
 	return rec, nil
 }
 
-// comparison is one metric of one benchmark found in both records.
+// comparison is one metric of one benchmark found in both records, or a
+// benchmark found in only one of them.
 type comparison struct {
 	Package, Name, Unit string
 	Old, New            float64
@@ -227,20 +230,29 @@ type comparison struct {
 	Spread   bool
 	Min, Max float64
 	Outside  bool
+	// Only is "old" or "new" for a benchmark that only that record
+	// holds; such a row carries no metric.
+	Only string
 }
 
 // compare pairs the entries of two records by package and name, in the
 // new record's order, and each pair's metrics (ns/op first, then by
-// unit): every metric either entry lacks is skipped.
+// unit): every metric either entry lacks is skipped. A benchmark the
+// new record lacks follows as an Only "old" row (in the old record's
+// order); one the old record lacks is an Only "new" row in place.
 func compare(old, cur Record) []comparison {
+	key := func(r Result) [2]string { return [2]string{r.Package, r.Name} }
 	byKey := make(map[[2]string]Result, len(old.Benchmarks))
 	for _, r := range old.Benchmarks {
-		byKey[[2]string{r.Package, r.Name}] = r
+		byKey[key(r)] = r
 	}
+	inCur := make(map[[2]string]bool, len(cur.Benchmarks))
 	var out []comparison
 	for _, n := range cur.Benchmarks {
-		o, ok := byKey[[2]string{n.Package, n.Name}]
+		inCur[key(n)] = true
+		o, ok := byKey[key(n)]
 		if !ok {
+			out = append(out, comparison{Package: n.Package, Name: n.Name, Only: "new"})
 			continue
 		}
 		ov, nv := values(o), values(n)
@@ -256,6 +268,11 @@ func compare(old, cur Record) []comparison {
 				c.Outside = c.New < lo || c.New > hi
 			}
 			out = append(out, c)
+		}
+	}
+	for _, o := range old.Benchmarks {
+		if !inCur[key(o)] {
+			out = append(out, comparison{Package: o.Package, Name: o.Name, Only: "old"})
 		}
 	}
 	return out
@@ -282,13 +299,20 @@ func values(r Result) map[string]float64 {
 	return m
 }
 
-// printComparison writes one aligned line per comparison and a closing
-// count of flagged rows.
+// printComparison writes one aligned line per compared metric, then
+// one "only in" line per unpaired benchmark, and a closing count of
+// flagged metrics.
 func printComparison(w io.Writer, cs []comparison) {
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "package\tbenchmark\tmetric\told\tnew\told [min, max]")
-	flagged := 0
+	flagged, compared := 0, 0
+	var only []comparison
 	for _, c := range cs {
+		if c.Only != "" {
+			only = append(only, c)
+			continue
+		}
+		compared++
 		spread := "no spread"
 		if c.Spread {
 			spread = fmt.Sprintf("[%s, %s]", num(c.Min), num(c.Max))
@@ -300,7 +324,10 @@ func printComparison(w io.Writer, cs []comparison) {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n", path.Base(c.Package), c.Name, c.Unit, num(c.Old), num(c.New), spread)
 	}
 	tw.Flush()
-	fmt.Fprintf(w, "%d of %d metrics outside the old spread\n", flagged, len(cs))
+	for _, c := range only {
+		fmt.Fprintf(w, "only in %s: %s %s\n", c.Only, path.Base(c.Package), c.Name)
+	}
+	fmt.Fprintf(w, "%d of %d metrics outside the old spread\n", flagged, compared)
 }
 
 // num formats a metric value compactly.

@@ -75,8 +75,9 @@ BenchmarkX-2	4	50 ns/op
 
 // TestCompare pins -compare: entries pair by package and name, metrics
 // present in both entries are compared (ns/op first), a new median
-// outside the old [min, max] is flagged, and an old single-run entry is
-// reported with no spread and never flagged.
+// outside the old [min, max] is flagged, an old single-run entry is
+// reported with no spread and never flagged, and an entry found in only
+// one record is reported as only in that record.
 func TestCompare(t *testing.T) {
 	folded := func(name string, ns, lo, hi float64, metrics, min, max map[string]float64) Result {
 		r := Result{Name: name, Package: "p", NsPerOp: ns, Runs: 5, Metrics: metrics,
@@ -121,7 +122,22 @@ func TestCompare(t *testing.T) {
 			name: "unpaired entries",
 			old:  []Result{{Name: "BenchmarkA", Package: "p", NsPerOp: 1}, {Name: "BenchmarkB", Package: "q", NsPerOp: 2}},
 			cur:  []Result{{Name: "BenchmarkB", Package: "p", NsPerOp: 3}, {Name: "BenchmarkC", Package: "p", NsPerOp: 4}},
-			want: nil,
+			want: []comparison{
+				{Package: "p", Name: "BenchmarkB", Only: "new"},
+				{Package: "p", Name: "BenchmarkC", Only: "new"},
+				{Package: "p", Name: "BenchmarkA", Only: "old"},
+				{Package: "q", Name: "BenchmarkB", Only: "old"},
+			},
+		},
+		{
+			name: "renamed entry beside a paired one",
+			old:  []Result{{Name: "BenchmarkLoad", Package: "p", NsPerOp: 1}, {Name: "BenchmarkKeep", Package: "p", NsPerOp: 2}},
+			cur:  []Result{{Name: "BenchmarkKeep", Package: "p", NsPerOp: 3}, {Name: "BenchmarkRead", Package: "p", NsPerOp: 4}},
+			want: []comparison{
+				{Package: "p", Name: "BenchmarkKeep", Unit: "ns/op", Old: 2, New: 3},
+				{Package: "p", Name: "BenchmarkRead", Only: "new"},
+				{Package: "p", Name: "BenchmarkLoad", Only: "old"},
+			},
 		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -134,18 +150,24 @@ func TestCompare(t *testing.T) {
 }
 
 // TestPrintComparison pins the report: one line per metric, the old
-// spread or "no spread", "outside" on flagged rows, and a closing count.
+// spread or "no spread", "outside" on flagged rows, then one "only in"
+// line per unpaired benchmark, and a closing count over the compared
+// metrics.
 func TestPrintComparison(t *testing.T) {
 	var buf strings.Builder
 	printComparison(&buf, []comparison{
 		{Package: "wdcproducts/internal/blocking", Name: "BenchmarkA", Unit: "add-p50-us", Old: 4423, New: 416.4, Spread: true, Min: 4100, Max: 4600, Outside: true},
+		{Package: "wdcproducts/internal/serve", Name: "BenchmarkServeReadScale/n=10000/match-2", Only: "new"},
 		{Package: "wdcproducts/internal/blocking", Name: "BenchmarkA", Unit: "sweep-ms", Old: 4.3, New: 4.4, Spread: true, Min: 4.2, Max: 4.5},
 		{Package: "wdcproducts", Name: "BenchmarkB", Unit: "ns/op", Old: 100, New: 500},
+		{Package: "wdcproducts/internal/serve", Name: "BenchmarkServeLoad-2", Only: "old"},
 	})
 	want := `package      benchmark   metric      old   new    old [min, max]
 blocking     BenchmarkA  add-p50-us  4423  416.4  [4100, 4600]  outside
 blocking     BenchmarkA  sweep-ms    4.3   4.4    [4.2, 4.5]
 wdcproducts  BenchmarkB  ns/op       100   500    no spread
+only in new: serve BenchmarkServeReadScale/n=10000/match-2
+only in old: serve BenchmarkServeLoad-2
 1 of 3 metrics outside the old spread
 `
 	if got := buf.String(); got != want {
