@@ -34,11 +34,8 @@ import (
 	"wdcproducts/internal/xrand"
 )
 
-// snapshotKind is the kind string of a snapshot of the named engine. The
-// "sharded" segment and the payload's leading count of 1 (see encode)
-// are kept from the retired sharded format, so snapshots written by
-// earlier builds keep loading.
-func snapshotKind(name string) string { return "blocking/sharded/" + name }
+// snapshotKind is the kind string of a snapshot of the named engine.
+func snapshotKind(name string) string { return "blocking/" + name }
 
 // SnapshotIndex is implemented by indexes that can serialize themselves
 // into the versioned snapshot format. The encoded bytes are self-checking
@@ -119,33 +116,26 @@ func (b *indexBase) SnapshotFingerprint() uint64 {
 	return b.corpus.fingerprint(b.cfgWords...)
 }
 
-// encode wraps a payload — a count of 1, then what body writes — in the
-// persist envelope. The caller holds the read lock, which keeps the
-// encoded state consistent with the stamped fingerprint when Adds are
-// landing concurrently.
+// encode wraps the payload body writes in the persist envelope. The
+// caller holds the read lock, which keeps the encoded state consistent
+// with the stamped fingerprint when Adds are landing concurrently.
 func (b *indexBase) encode(body func(buf *persist.Buffer)) []byte {
 	var buf persist.Buffer
-	buf.Int(1)
 	body(&buf)
 	return persist.Encode(snapshotKind(b.name), b.corpus.fingerprint(b.cfgWords...), buf.Bytes())
 }
 
-// openPayload validates the envelope and the leading count shared by the
-// loaders and returns the payload reader. The expected address is hashed
-// from the caller's offers/idxs, as the blocker's own address is: that
-// skips the per-offer title lookups of the corpus fingerprint, a
-// measurable slice of a cold load.
+// openPayload validates the envelope shared by the loaders and returns
+// the payload reader. The expected address is hashed from the caller's
+// offers/idxs, as the blocker's own address is: that skips the
+// per-offer title lookups of the corpus fingerprint, a measurable slice
+// of a cold load.
 func (b *indexBase) openPayload(data []byte, offers []schemaorg.Offer, idxs []int) (*persist.Reader, error) {
-	kind := snapshotKind(b.name)
-	payload, err := persist.Decode(data, kind, corpusFingerprint(offers, idxs, b.cfgWords...))
+	payload, err := persist.Decode(data, snapshotKind(b.name), corpusFingerprint(offers, idxs, b.cfgWords...))
 	if err != nil {
 		return nil, err
 	}
-	r := persist.NewReader(payload)
-	if got := r.Int(); r.Err() != nil || got != 1 {
-		return nil, persist.Corrupt(kind, "snapshot payload count %d, want 1", got)
-	}
-	return r, nil
+	return persist.NewReader(payload), nil
 }
 
 // finishPayload checks that a payload was fully consumed.
@@ -332,11 +322,9 @@ func OpenIndex(bl IndexedBlocker, offers []schemaorg.Offer, idxs []int, opts Ind
 }
 
 // snapshotPath is the content-addressed snapshot file for the named
-// engine and fingerprint. The "-s1" infix is kept from the retired
-// sharded format, so snapshot directories written by earlier builds keep
-// loading.
+// engine and fingerprint.
 func snapshotPath(dir, name string, fp uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-s1-%016x.snap", name, fp))
+	return filepath.Join(dir, fmt.Sprintf("%s-%016x.snap", name, fp))
 }
 
 // SaveIndex writes ix back to the snapshot file OpenIndex would consult

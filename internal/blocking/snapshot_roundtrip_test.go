@@ -1,11 +1,11 @@
 package blocking
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"wdcproducts/internal/persist"
@@ -129,7 +129,7 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 // TestOpenIndexSaveThenLoad: the first OpenIndex over an empty snapshot
 // directory builds and saves; the second loads, skips the build, and
 // answers queries byte-identically — for every engine. Each writes an
-// <engine>-s1-*.snap file.
+// <engine>-<fingerprint>.snap file.
 func TestOpenIndexSaveThenLoad(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	for _, bl := range persistableBlockers(2) {
@@ -150,8 +150,8 @@ func TestOpenIndexSaveThenLoad(t *testing.T) {
 			t.Fatalf("%s: path changed between opens: %q vs %q", name, lstats.Path, bstats.Path)
 		}
 		samePairs(t, name, loaded.Candidates(idxs), built.Candidates(idxs))
-		if prefix := name + "-s1-"; !strings.HasPrefix(filepath.Base(bstats.Path), prefix) {
-			t.Fatalf("%s: snapshot %s, want a %s*.snap file", name, bstats.Path, prefix)
+		if want := fmt.Sprintf("%s-%016x.snap", name, bl.snapshotFingerprint(offers, idxs)); filepath.Base(bstats.Path) != want {
+			t.Fatalf("%s: snapshot %s, want %s", name, bstats.Path, want)
 		}
 	}
 }
@@ -192,36 +192,52 @@ func TestOpenIndexRebuildsOnCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestOpenIndexRebuildsLegacySnapshot: older builds snapshotted the
-// unsharded MinHash, HNSW and IVF indexes under the kinds
-// "blocking/minhash-lsh", "blocking/hnsw-knn" and "blocking/ivf-knn", at
-// the same path the index now uses. Such a file is refused with a typed
+// TestOpenIndexRebuildsLegacySnapshot: format version 1 framed every
+// blocking snapshot as a one-shard set, under the kind
+// "blocking/sharded/<engine>" with a payload that opened with a count of
+// 1; builds before that wrote the kind "blocking/<engine>" and the bare
+// payload, which is what version 2 writes. Either file, planted at the
+// path OpenIndex consults, is refused with a typed
 // *persist.CorruptSnapshotError, rebuilt and overwritten, so the next
-// open loads. The MinHash file carries a
-// well-formed legacy payload (the bare LSH signatures), so only its kind
-// retires it.
+// open loads. Each legacy payload is well formed, so only the version
+// word retires it.
 func TestOpenIndexRebuildsLegacySnapshot(t *testing.T) {
 	offers, idxs, _ := fixture(t)
 	for _, bl := range persistableBlockers(1) {
-		dir := t.TempDir()
 		fp := bl.snapshotFingerprint(offers, idxs)
-		path := snapshotPath(dir, bl.Name(), fp)
-		var payload persist.Buffer
-		if mh, ok := bl.(*MinHashBlocker); ok {
-			mh.BuildIndex(offers, idxs).(*MinHashIndex).ix.AppendSnapshot(&payload)
-		}
-		if err := os.WriteFile(path, persist.Encode("blocking/"+bl.Name(), fp, payload.Bytes()), 0o644); err != nil {
+		kind := snapshotKind(bl.Name())
+		payload, err := persist.Decode(bl.BuildIndex(offers, idxs).(SnapshotIndex).EncodeSnapshot(), kind, fp)
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats := OpenIndex(bl, offers, idxs, IndexOptions{SnapshotDir: dir})
-		var corrupt *persist.CorruptSnapshotError
-		if !errors.As(stats.LoadErr, &corrupt) || stats.Loaded || !stats.Saved || stats.Path != path {
-			t.Fatalf("%s: legacy snapshot: %+v, want a typed refusal, rebuild and re-save at %s", bl.Name(), stats, path)
-		}
-		if _, again := OpenIndex(bl, offers, idxs, IndexOptions{SnapshotDir: dir}); !again.Loaded {
-			t.Fatalf("%s: re-saved snapshot did not load: %+v", bl.Name(), again)
+		for legacyKind, legacyPayload := range map[string][]byte{
+			"blocking/sharded/" + bl.Name(): append(binary.LittleEndian.AppendUint64(nil, 1), payload...),
+			kind:                            payload,
+		} {
+			dir := t.TempDir()
+			path := snapshotPath(dir, bl.Name(), fp)
+			if err := os.WriteFile(path, versionOne(persist.Encode(legacyKind, fp, legacyPayload)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, stats := OpenIndex(bl, offers, idxs, IndexOptions{SnapshotDir: dir})
+			var corrupt *persist.CorruptSnapshotError
+			if !errors.As(stats.LoadErr, &corrupt) || stats.Loaded || !stats.Saved || stats.Path != path {
+				t.Fatalf("%s: legacy %s snapshot: %+v, want a typed refusal, rebuild and re-save at %s", bl.Name(), legacyKind, stats, path)
+			}
+			if _, again := OpenIndex(bl, offers, idxs, IndexOptions{SnapshotDir: dir}); !again.Loaded {
+				t.Fatalf("%s: re-saved snapshot did not load: %+v", bl.Name(), again)
+			}
 		}
 	}
+}
+
+// versionOne rewrites an encoded snapshot's version word to 1 and
+// reseals its checksum.
+func versionOne(snap []byte) []byte {
+	binary.LittleEndian.PutUint32(snap[len(persist.Magic):], 1)
+	body := snap[:len(snap)-8]
+	binary.LittleEndian.PutUint64(snap[len(body):], persist.Checksum(body))
+	return snap
 }
 
 // TestOpenIndexRefusesForeignFingerprint plants snapshot bytes built from
