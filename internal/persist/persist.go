@@ -44,9 +44,7 @@ const Magic = "WDCSNAP1"
 
 // Version is the current snapshot format version. Decode rejects any
 // other value with a *CorruptSnapshotError; snapshots are cheap to
-// rebuild, so there is no cross-version migration path. Version 2 dropped
-// the blocking snapshots' one-shard framing (a "sharded" kind segment
-// and a leading payload count of 1).
+// rebuild, so there is no cross-version migration path.
 const Version = 2
 
 // maxKindLen bounds the kind string; real kinds are short path-like

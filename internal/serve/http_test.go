@@ -369,8 +369,14 @@ func TestRunServesAndDrains(t *testing.T) {
 			}
 		}()
 	}
+stream:
 	for _, off := range offers[150:170] {
-		conn.C <- off
+		select {
+		case conn.C <- off:
+		case <-time.After(10 * time.Second):
+			t.Error("daemon stopped reading the connector")
+			break stream
+		}
 		time.Sleep(time.Millisecond)
 	}
 	close(conn.C)
