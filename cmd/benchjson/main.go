@@ -246,15 +246,14 @@ func compare(old, cur Record) []comparison {
 	for _, r := range old.Benchmarks {
 		byKey[key(r)] = r
 	}
-	inCur := make(map[[2]string]bool, len(cur.Benchmarks))
 	var out []comparison
 	for _, n := range cur.Benchmarks {
-		inCur[key(n)] = true
 		o, ok := byKey[key(n)]
 		if !ok {
 			out = append(out, comparison{Package: n.Package, Name: n.Name, Only: "new"})
 			continue
 		}
+		delete(byKey, key(n))
 		ov, nv := values(o), values(n)
 		for _, unit := range slices.SortedFunc(maps.Keys(nv), compareUnits) {
 			if _, ok := ov[unit]; !ok {
@@ -271,7 +270,7 @@ func compare(old, cur Record) []comparison {
 		}
 	}
 	for _, o := range old.Benchmarks {
-		if !inCur[key(o)] {
+		if _, unpaired := byKey[key(o)]; unpaired {
 			out = append(out, comparison{Package: o.Package, Name: o.Name, Only: "old"})
 		}
 	}
