@@ -91,8 +91,10 @@ fuzz:
 # row spans more than 2x between single runs, and so does
 # BenchmarkMinHashAddUnderSweep, whose Add percentiles depend on where
 # each Add lands in a sweep, and so does BenchmarkServeReadScale, whose
-# candidates p50 moves by up to a third between runs; benchjson folds the
-# repeats into a median with min and max. The
+# candidates p50 moves by up to a third between runs, and so does
+# BenchmarkServeNew, whose one cold start per run gives index-ms and
+# view-ms no spread on its own; benchjson folds the repeats into a
+# median with min and max. The
 # runs are collected into a temp file with && so a failing benchmark
 # fails the target (and the CI job) instead of being swallowed by the
 # pipe into benchjson.
@@ -108,7 +110,7 @@ bench:
 	  $(GO) test -run '^$$' -bench '^BenchmarkIVFQueryScale$$' -benchmem -benchtime 3x -count 5 -timeout 30m . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeReadScale$$' -benchmem -benchtime 200x -count 5 -timeout 30m ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeIngestScale$$' -benchmem -benchtime 1x -timeout 30m ./internal/serve && \
-	  $(GO) test -run '^$$' -bench '^BenchmarkServeNew$$' -benchmem -benchtime 1x -timeout 30m ./internal/serve && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkServeNew$$' -benchmem -benchtime 1x -count 5 -timeout 30m ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkMinHashAddUnderSweep$$' -benchmem -benchtime 200x -count 5 -timeout 30m ./internal/blocking && \
 	  $(GO) test -run '^$$' -bench 'CornerSearch' -benchmem -benchtime 50x ./internal/selection && \
 	  $(GO) test -run '^$$' -bench 'Sigmoid' -benchtime 0.5s ./internal/embed ) > "$$tmp"; \

@@ -10,9 +10,8 @@
 package blocking
 
 import (
-	"slices"
-
 	"wdcproducts/internal/embed"
+	"wdcproducts/internal/lsh"
 	"wdcproducts/internal/schemaorg"
 	"wdcproducts/internal/simlib"
 )
@@ -53,7 +52,8 @@ func (t *TokenBlocker) Name() string { return "token-blocking" }
 
 // Candidates implements Blocker. Titles are interned once into a prepared
 // corpus and the inverted index runs on token IDs, so repeated titles and
-// repeated tokens cost nothing beyond their first sighting.
+// repeated tokens cost nothing beyond their first sighting. The pair keys
+// are sorted by lsh.SortPairKeys on every core.
 func (t *TokenBlocker) Candidates(offers []schemaorg.Offer, idxs []int) []CandidatePair {
 	prep := simlib.NewPrepared()
 	inv := map[int32][]int{}
@@ -75,7 +75,7 @@ func (t *TokenBlocker) Candidates(offers []schemaorg.Offer, idxs []int) []Candid
 			}
 		}
 	}
-	slices.Sort(keys)
+	keys = lsh.SortPairKeys(keys, false, 0)
 	var out []CandidatePair
 	for lo, hi := 0, 0; lo < len(keys); lo = hi {
 		for hi = lo + 1; hi < len(keys) && keys[hi] == keys[lo]; hi++ {
@@ -149,11 +149,11 @@ func pairKey(a, b int) uint64 {
 // unpackPair is the inverse of pairKey.
 func unpackPair(k uint64) CandidatePair { return CandidatePair{A: int(k >> 32), B: int(uint32(k))} }
 
-// unpackPairs sorts and deduplicates pair keys and unpacks them: the one
-// way every candidate set in this package is assembled.
-func unpackPairs(keys []uint64) []CandidatePair {
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
+// unpackPairs sorts and deduplicates pair keys (lsh.SortPairKeys, across
+// at most workers goroutines) and unpacks them: the one way every
+// candidate set in this package is assembled.
+func unpackPairs(keys []uint64, workers int) []CandidatePair {
+	keys = lsh.SortPairKeys(keys, true, workers)
 	out := make([]CandidatePair, len(keys))
 	for i, k := range keys {
 		out[i] = unpackPair(k)

@@ -66,8 +66,8 @@ func QueryDeltaCandidates(ix Index, newIdxs []int) (cands []CandidatePair, err e
 // entries are ignored); edges between two batch titles are discovered
 // from both sides and deduplicated here. The first batch offer that was
 // never indexed panics with *UnindexedQueryError; repeated batch entries
-// are harmless.
-func (c *indexedCorpus) expandDelta(batch []int, mates func(tid int) []int) []CandidatePair {
+// are harmless. The pairs are sorted across at most workers goroutines.
+func (c *indexedCorpus) expandDelta(batch []int, mates func(tid int) []int, workers int) []CandidatePair {
 	near := map[int][]int{} // batch title id -> batch offers carrying it
 	for _, i := range batch {
 		tid, ok := c.titleOf[i]
@@ -96,7 +96,7 @@ func (c *indexedCorpus) expandDelta(batch []int, mates func(tid int) []int) []Ca
 			}
 		}
 	}
-	return unpackPairs(keys)
+	return unpackPairs(keys, workers)
 }
 
 // DeltaCandidates implements DeltaIndex on the sublinear MinHash path:
@@ -107,7 +107,7 @@ func (c *indexedCorpus) expandDelta(batch []int, mates func(tid int) []int) []Ca
 func (m *MinHashIndex) DeltaCandidates(newIdxs []int) []CandidatePair {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.corpus.expandDelta(newIdxs, m.minhashMates)
+	return m.corpus.expandDelta(newIdxs, m.minhashMates, m.workers)
 }
 
 // minhashMates returns every title sharing at least one band bucket with

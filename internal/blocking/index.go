@@ -280,7 +280,7 @@ func (c *indexedCorpus) knnCandidates(queryIdxs []int, k, workers int, neighbour
 		neighbourIDs(v.titles[s])
 		return nil
 	}, nil)
-	var titlePairs [][2]int
+	var titlePairs []uint64
 	for s, tid := range v.titles {
 		taken := 0
 		for _, rid := range neighbourIDs(tid) {
@@ -292,11 +292,11 @@ func (c *indexedCorpus) knnCandidates(queryIdxs []int, k, workers int, neighbour
 			}
 			taken++
 			if ns, ok := v.slotOf[int(rid)]; ok {
-				titlePairs = append(titlePairs, [2]int{s, ns})
+				titlePairs = append(titlePairs, uint64(s)<<32|uint64(ns))
 			}
 		}
 	}
-	return expandTitlePairs(v.groups, titlePairs)
+	return expandTitlePairs(v.groups, titlePairs, workers)
 }
 
 // fpHash accumulates a word-wide FNV-1a variant fingerprint: fixed words

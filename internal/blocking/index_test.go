@@ -8,6 +8,7 @@ import (
 	"wdcproducts/internal/embed"
 	"wdcproducts/internal/ivf"
 	"wdcproducts/internal/schemaorg"
+	"wdcproducts/internal/synth"
 	"wdcproducts/internal/xrand"
 )
 
@@ -55,6 +56,42 @@ func TestIndexFullUniverseMatchesRebuild(t *testing.T) {
 				samePairs(t, fmt.Sprintf("%s rep %d", name, rep), ix.Candidates(idxs), want)
 			}
 		}
+	}
+}
+
+// TestMinHashCandidatesWorkerInvariantAtScale repeats the worker-count
+// check over the fixture grown to 10k synthetic offers, where both the
+// title-pair and the offer-pair sort outgrow their row range and take
+// lsh.SortPairKeys's row kernel (the fixture's offer pairs are fewer
+// than its offer rows, so they stay on the slices.Sort fallback). The
+// answer must be strictly ascending and the same at workers 1 and 7.
+func TestMinHashCandidatesWorkerInvariantAtScale(t *testing.T) {
+	seed, _, _ := fixture(t)
+	c, err := synth.Grow(seed, synth.ScaleConfig(10000, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs := make([]int, len(c.Offers))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	var want []CandidatePair
+	for _, workers := range []int{1, 7} {
+		bl := &MinHashBlocker{Config: MinHashConfig{Bands: 16, Rows: 4, Workers: workers}, Seed: 1}
+		got := bl.BuildIndex(c.Offers, idxs).Candidates(idxs)
+		if len(got) < len(idxs) {
+			t.Fatalf("workers=%d: %d pairs over %d offers; the offer pairs would not reach the row kernel", workers, len(got), len(idxs))
+		}
+		for k := 1; k < len(got); k++ {
+			if a, b := got[k-1], got[k]; a.A > b.A || a.A == b.A && a.B >= b.B {
+				t.Fatalf("workers=%d: pair %d %+v does not follow %+v", workers, k, b, a)
+			}
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		samePairs(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}
 }
 

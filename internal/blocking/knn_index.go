@@ -235,5 +235,5 @@ func (e *EmbeddingIndex) Candidates(queryIdxs []int) []CandidatePair {
 			}
 		}
 	}
-	return unpackPairs(keys)
+	return unpackPairs(keys, e.workers)
 }

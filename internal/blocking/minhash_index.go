@@ -5,6 +5,8 @@
 package blocking
 
 import (
+	"slices"
+
 	"wdcproducts/internal/lsh"
 	"wdcproducts/internal/schemaorg"
 )
@@ -61,23 +63,32 @@ func (m *MinHashIndex) Add(offers []schemaorg.Offer, idxs []int) {
 // at the query's start: its titles are fixed when it resolves, the
 // filter admits only titles below the count n seen then, and Add only
 // appends titles >= n to bucket member lists, so every band yields the
-// same pairs before and after any Add that lands between bands.
+// same pairs before and after any Add that lands between bands. The
+// title pairs are sorted and deduplicated once (lsh.SortPairKeys) and
+// rewritten in place as query-slot pairs.
 func (m *MinHashIndex) Candidates(queryIdxs []int) []CandidatePair {
 	v, slot := m.resolve(queryIdxs)
 	n := len(slot)
 	include := func(t int) bool { return t < n && slot[t] > 0 }
 	var keys []uint64
-	for band := range m.ix.Config().Bands {
+	bands := m.ix.Config().Bands
+	for band := range bands {
 		m.mu.RLock()
 		keys = m.ix.AppendBandPairs(keys, band, include)
 		m.mu.RUnlock()
+		if band == 0 {
+			// Every band hashes the same titles with hash functions of
+			// one family, so the first band's pair count sizes the rest:
+			// growing a million keys by doubling would copy them over
+			// and over.
+			keys = slices.Grow(keys, (bands-1)*len(keys))
+		}
 	}
-	titlePairs := lsh.SortedPairs(keys)
-	slotPairs := make([][2]int, len(titlePairs))
-	for i, tp := range titlePairs {
-		slotPairs[i] = [2]int{int(slot[tp[0]]) - 1, int(slot[tp[1]]) - 1}
+	keys = lsh.SortPairKeys(keys, true, m.workers)
+	for i, k := range keys {
+		keys[i] = uint64(slot[k>>32]-1)<<32 | uint64(slot[uint32(k)]-1)
 	}
-	return expandTitlePairs(v.groups, slotPairs)
+	return expandTitlePairs(v.groups, keys, m.workers)
 }
 
 // resolve resolves a query under the read lock: its view, and slot[t],

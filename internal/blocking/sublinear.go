@@ -24,13 +24,23 @@ import (
 	"wdcproducts/internal/xrand"
 )
 
-// expandTitlePairs converts title-level candidate pairs into offer-level
-// candidate pairs: the cross product of the two title groups for each
-// proposed title pair, plus the full clique inside every title group
-// (identical titles are always candidates). The result is sorted and
-// deduplicated.
-func expandTitlePairs(groups [][]int, titlePairs [][2]int) []CandidatePair {
-	var keys []uint64
+// expandTitlePairs converts title-level candidate pairs, packed s<<32|t
+// over group slots s and t in either order, into offer-level candidate
+// pairs: the cross product of the two title groups for each proposed
+// title pair, plus the full clique inside every title group (identical
+// titles are always candidates). The result is sorted and deduplicated
+// across at most workers goroutines.
+func expandTitlePairs(groups [][]int, titlePairs []uint64, workers int) []CandidatePair {
+	// Size the offer keys up front: the full query expands to about a
+	// million of them, and growing the slice would copy them repeatedly.
+	n := 0
+	for _, members := range groups {
+		n += len(members) * (len(members) - 1) / 2
+	}
+	for _, tp := range titlePairs {
+		n += len(groups[tp>>32]) * len(groups[uint32(tp)])
+	}
+	keys := make([]uint64, 0, n)
 	for _, members := range groups {
 		for x, a := range members {
 			for _, b := range members[x+1:] {
@@ -39,18 +49,19 @@ func expandTitlePairs(groups [][]int, titlePairs [][2]int) []CandidatePair {
 		}
 	}
 	for _, tp := range titlePairs {
-		for _, a := range groups[tp[0]] {
-			for _, b := range groups[tp[1]] {
+		for _, a := range groups[tp>>32] {
+			for _, b := range groups[uint32(tp)] {
 				keys = append(keys, pairKey(a, b))
 			}
 		}
 	}
-	return unpackPairs(keys)
+	return unpackPairs(keys, workers)
 }
 
 // MinHashConfig sizes the MinHash-LSH blocker: Bands x Rows shape the
 // banded index (a candidate threshold of roughly (1/Bands)^(1/Rows)
-// Jaccard) and Workers bounds the signature-computation worker pool.
+// Jaccard) and Workers bounds the worker pool that computes signatures,
+// fills the band buckets and sorts the pair keys of a large query.
 type MinHashConfig = lsh.Config
 
 // MinHashBlocker proposes pairs of offers whose title token sets collide

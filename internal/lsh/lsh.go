@@ -19,7 +19,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"wdcproducts/internal/parallel"
@@ -41,9 +40,10 @@ type Config struct {
 	// Rows is the number of MinHash values per band. The full signature
 	// holds Bands*Rows values.
 	Rows int
-	// Workers bounds the goroutines used for signature computation during
-	// Build (<= 0 selects runtime.NumCPU(); results are identical at any
-	// value).
+	// Workers bounds the goroutines that compute signatures and fill the
+	// band buckets during Build, and that sort the pair keys of a large
+	// query (SortPairKeys); <= 0 selects runtime.NumCPU(). Results are
+	// identical at any value.
 	Workers int
 }
 
@@ -270,20 +270,22 @@ func (ix *Index) Bucket(band int, key uint64) []int32 {
 // a pairwise property — independent of what else is indexed — the result
 // equals the unrestricted pairs filtered to the included sets, which is
 // what makes one corpus-wide index queryable per split. It is one
-// AppendBandPairs sweep per band followed by SortedPairs.
+// AppendBandPairs sweep per band followed by SortedPairs at the
+// configured worker count.
 func (ix *Index) CandidatePairsAmong(include func(i int) bool) [][2]int {
 	var keys []uint64
 	for band := range ix.cfg.Bands {
 		keys = ix.AppendBandPairs(keys, band, include)
 	}
-	return SortedPairs(keys)
+	return SortedPairs(keys, ix.cfg.Workers)
 }
 
 // AppendBandPairs appends to keys every unordered pair of included sets
 // (nil include: every set) that shares a bucket of one band, packed as
 // lo<<32|hi with lo < hi, and returns the extended slice. Keys come out
-// unsorted and a pair sharing buckets of several bands repeats across
-// calls; SortedPairs orders and dedups the union.
+// in bucket order, not sorted, and a pair sharing buckets of several
+// bands repeats across calls; SortPairKeys (or SortedPairs) orders and
+// dedups the union.
 //
 // The band sweep is the unit of a query's read lock: Add only appends a
 // set with a larger index than every set already indexed to the end of
@@ -316,11 +318,10 @@ func (ix *Index) AppendBandPairs(keys []uint64, band int, include func(i int) bo
 }
 
 // SortedPairs sorts and deduplicates packed pair keys (as AppendBandPairs
-// emits them) in place and unpacks them into lexicographically sorted
-// pairs.
-func SortedPairs(keys []uint64) [][2]int {
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
+// emits them) in place with SortPairKeys, across at most workers
+// goroutines, and unpacks them into lexicographically sorted pairs.
+func SortedPairs(keys []uint64, workers int) [][2]int {
+	keys = SortPairKeys(keys, true, workers)
 	out := make([][2]int, len(keys))
 	for i, k := range keys {
 		out[i] = [2]int{int(k >> 32), int(uint32(k))}

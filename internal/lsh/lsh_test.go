@@ -420,7 +420,7 @@ func TestAppendBandPairsAcrossAdds(t *testing.T) {
 			for band := k; band < cfg.Bands; band++ {
 				keys = ix.AppendBandPairs(keys, band, include)
 			}
-			if got := SortedPairs(keys); !slices.Equal(got, want) {
+			if got := SortedPairs(keys, 1); !slices.Equal(got, want) {
 				t.Fatalf("filter %d, k=%d: split sweep found %v, one sweep before the Adds %v", f, k, got, want)
 			}
 		}

@@ -2,7 +2,7 @@ package simlib
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"wdcproducts/internal/textutil"
@@ -74,17 +74,16 @@ func (p *Prepared) Intern(title string) int {
 	})
 	p.toks = append(p.toks, toks)
 
-	// Sorted unique set and first-occurrence unique list.
+	// Sorted unique set and first-occurrence unique list. Titles are a
+	// handful of tokens, so a scan of the kept ones finds repeats.
 	uniq := make([]int32, 0, len(toks))
-	seen := make(map[int32]struct{}, len(toks))
 	for _, t := range toks {
-		if _, ok := seen[t]; !ok {
-			seen[t] = struct{}{}
+		if !slices.Contains(uniq, t) {
 			uniq = append(uniq, t)
 		}
 	}
 	set := append([]int32(nil), uniq...)
-	sort.Slice(set, func(a, b int) bool { return set[a] < set[b] })
+	slices.Sort(set)
 	p.uniqs = append(p.uniqs, uniq)
 	p.sets = append(p.sets, set)
 
@@ -161,7 +160,7 @@ func (p *Prepared) gramSetFor(i int) []int32 {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 	p.grams[i] = ids
 	p.gramsBuilt[i] = true
 	return ids

@@ -11,6 +11,7 @@ package textutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize lower-cases s, strips punctuation (keeping alphanumerics and the
@@ -26,33 +27,42 @@ func Tokenize(s string) []string {
 // semantics of Tokenize but without materializing an intermediate
 // normalized copy of s or a fields slice. It is the allocation-frugal
 // primitive the prepared-corpus interning layer is built on.
+//
+// A token is a maximal run of letters, digits and joiners, so it is a
+// substring of s: ASCII bytes are classified without the unicode tables,
+// and a token that is already lower case is passed on without a copy.
 func EachToken(s string, fn func(token string)) {
-	var buf []rune
-	flush := func() {
-		// Equivalent of strings.Trim(token, ".-/") on the buffered runes.
-		lo, hi := 0, len(buf)
-		for lo < hi && isJoiner(buf[lo]) {
-			lo++
+	start := -1 // first byte of the run being scanned; -1 between runs
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		var in bool
+		if r < utf8.RuneSelf {
+			in = 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || isJoiner(r)
+		} else {
+			r, size = utf8.DecodeRuneInString(s[i:])
+			in = unicode.IsLetter(r) || unicode.IsDigit(r)
 		}
-		for hi > lo && isJoiner(buf[hi-1]) {
-			hi--
-		}
-		if hi > lo {
-			fn(string(buf[lo:hi]))
-		}
-		buf = buf[:0]
-	}
-	for _, r := range s {
 		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			buf = append(buf, unicode.ToLower(r))
-		case isJoiner(r):
-			buf = append(buf, r)
-		default:
-			flush()
+		case in && start < 0:
+			start = i
+		case !in && start >= 0:
+			emitToken(s[start:i], fn)
+			start = -1
 		}
+		i += size
 	}
-	flush()
+	if start >= 0 {
+		emitToken(s[start:], fn)
+	}
+}
+
+// emitToken trims the joiners off a run's edges and passes the rest, if
+// any, to fn lower-cased (strings.ToLower lowers rune by rune with
+// unicode.ToLower and returns a lower-case run itself).
+func emitToken(run string, fn func(token string)) {
+	if tok := strings.Trim(run, ".-/"); tok != "" {
+		fn(strings.ToLower(tok))
+	}
 }
 
 // isJoiner reports whether r is kept inside tokens but trimmed from their

@@ -1,10 +1,13 @@
 package textutil
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenizeBasic(t *testing.T) {
@@ -183,6 +186,74 @@ func TestEachTokenMatchesTokenize(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceTokens is the rune-by-rune tokenizer EachToken's ASCII fast
+// path replaced: every rune classified and lowered through the unicode
+// tables, joiners trimmed off the lowered buffer's edges.
+func referenceTokens(s string) []string {
+	var buf []rune
+	var toks []string
+	flush := func() {
+		lo, hi := 0, len(buf)
+		for lo < hi && isJoiner(buf[lo]) {
+			lo++
+		}
+		for hi > lo && isJoiner(buf[hi-1]) {
+			hi--
+		}
+		if hi > lo {
+			toks = append(toks, string(buf[lo:hi]))
+		}
+		buf = buf[:0]
+	}
+	for _, r := range s {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			buf = append(buf, unicode.ToLower(r))
+		case isJoiner(r):
+			buf = append(buf, r)
+		default:
+			flush()
+		}
+	}
+	flush()
+	return toks
+}
+
+// TestEachTokenMatchesReference pins EachToken to the rune-by-rune
+// reference: every rune in 0-0x24F (ASCII, Latin-1 and Latin Extended-A
+// and -B, where case folding and the letter/digit split matter) alone,
+// inside a token, at its edges and between joiners, then random strings
+// mixing ASCII, joiners, separators, accented and non-Latin letters,
+// non-ASCII digits and invalid UTF-8 bytes.
+func TestEachTokenMatchesReference(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		var got []string
+		EachToken(s, func(tok string) { got = append(got, tok) })
+		if want := referenceTokens(s); !slices.Equal(got, want) {
+			t.Fatalf("EachToken(%q) = %q, reference %q", s, got, want)
+		}
+	}
+	for r := rune(0); r <= 0x24F; r++ {
+		c := string(r)
+		for _, s := range []string{c, "A" + c + "b", c + "x9", "Q" + c, "." + c + "-", "/" + c + c + "/", "a." + c + ".B", "1 " + c + " Z"} {
+			check(s)
+		}
+	}
+	alphabet := []string{
+		"a", "Z", "q", "M", "0", "7", ".", "-", "/", " ", "\t", ",", "(", "!", "_",
+		"é", "Ä", "ß", "İ", "ǅ", "Ω", "ж", "Ж", "北", "٣", "Ⅻ", "🎧", "\u00a0", "\xff", "\xc3",
+	}
+	rng := rand.New(rand.NewSource(9))
+	for range 5000 {
+		var b strings.Builder
+		for n := rng.Intn(24); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		check(b.String())
 	}
 }
 
