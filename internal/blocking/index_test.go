@@ -60,14 +60,14 @@ func TestIndexFullUniverseMatchesRebuild(t *testing.T) {
 }
 
 // TestMinHashCandidatesWorkerInvariantAtScale repeats the worker-count
-// check over the fixture grown to 10k synthetic offers, where both the
+// check over the fixture grown to 3k synthetic offers, where both the
 // title-pair and the offer-pair sort outgrow their row range and take
 // lsh.SortPairKeys's row kernel (the fixture's offer pairs are fewer
 // than its offer rows, so they stay on the slices.Sort fallback). The
 // answer must be strictly ascending and the same at workers 1 and 7.
 func TestMinHashCandidatesWorkerInvariantAtScale(t *testing.T) {
 	seed, _, _ := fixture(t)
-	c, err := synth.Grow(seed, synth.ScaleConfig(10000, 42))
+	c, err := synth.Grow(seed, synth.ScaleConfig(3000, 42))
 	if err != nil {
 		t.Fatal(err)
 	}

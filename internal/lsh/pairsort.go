@@ -7,7 +7,7 @@ import (
 	"wdcproducts/internal/parallel"
 )
 
-// radixBits is how many bits of the row number one layout pass splits
+// radixBits is how many bits of the row number the layout pass splits
 // on. Its 64 buckets keep the pass's write positions on few enough
 // memory pages that swapping keys between them stays cheap: on the 1.4M
 // title keys of a 30k-offer query, one pass over 256 buckets took about
@@ -19,16 +19,15 @@ const radixBits = 6
 // drops repeated keys and returns the distinct prefix. The result is the
 // one slices.Sort (plus slices.Compact) gives, at any worker count.
 //
-// The keys of one lower endpoint form a row. In-place counting passes
-// on the row number (an American-flag radix sort on the high word, 64
-// buckets a pass) lay the keys out in row order, and each row is then
-// sorted, and compacted, on its own: one O(P log P) sort becomes many
-// short independent ones. The buckets of the first pass are spread over
-// at most workers goroutines (<= 0 selects runtime.NumCPU()). No second
-// key buffer is allocated. A key set smaller than its row range
-// (a subset or delta query over a few titles) keeps one slices.Sort:
-// counting would cost more than it saves. Deeper passes apply the same
-// rule to each bucket.
+// The keys of one lower endpoint form a row. One in-place counting pass
+// on the top radixBits bits of the row number (an American-flag radix
+// pass on the high word) splits the keys into 64 buckets of consecutive
+// rows, and each bucket is then sorted, and compacted, on its own: one
+// O(P log P) sort becomes 64 shorter independent ones, spread over at
+// most workers goroutines (<= 0 selects runtime.NumCPU()). No second key
+// buffer is allocated. A key set smaller than its row range (a subset or
+// delta query over a few titles) keeps one slices.Sort: counting would
+// cost more than it saves.
 func SortPairKeys(keys []uint64, dedupe bool, workers int) []uint64 {
 	if len(keys) == 0 {
 		return keys
@@ -39,39 +38,31 @@ func SortPairKeys(keys []uint64, dedupe bool, workers int) []uint64 {
 	}
 	rows := int(last-first) + 1
 	if len(keys) < rows {
-		return keys[:sortRows(keys, first, 0, dedupe)]
+		return keys[:sortRun(keys, dedupe)]
 	}
 	span := uint(bits.Len(uint(rows - 1)))
-	shift := span - min(span, radixBits)
-	start := layOut(keys, first, shift)
+	start := layOut(keys, first, span-min(span, radixBits))
 	var kept [1 << radixBits]int
 	parallel.Run(len(kept), workers, func(b int) error {
-		kept[b] = sortRows(keys[start[b]:start[b+1]], first+uint64(b)<<shift, shift, dedupe)
+		kept[b] = sortRun(keys[start[b]:start[b+1]], dedupe)
 		return nil
 	}, nil)
-	return keys[:pack(keys, &start, &kept)]
+	// Move each bucket's kept keys together at the front.
+	n := 0
+	for b, m := range kept {
+		n += copy(keys[n:], keys[start[b]:start[b]+m])
+	}
+	return keys[:n]
 }
 
-// sortRows sorts keys whose rows lie in [base, base+2^span) and, with
-// dedupe, moves the distinct ones to the front; it returns how many it
-// kept. A row (span 0), or a bucket with fewer keys than rows, is one
-// slices.Sort; anything else is laid out by its top radixBits row bits
-// and each bucket recurses on the bits below.
-func sortRows(keys []uint64, base uint64, span uint, dedupe bool) int {
-	if span == 0 || len(keys) < 1<<span {
-		slices.Sort(keys)
-		if dedupe {
-			return len(slices.Compact(keys))
-		}
-		return len(keys)
+// sortRun sorts keys and, with dedupe, moves the distinct ones to the
+// front; it returns how many it kept.
+func sortRun(keys []uint64, dedupe bool) int {
+	slices.Sort(keys)
+	if dedupe {
+		return len(slices.Compact(keys))
 	}
-	shift := span - min(span, radixBits)
-	start := layOut(keys, base, shift)
-	var kept [1 << radixBits]int
-	for b := range kept {
-		kept[b] = sortRows(keys[start[b]:start[b+1]], base+uint64(b)<<shift, shift, dedupe)
-	}
-	return pack(keys, &start, &kept)
+	return len(keys)
 }
 
 // layOut permutes keys in place so that bucket b, the keys whose row r
@@ -101,14 +92,4 @@ func layOut(keys []uint64, base uint64, shift uint) (start [1<<radixBits + 1]int
 		}
 	}
 	return start
-}
-
-// pack moves the kept[b] keys at the front of each bucket b together at
-// the front of keys and returns their count.
-func pack(keys []uint64, start *[1<<radixBits + 1]int, kept *[1 << radixBits]int) int {
-	n := 0
-	for b, m := range kept {
-		n += copy(keys[n:], keys[start[b]:start[b]+m])
-	}
-	return n
 }

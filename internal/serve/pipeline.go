@@ -275,7 +275,7 @@ func (s *Server) publishBatch(v *view, offers, fresh []schemaorg.Offer, newIdxs 
 	for i := range fresh {
 		idxOf[fresh[i].ID] = newIdxs[i]
 	}
-	layer := newAdjacency(offers, idxOf, s.delta.DeltaCandidates(newIdxs), 1)
+	layer := newAdjacency(offers, idxOf, s.delta.DeltaCandidates(newIdxs))
 	return s.publish(v.extend(offers, layer)), layer.pairs
 }
 

@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"wdcproducts/internal/blocking"
-	"wdcproducts/internal/parallel"
 	"wdcproducts/internal/schemaorg"
 	"wdcproducts/internal/serve/faults"
 )
@@ -147,10 +146,8 @@ type adjacency struct {
 // first-seen order, and degree prefix sums lay every partner list out in
 // one flat array, sized by the pairs (a delta layer costs O(batch
 // pairs), never O(corpus)). Each list is then sorted and deduplicated —
-// an Index may emit a pair twice, and publication squashes duplicates —
-// the lists split across at most workers goroutines (<= 0: every core;
-// the lists come out the same at any count).
-func newAdjacency(offers []schemaorg.Offer, idxOf map[int64]int, pairs []blocking.CandidatePair, workers int) *adjacency {
+// an Index may emit a pair twice, and publication squashes duplicates.
+func newAdjacency(offers []schemaorg.Offer, idxOf map[int64]int, pairs []blocking.CandidatePair) *adjacency {
 	// Slots are keyed by offer index: served offer IDs are unique, so
 	// that is one slot per ID without loading the offer on every lookup.
 	slotOf := make(map[int]int32, min(2*len(pairs), len(offers)))
@@ -184,22 +181,14 @@ func newAdjacency(offers []schemaorg.Offer, idxOf map[int64]int, pairs []blockin
 		deg[s]--
 		flat[off[s]+deg[s]] = ids[ends[k^1]]
 	}
-	// The fill left every deg at zero; it now takes the deduplicated
-	// list lengths. Four slot ranges per worker even out skewed degrees.
-	parts := 4 * parallel.Workers(workers)
-	parallel.Run(parts, workers, func(p int) error {
-		for s := p * len(ids) / parts; s < (p+1)*len(ids)/parts; s++ {
-			ps := flat[off[s]:off[s+1]]
-			slices.Sort(ps)
-			deg[s] = len(slices.Compact(ps))
-		}
-		return nil
-	}, nil)
 	partners := make(map[int64][]int64, len(ids))
 	n := 0
 	for s, id := range ids {
-		partners[id] = flat[off[s] : off[s]+deg[s] : off[s+1]]
-		n += deg[s]
+		ps := flat[off[s]:off[s+1]:off[s+1]]
+		slices.Sort(ps)
+		ps = slices.Compact(ps)
+		partners[id] = ps
+		n += len(ps)
 	}
 	return &adjacency{idxOf: idxOf, partners: partners, pairs: n / 2}
 }
@@ -390,7 +379,7 @@ func (s *Server) buildView(epoch int64, offers []schemaorg.Offer, idxOf map[int6
 	for i := range all {
 		all[i] = i
 	}
-	return &view{epoch: epoch, offers: offers, base: newAdjacency(offers, idxOf, s.ix.Candidates(all), 0)}
+	return &view{epoch: epoch, offers: offers, base: newAdjacency(offers, idxOf, s.ix.Candidates(all))}
 }
 
 // publish is the one place a view becomes the served epoch, for New and

@@ -357,7 +357,7 @@ func TestDeltaLayerBytesTrackPairs(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			const runs = 50
 			for r := 0; r < runs; r++ {
-				adjacencySink = newAdjacency(offers, batch, pairs, 1)
+				adjacencySink = newAdjacency(offers, batch, pairs)
 			}
 			runtime.ReadMemStats(&after)
 			best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)

@@ -74,14 +74,8 @@ func (p *Prepared) Intern(title string) int {
 	})
 	p.toks = append(p.toks, toks)
 
-	// Sorted unique set and first-occurrence unique list. Titles are a
-	// handful of tokens, so a scan of the kept ones finds repeats.
-	uniq := make([]int32, 0, len(toks))
-	for _, t := range toks {
-		if !slices.Contains(uniq, t) {
-			uniq = append(uniq, t)
-		}
-	}
+	// Sorted unique set and first-occurrence unique list.
+	uniq := firstOccurrences(toks)
 	set := append([]int32(nil), uniq...)
 	slices.Sort(set)
 	p.uniqs = append(p.uniqs, uniq)
@@ -90,6 +84,34 @@ func (p *Prepared) Intern(title string) int {
 	p.grams = append(p.grams, nil)
 	p.gramsBuilt = append(p.gramsBuilt, false)
 	return id
+}
+
+// scanTokens is the longest token list firstOccurrences dedupes by
+// scanning the tokens already kept. Most titles are that short, and the
+// scan skips a map; past it the scan's quadratic cost would let one long
+// title stall ingest, so a map takes over.
+const scanTokens = 16
+
+// firstOccurrences returns the distinct ids of toks in first-occurrence
+// order, in time linear in len(toks).
+func firstOccurrences(toks []int32) []int32 {
+	uniq := make([]int32, 0, len(toks))
+	if len(toks) <= scanTokens {
+		for _, t := range toks {
+			if !slices.Contains(uniq, t) {
+				uniq = append(uniq, t)
+			}
+		}
+		return uniq
+	}
+	seen := make(map[int32]struct{}, len(toks))
+	for _, t := range toks {
+		if _, ok := seen[t]; !ok {
+			seen[t] = struct{}{}
+			uniq = append(uniq, t)
+		}
+	}
+	return uniq
 }
 
 func (p *Prepared) internToken(t string) int32 {

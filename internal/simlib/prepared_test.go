@@ -1,9 +1,12 @@
 package simlib
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // generatedTitles builds a corpus that covers the tokenizer's and metrics'
@@ -113,6 +116,56 @@ func TestInternIdempotent(t *testing.T) {
 	}
 	if prep.Title(a) != "seagate barracuda 2tb" {
 		t.Fatalf("Title(%d) = %q", a, prep.Title(a))
+	}
+}
+
+// TestInternDedupesLongTitles checks Intern's first-occurrence and sorted
+// token lists on both sides of the scan cut-off (scanTokens), and that a
+// title of 200k distinct tokens — one ingest request can carry it —
+// interns in linear time: a scan over the kept tokens would take about
+// 2·10^10 comparisons, tens of seconds, where the map takes well under
+// one.
+func TestInternDedupesLongTitles(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, scanTokens - 1, scanTokens, scanTokens + 1, 500} {
+		words := make([]string, n)
+		for i := range words {
+			words[i] = fmt.Sprintf("w%d", rng.Intn(n/2+1))
+		}
+		prep := NewPrepared()
+		id := prep.Intern(strings.Join(words, " "))
+		var uniq []string
+		seen := map[string]bool{}
+		for _, w := range words {
+			if !seen[w] {
+				seen[w] = true
+				uniq = append(uniq, w)
+			}
+		}
+		var got []string
+		for _, tok := range prep.uniqs[id] {
+			got = append(got, prep.tokStrs[tok])
+		}
+		if !slices.Equal(got, uniq) {
+			t.Fatalf("n=%d: first-occurrence tokens %v, want %v", n, got, uniq)
+		}
+		if set := prep.TokenSet(id); !slices.IsSorted(set) || len(set) != len(uniq) {
+			t.Fatalf("n=%d: token set %v is not the %d distinct ids in order", n, set, len(uniq))
+		}
+	}
+
+	var b strings.Builder
+	for i := range 200_000 {
+		fmt.Fprintf(&b, "t%d ", i)
+	}
+	prep := NewPrepared()
+	start := time.Now()
+	id := prep.Intern(b.String())
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("interning a 200k-token title took %v; want linear time", took)
+	}
+	if got := len(prep.TokenSet(id)); got != 200_000 {
+		t.Fatalf("token set has %d ids, want 200000", got)
 	}
 }
 
