@@ -1,5 +1,6 @@
 // Command wdcserve runs the fault-tolerant matching daemon: it builds
-// (or snapshot-loads) a blocking index over a benchmark corpus, streams
+// (or snapshot-loads) a MinHash blocking index (16 bands of 4 rows,
+// blocking.NewServingMinHashBlocker) over a benchmark corpus, streams
 // further offers in through the bounded ingest pipeline, and serves
 // match/candidate queries over HTTP with deadlines, typed errors, and
 // backpressure. On SIGTERM/SIGINT it drains in-flight ingest, writes
@@ -7,10 +8,9 @@
 //
 // Usage:
 //
-//	wdcserve [-addr :8080] [-scale tiny] [-seed 42] [-blocker minhash]
-//	         [-snapshot-dir DIR] [-stream 0.2] [-ingest FILE]
-//	         [-dead-letter FILE] [-queue 256] [-batch 64]
-//	         [-query-timeout 2s] [-drain-timeout 10s] [-v]
+//	wdcserve [-addr :8080] [-scale tiny] [-seed 42] [-snapshot-dir DIR]
+//	         [-stream 0.2] [-ingest FILE] [-dead-letter FILE] [-queue 256]
+//	         [-batch 64] [-query-timeout 2s] [-drain-timeout 10s] [-v]
 //
 // By default the daemon seeds its index with all but a -stream fraction
 // of the benchmark offers and replays the held-out remainder through
@@ -40,7 +40,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	scale := flag.String("scale", "tiny", "benchmark scale seeding the corpus: default|small|tiny")
 	seed := flag.Int64("seed", 42, "master random seed")
-	blockerName := flag.String("blocker", "minhash", "blocking engine: minhash|embedding|hnsw|ivf")
 	snapshotDir := flag.String("snapshot-dir", "", "load the index from this directory when a trusted snapshot exists; save the grown index there at shutdown")
 	stream := flag.Float64("stream", 0.2, "fraction of the corpus held back and replayed through the ingest pipeline (0 = serve everything from the start)")
 	ingest := flag.String("ingest", "", "stream JSONL offers from this file instead of the held-back corpus fraction (- = stdin)")
@@ -67,11 +66,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("build corpus: %v", err)
 	}
-	bl, err := wdcproducts.NewIndexedBlocker(b, *blockerName, *seed)
-	if err != nil {
-		log.Fatalf("blocker: %v", err)
-	}
-
 	seedOffers := b.Offers
 	var connector serve.Connector
 	switch {
@@ -94,7 +88,7 @@ func main() {
 	}
 
 	scfg := serve.Config{
-		Blocker:      bl,
+		Blocker:      blocking.NewServingMinHashBlocker(),
 		Offers:       seedOffers,
 		Index:        blocking.IndexOptions{SnapshotDir: *snapshotDir},
 		Connector:    connector,
@@ -130,7 +124,7 @@ func main() {
 			log.Printf("index: built fresh (%d offers)", len(seedOffers))
 		}
 	}
-	log.Printf("wdcserve: %s index over %d offers, serving on %s", *blockerName, len(seedOffers), *addr)
+	log.Printf("wdcserve: minhash index over %d offers, serving on %s", len(seedOffers), *addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()

@@ -14,8 +14,8 @@
 // title's band buckets and expand only the incident edges. The kNN
 // indexes (KNNIndex, EmbeddingIndex) are not monotone: a new title can
 // evict an old partner from someone's top-K budget, a removal no list of
-// added pairs can express. They do not implement DeltaIndex, so callers
-// fall back to a full query.
+// added pairs can express. They do not implement DeltaIndex: a caller
+// must fall back to a full query, and the serving daemon refuses them.
 
 package blocking
 

@@ -47,11 +47,6 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns the standard blocking configuration: 16 bands of 4
-// rows (64 hashes), a candidate threshold of roughly Jaccard 0.5 — tuned
-// for near-duplicate product titles.
-func DefaultConfig() Config { return Config{Bands: 16, Rows: 4, Workers: 0} }
-
 // NumHashes returns the signature length Bands*Rows.
 func (c Config) NumHashes() int { return c.Bands * c.Rows }
 

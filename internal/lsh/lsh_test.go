@@ -77,7 +77,7 @@ func TestSignatureEstimatesJaccard(t *testing.T) {
 
 func TestIdenticalSetsAlwaysCandidates(t *testing.T) {
 	set := []int32{1, 2, 3, 4, 5}
-	ix := NewIndex(DefaultConfig(), xrand.New(1).Stream("lsh"))
+	ix := NewIndex(Config{Bands: 16, Rows: 4}, xrand.New(1).Stream("lsh"))
 	ix.Build([][]int32{set, {100, 200, 300}, append([]int32(nil), set...)})
 	pairs := ix.CandidatePairsAmong(nil)
 	found := false
@@ -101,7 +101,7 @@ func TestBuildWorkerCountInvariance(t *testing.T) {
 		sets[i] = randomSet(rng, 5+rng.Intn(10), 300)
 	}
 	candidates := func(workers int) [][2]int {
-		cfg := DefaultConfig()
+		cfg := Config{Bands: 16, Rows: 4}
 		cfg.Workers = workers
 		ix := NewIndex(cfg, xrand.New(3).Stream("lsh"))
 		ix.Build(sets)
@@ -130,7 +130,7 @@ func TestHighSimilarityPairsRecalled(t *testing.T) {
 		sort.Slice(twin, func(a, b int) bool { return twin[a] < twin[b] })
 		sets = append(sets, base, twin)
 	}
-	ix := NewIndex(DefaultConfig(), xrand.New(9).Stream("lsh"))
+	ix := NewIndex(Config{Bands: 16, Rows: 4}, xrand.New(9).Stream("lsh"))
 	ix.Build(sets)
 	got := map[[2]int]bool{}
 	for _, p := range ix.CandidatePairsAmong(nil) {
@@ -156,7 +156,7 @@ func TestQueryMatchesCandidatePairs(t *testing.T) {
 	for i := range sets {
 		sets[i] = randomSet(rng, 8, 100)
 	}
-	ix := NewIndex(DefaultConfig(), xrand.New(13).Stream("lsh"))
+	ix := NewIndex(Config{Bands: 16, Rows: 4}, xrand.New(13).Stream("lsh"))
 	ix.Build(sets)
 	pairsOf := make([]map[int]bool, len(sets))
 	for i := range pairsOf {
@@ -192,7 +192,7 @@ func bucketQuery(ix *Index, i int) map[int]bool {
 }
 
 func TestEmptySets(t *testing.T) {
-	ix := NewIndex(DefaultConfig(), xrand.New(2).Stream("lsh"))
+	ix := NewIndex(Config{Bands: 16, Rows: 4}, xrand.New(2).Stream("lsh"))
 	ix.Build([][]int32{{}, {1, 2}, {}})
 	got := map[[2]int]bool{}
 	for _, p := range ix.CandidatePairsAmong(nil) {

@@ -57,7 +57,7 @@ func BenchmarkServeIngestScale(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := Config{
-				Blocker: &blocking.MinHashBlocker{Config: blocking.MinHashConfig{Bands: 16, Rows: 4}, Seed: 1},
+				Blocker: blocking.NewServingMinHashBlocker(),
 				Offers:  c.Offers,
 			}
 			s, err := New(cfg)
@@ -162,7 +162,7 @@ func BenchmarkServeNew(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			bl := &timedBlocker{IndexedBlocker: &blocking.MinHashBlocker{Config: blocking.MinHashConfig{Bands: 16, Rows: 4}, Seed: 1}}
+			bl := &timedBlocker{IndexedBlocker: blocking.NewServingMinHashBlocker()}
 			var total time.Duration
 			runtime.GC()
 			b.ResetTimer()
@@ -214,7 +214,7 @@ func BenchmarkServeReadScale(b *testing.B) {
 				b.Fatal(err)
 			}
 			s, err := New(Config{
-				Blocker: &blocking.MinHashBlocker{Config: blocking.MinHashConfig{Bands: 16, Rows: 4}, Seed: 1},
+				Blocker: blocking.NewServingMinHashBlocker(),
 				Offers:  c.Offers,
 			})
 			if err != nil {

@@ -3,8 +3,7 @@
 // up while the previous batch applied (up to BatchSize; no timer). The
 // applier writes it to the index with retry/backoff, queries the delta
 // candidates it introduced, and publishes the next epoch view as one
-// more layer on the current one (or, for an index without a delta
-// query, as a fresh full view). Only the index write can fail: once it
+// more layer on the current one. Only the index write can fail: once it
 // succeeds, publication runs to completion. Records the pipeline cannot
 // accept — undecodable, invalid, duplicate, or part of a batch whose
 // apply exhausted its retries — go to the dead-letter log as JSON lines;
@@ -186,12 +185,12 @@ func (s *Server) applierLoop(ctx context.Context) {
 }
 
 // applyBatch validates the batch, applies the fresh offers to the index
-// with retry/backoff, and publishes the next epoch (publishBatch). For a
-// delta index the write-path cost therefore tracks the batch, not the
-// corpus. A batch that exhausts its retries is dead-lettered whole; the
-// published view is untouched, so readers never see a half-applied
-// batch. A batch the index accepted is always published, so the next
-// batch never reuses its offer positions.
+// with retry/backoff, and publishes the next epoch (publishBatch). The
+// write-path cost therefore tracks the batch, not the corpus. A batch
+// that exhausts its retries is dead-lettered whole; the published view
+// is untouched, so readers never see a half-applied batch. A batch the
+// index accepted is always published, so the next batch never reuses
+// its offer positions.
 func (s *Server) applyBatch(ctx context.Context, batch []schemaorg.Offer, rng *rand.Rand) {
 	if len(batch) == 0 {
 		return
@@ -258,24 +257,16 @@ func (s *Server) applyBatch(ctx context.Context, batch []schemaorg.Offer, rng *r
 		deltaPairs, len(next.layers), next.base.pairs, next.deltaPairs)
 }
 
-// publishBatch publishes the next epoch for an applied batch and returns
-// it with the pairs it added: with a delta index, the batch's delta
-// candidates as a new layer on v; without one, a full from-scratch view.
-// Every offer it queries was just indexed, so it cannot fail.
+// publishBatch publishes the next epoch for an applied batch — the
+// batch's delta candidates as a new layer on v — and returns it with the
+// pairs it added. Every offer it queries was just indexed, so it cannot
+// fail.
 func (s *Server) publishBatch(v *view, offers, fresh []schemaorg.Offer, newIdxs []int) (*view, int) {
-	if s.delta == nil {
-		idxOf := make(map[int64]int, len(offers))
-		for i := range offers {
-			idxOf[offers[i].ID] = i
-		}
-		next := s.buildView(v.epoch+1, offers, idxOf)
-		return s.publish(next), next.base.pairs
-	}
 	idxOf := make(map[int64]int, len(fresh))
 	for i := range fresh {
 		idxOf[fresh[i].ID] = newIdxs[i]
 	}
-	layer := newAdjacency(offers, idxOf, s.delta.DeltaCandidates(newIdxs))
+	layer := newAdjacency(offers, idxOf, s.ix.DeltaCandidates(newIdxs))
 	return s.publish(v.extend(offers, layer)), layer.pairs
 }
 

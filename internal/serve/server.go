@@ -3,7 +3,9 @@
 // index over a seed corpus, ingests offers from a streaming connector
 // through a bounded pipeline, and answers match/candidate queries with
 // explicit deadlines, typed errors, and backpressure instead of
-// unbounded buffering.
+// unbounded buffering. It serves one kind of index, a
+// blocking.DeltaIndex (MinHash): New refuses any other with
+// blocking.ErrNoDelta.
 //
 // Concurrency model. Writes are single-writer: one applier goroutine
 // owns the offers slice and is the only caller of Index.Add. Reads are
@@ -16,18 +18,15 @@
 // instead of an O(corpus) adjacency recompute. Base and layer alike
 // are built from their pair list by one counted fill (newAdjacency):
 // dense endpoint slots, degree prefix sums, one flat partner array. A
-// base — the initial epoch, a snapshot restart, a kNN full republish —
-// costs one full candidate query plus that fill. New checks once whether
-// the index is a blocking.DeltaIndex; the write path then queries the
-// engine directly and has no error path. One publish step stores every
-// view, first folding stacked layers into a fresh base once they cross
-// the count/size thresholds (Config.CompactLayers, Config.CompactPairs),
-// so per-read merge work never degrades unboundedly. Candidate queries on
-// a MinHash (delta) index run against the live index, which takes its
-// read lock one band of the bucket sweep at a time (see the
-// blocking.Index contract), so the applier's Add waits for at most one
-// band; on any other index they answer from the epoch view. Both are
-// bounded by a query-slot semaphore and the request deadline.
+// base — the initial epoch or a snapshot restart — costs one full
+// candidate query plus that fill. One publish step stores every view,
+// first folding stacked layers into a fresh base once they cross the
+// count/size thresholds (Config.CompactLayers, Config.CompactPairs), so
+// per-read merge work never degrades unboundedly. Candidate queries run
+// against the live index, which takes its read lock one band of the
+// bucket sweep at a time (see the blocking.Index contract), so the
+// applier's Add waits for at most one band; they are bounded by a
+// query-slot semaphore and the request deadline.
 //
 // Failure model. Ingest failures are retried with jittered exponential
 // backoff; a batch that exhausts its retry budget is written to the
@@ -57,6 +56,9 @@ import (
 // a serviceable zero value.
 type Config struct {
 	// Blocker builds (or loads) the blocking index the daemon serves.
+	// The index must be a blocking.DeltaIndex: the write path publishes
+	// each batch as the delta candidates it introduced, and New refuses
+	// any other index with blocking.ErrNoDelta.
 	Blocker blocking.IndexedBlocker
 	// Offers is the seed corpus, fully indexed before the daemon
 	// answers its first query. Offer IDs must be unique.
@@ -291,10 +293,9 @@ func (v *view) compact() *view {
 // Server is the matching daemon. Construct with New, start ingest with
 // Start (or Run), and stop with Shutdown.
 type Server struct {
-	cfg   Config
-	ix    blocking.Index
-	delta blocking.DeltaIndex // ix when it has a delta query, else nil
-	open  blocking.OpenStats
+	cfg  Config
+	ix   blocking.DeltaIndex
+	open blocking.OpenStats
 
 	view    atomic.Pointer[view]
 	observe func(*view) // test hook: sees every published view (nil in production)
@@ -327,7 +328,9 @@ type Server struct {
 // New opens the index over cfg.Offers (loading a snapshot when
 // cfg.Index.SnapshotDir holds a trusted one, rebuilding otherwise — a
 // refused snapshot is recorded in OpenStats, never fatal) and publishes
-// the initial epoch. It does not start the ingest pipeline; call Start.
+// the initial epoch. An index that is not a blocking.DeltaIndex is
+// refused with an error wrapping blocking.ErrNoDelta. It does not start
+// the ingest pipeline; call Start.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Blocker == nil {
@@ -351,7 +354,11 @@ func New(cfg Config) (*Server, error) {
 	for i := range idxs {
 		idxs[i] = i
 	}
-	ix, open := blocking.OpenIndex(cfg.Blocker, cfg.Offers, idxs, cfg.Index)
+	opened, open := blocking.OpenIndex(cfg.Blocker, cfg.Offers, idxs, cfg.Index)
+	ix, ok := opened.(blocking.DeltaIndex)
+	if !ok {
+		return nil, fmt.Errorf("serve: %s index: %w", opened.Name(), blocking.ErrNoDelta)
+	}
 	s := &Server{
 		cfg:         cfg,
 		ix:          ix,
@@ -361,7 +368,6 @@ func New(cfg Config) (*Server, error) {
 		readerDone:  make(chan struct{}),
 		applierDone: make(chan struct{}),
 	}
-	s.delta, _ = ix.(blocking.DeltaIndex)
 	if open.LoadErr != nil {
 		s.logf("snapshot refused (%v); rebuilt index", open.LoadErr)
 	}
@@ -371,8 +377,7 @@ func New(cfg Config) (*Server, error) {
 
 // buildView computes the full candidate adjacency for the corpus and
 // assembles a layerless epoch view — the from-scratch path, used for
-// the initial epoch and for every epoch of an index without a delta
-// query. The steady-state write path extends views with delta layers
+// the initial epoch. The write path extends views with delta layers
 // instead (see publishBatch).
 func (s *Server) buildView(epoch int64, offers []schemaorg.Offer, idxOf map[int64]int) *view {
 	all := make([]int, len(offers))
@@ -545,13 +550,9 @@ func (s *Server) Match(ctx context.Context, id int64) ([]int64, int64, *Error) {
 
 // Candidates returns the candidate pairs among the given offer IDs as
 // ID pairs (low, high), sorted, with the epoch the answer belongs to.
-// A MinHash index answers it as a live subset query under its read lock
-// (one band at a time): its answer already equals the view's, because a
-// collision is pairwise and Add only grows adjacency. Any other index
-// answers from the epoch view, as match(id) ∩ ids: the applier grows a
-// kNN index before it publishes the view, and a later title can evict a
-// pair from a neighbour list, so the live index may run one batch ahead
-// of the epoch the answer is labelled with.
+// It runs as a live subset query under the index's read lock (one band
+// at a time): its answer already equals the view's, because a MinHash
+// collision is pairwise and Add only grows adjacency.
 func (s *Server) Candidates(ctx context.Context, ids []int64) ([][2]int64, int64, *Error) {
 	type answer struct {
 		pairs [][2]int64
@@ -572,28 +573,17 @@ func (s *Server) Candidates(ctx context.Context, ids []int64) ([][2]int64, int64
 			}
 			idxs = append(idxs, idx)
 		}
-		var pairs [][2]int64
-		if s.delta == nil {
-			for id := range seen {
-				for _, p := range v.match(id) {
-					if id < p && seen[p] {
-						pairs = append(pairs, [2]int64{id, p})
-					}
-				}
+		cands, qerr := blocking.QueryCandidates(s.ix, idxs)
+		if qerr != nil {
+			return answer{}, Errorf(CodeInternal, "candidate query: %v", qerr)
+		}
+		pairs := make([][2]int64, len(cands))
+		for i, p := range cands {
+			a, b := v.offers[p.A].ID, v.offers[p.B].ID
+			if a > b {
+				a, b = b, a
 			}
-		} else {
-			cands, qerr := blocking.QueryCandidates(s.ix, idxs)
-			if qerr != nil {
-				return answer{}, Errorf(CodeInternal, "candidate query: %v", qerr)
-			}
-			pairs = make([][2]int64, len(cands))
-			for i, p := range cands {
-				a, b := v.offers[p.A].ID, v.offers[p.B].ID
-				if a > b {
-					a, b = b, a
-				}
-				pairs[i] = [2]int64{a, b}
-			}
+			pairs[i] = [2]int64{a, b}
 		}
 		slices.SortFunc(pairs, func(x, y [2]int64) int {
 			if c := cmp.Compare(x[0], y[0]); c != 0 {

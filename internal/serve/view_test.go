@@ -1,16 +1,17 @@
 // The layered-view suite: the publication equivalence property (after
 // every applied batch, the published view answers byte-identically to a
-// from-scratch adjacency rebuild, across engines and worker counts,
-// through forced compactions), plus the publication-dedup regression —
-// engines that emit a candidate pair more than once must still yield
-// sorted, duplicate-free partner lists — on both the delta layer path
-// and the ErrNoDelta full-rebuild fallback, and the guard that a delta
-// layer's allocations track its pairs, not the corpus.
+// from-scratch adjacency rebuild, across worker counts, through forced
+// compactions), plus the publication-dedup regression — an engine that
+// emits a candidate pair more than once must still yield sorted,
+// duplicate-free partner lists on the delta layer path — the refusal of
+// an index without a delta query, and the guard that a delta layer's
+// allocations track its pairs, not the corpus.
 
 package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,37 +20,22 @@ import (
 	"testing"
 
 	"wdcproducts/internal/blocking"
-	"wdcproducts/internal/embed"
 	"wdcproducts/internal/schemaorg"
-	"wdcproducts/internal/xrand"
 )
 
 // TestLayeredViewEquivalence is the core property of the incremental
 // write path: stream batches through applyBatch and, after every single
 // publication, compare the layered view against s.buildView run fresh
 // over the same index — every offer's match list and corpus position
-// must agree exactly. The MinHash rows force CompactLayers low so the
-// walk crosses several compactions, and the matrix covers the engine
-// worker pool. The kNN rows (hnsw and ivf at the same worker counts, the
-// exhaustive embedding index once) pin the other publish path: kNN
-// adjacency is not monotone under Add, so every kNN batch must republish
-// a full view with no delta layers instead of stacking pairs on partners
-// the index has evicted. Row names keep their "/shards=1" suffix so test
-// IDs stay stable across releases.
+// must agree exactly. The rows force CompactLayers low so the walk
+// crosses several compactions, and cover the engine worker pool. Row
+// names keep their "/shards=1" suffix so test IDs stay stable across
+// releases.
 func TestLayeredViewEquivalence(t *testing.T) {
 	all := fixture(t)
-	titles := make([]string, 145)
-	for i := range titles {
-		titles[i] = all[i].Title
-	}
-	ecfg := embed.DefaultConfig()
-	ecfg.Epochs = 2
-	model := embed.Train(titles, ecfg, xrand.New(1).Stream("view-embed"))
-
 	type row struct {
 		name    string
 		blocker blocking.IndexedBlocker
-		knn     bool
 	}
 	var rows []row
 	for _, workers := range []int{1, 2, 8} {
@@ -60,19 +46,7 @@ func TestLayeredViewEquivalence(t *testing.T) {
 				Seed:   1,
 			},
 		})
-		hb := blocking.NewHNSWBlocker(model, 6)
-		hb.Config.Workers = workers
-		ib := blocking.NewIVFBlocker(model, 6)
-		ib.Config.Workers = workers
-		for _, bl := range []blocking.IndexedBlocker{hb, ib} {
-			rows = append(rows, row{
-				name:    fmt.Sprintf("%s/workers=%d/shards=1", bl.Name(), workers),
-				blocker: bl,
-				knn:     true,
-			})
-		}
 	}
-	rows = append(rows, row{name: "embedding-knn", blocker: blocking.NewEmbeddingBlocker(model, 6), knn: true})
 
 	for _, r := range rows {
 		r := r
@@ -97,15 +71,12 @@ func TestLayeredViewEquivalence(t *testing.T) {
 				s.applyBatch(context.Background(), stream[:n], rng)
 				stream = stream[n:]
 				checkViewEquivalence(t, s)
-				if st := s.Stats(); r.knn && st.Layers != 0 {
-					t.Fatalf("epoch %d: kNN view has %d delta layers, want a full republish", st.Epoch, st.Layers)
-				}
 			}
 			v := s.view.Load()
 			if len(v.offers) != 145 {
 				t.Fatalf("streamed corpus has %d offers, want 145", len(v.offers))
 			}
-			if got := s.Stats().Compactions; !r.knn && got == 0 {
+			if got := s.Stats().Compactions; got == 0 {
 				t.Fatal("the walk crossed no compaction; CompactLayers=3 should have forced several")
 			}
 		})
@@ -238,14 +209,12 @@ func (b dupBlocker) BuildIndex(offers []schemaorg.Offer, idxs []int) blocking.In
 }
 
 // TestPublishDedupesDuplicatePairs pins the dedup-on-publication
-// guarantee on both write paths: the delta-layer path (an engine's
-// DeltaCandidates emits a pair twice) and the ErrNoDelta fallback (the
-// full rebuild's Candidates emits a pair twice). Every served match
-// list must come back strictly increasing — sorted with no duplicate
-// partner IDs. The unsorted-ids rows give offer IDs that are not
-// monotone in index order and the unsorted-pairs rows emit pairs out of
-// lexicographic order, so neither order can stand in for the per-list
-// sort publication does.
+// guarantee on the delta-layer write path: an engine's DeltaCandidates
+// emits every pair twice, and every served match list must come back
+// strictly increasing — sorted with no duplicate partner IDs. The
+// unsorted-ids row gives offer IDs that are not monotone in index order
+// and the unsorted-pairs row emits pairs out of lexicographic order, so
+// neither order can stand in for the per-list sort publication does.
 func TestPublishDedupesDuplicatePairs(t *testing.T) {
 	seed := []schemaorg.Offer{
 		{ID: 1, Title: "alpha"}, {ID: 2, Title: "alpha"},
@@ -261,18 +230,13 @@ func TestPublishDedupesDuplicatePairs(t *testing.T) {
 	}
 	unsorted := map[int64]int64{1: 50, 2: 10, 3: 90, 4: 30, 5: 70, 6: 20, 7: 80, 8: 40, 9: 60}
 	for _, tc := range []struct {
-		name       string
-		delta      bool
-		wantLayers int
-		renumber   bool
-		reorder    bool
+		name     string
+		renumber bool
+		reorder  bool
 	}{
-		{name: "delta-layer", delta: true, wantLayers: 1},
-		{name: "errnodelta-fallback", delta: false, wantLayers: 0},
-		{name: "delta-layer/unsorted-ids", delta: true, wantLayers: 1, renumber: true},
-		{name: "errnodelta-fallback/unsorted-ids", delta: false, wantLayers: 0, renumber: true},
-		{name: "delta-layer/unsorted-pairs", delta: true, wantLayers: 1, reorder: true},
-		{name: "errnodelta-fallback/unsorted-pairs", delta: false, wantLayers: 0, reorder: true},
+		{name: "delta-layer"},
+		{name: "delta-layer/unsorted-ids", renumber: true},
+		{name: "delta-layer/unsorted-pairs", reorder: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			id := func(x int64) int64 {
@@ -289,7 +253,7 @@ func TestPublishDedupesDuplicatePairs(t *testing.T) {
 				return out
 			}
 			cfg := testConfig(renumbered(seed))
-			cfg.Blocker = dupBlocker{delta: tc.delta, reorder: tc.reorder}
+			cfg.Blocker = dupBlocker{delta: true, reorder: tc.reorder}
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -299,8 +263,8 @@ func TestPublishDedupesDuplicatePairs(t *testing.T) {
 			if st.Epoch != 1 || st.Offers != 9 {
 				t.Fatalf("published epoch %d with %d offers, want epoch 1 with 9", st.Epoch, st.Offers)
 			}
-			if st.Layers != tc.wantLayers {
-				t.Fatalf("view has %d layers, want %d", st.Layers, tc.wantLayers)
+			if st.Layers != 1 {
+				t.Fatalf("view has %d layers, want 1", st.Layers)
 			}
 			for x, partners := range want {
 				wantPartners := make([]int64, len(partners))
@@ -325,6 +289,19 @@ func TestPublishDedupesDuplicatePairs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNewRefusesIndexWithoutDelta: the daemon publishes every batch as
+// the delta candidates it introduced, so New refuses an index that has
+// no delta query with an error wrapping blocking.ErrNoDelta, and returns
+// no server.
+func TestNewRefusesIndexWithoutDelta(t *testing.T) {
+	cfg := testConfig([]schemaorg.Offer{{ID: 1, Title: "alpha"}, {ID: 2, Title: "alpha"}})
+	cfg.Blocker = dupBlocker{delta: false}
+	s, err := New(cfg)
+	if s != nil || !errors.Is(err, blocking.ErrNoDelta) {
+		t.Fatalf("New returned a server: %t, error %v; want no server and an error wrapping ErrNoDelta", s != nil, err)
 	}
 }
 

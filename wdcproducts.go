@@ -352,22 +352,6 @@ func newBlocker(name string, model *embed.Model, workers int) (blocking.Blocker,
 	}
 }
 
-// NewIndexedBlocker constructs the named §6 blocker whose index can be
-// opened once and grown (every name in BlockerNames but "token"), for a
-// process that serves one index over b's offers. The embedding-space
-// blockers get the title encoder trained over b's offers from seed.
-func NewIndexedBlocker(b *Benchmark, name string, seed int64) (blocking.IndexedBlocker, error) {
-	bl, err := newBlocker(name, blockerModel(b, []string{name}, seed), 0)
-	if err != nil {
-		return nil, err
-	}
-	ib, ok := bl.(blocking.IndexedBlocker)
-	if !ok {
-		return nil, fmt.Errorf("wdcproducts: blocker %q keeps no reusable index", name)
-	}
-	return ib, nil
-}
-
 // blockerModel trains the shared title encoder when any of the names needs
 // the embedding space, so the exhaustive, HNSW and IVF rows compare the
 // same geometry.

@@ -226,26 +226,6 @@ func TestFacadeMatcherBlockingReportErrors(t *testing.T) {
 	}
 }
 
-// TestFacadeNewIndexedBlocker: the daemon's blocker factory builds every
-// indexed §6 blocker and refuses the non-indexed token blocker and
-// unknown names.
-func TestFacadeNewIndexedBlocker(t *testing.T) {
-	ensureBuild(t)
-	mh, err := wdcproducts.NewIndexedBlocker(benchB, "minhash", 42)
-	if err != nil || mh.Name() != "minhash-lsh" {
-		t.Fatalf("minhash: %v, %v", mh, err)
-	}
-	ib, err := wdcproducts.NewIndexedBlocker(benchB, "ivf", 42)
-	if err != nil || ib.Name() != "ivf-knn" {
-		t.Fatalf("ivf: %v, %v", ib, err)
-	}
-	for _, name := range []string{"token", "bogus"} {
-		if _, err := wdcproducts.NewIndexedBlocker(benchB, name, 42); err == nil {
-			t.Fatalf("%s did not error", name)
-		}
-	}
-}
-
 // TestFacadeBlockingScaleReport pins the build-once/query-per-split
 // study the same way: the golden fixture holds every split row, with the
 // ms column masked.
