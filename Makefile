@@ -15,11 +15,14 @@ GO ?= go
 # full-adjacency-rebuild baseline it replaced) and the cold start
 # (BenchmarkServeNew: index build and initial epoch view timed apart) —
 # and the MinHash write-path wait (BenchmarkMinHashAddUnderSweep: Add
-# latency while subset queries sweep the index, at n=10k/100k). HTTP
-# serving numbers come from wdcbench. The record goes to the gitignored
-# bench-ci.json by default, so a local run never overwrites a committed
-# BENCH_*.json; pass BENCH_OUT (and a BENCH_NOTE saying what it measures)
-# to write a new one.
+# latency while subset queries sweep the index, at n=10k/100k), and the
+# cold start's kernels one at a time over the synth 30k corpus
+# (BenchmarkSignerSignature: MinHash signing per title;
+# BenchmarkSortPairKeys: the pair-key sort of a full 16x4 query's 1.4M
+# title keys). HTTP serving numbers come from wdcbench. The record goes
+# to the gitignored bench-ci.json by default, so a local run never
+# overwrites a committed BENCH_*.json; pass BENCH_OUT (and a BENCH_NOTE
+# saying what it measures) to write a new one.
 BENCH_OUT ?= bench-ci.json
 BENCH_NOTE ?= local make bench run
 
@@ -95,9 +98,10 @@ fuzz:
 # BenchmarkServeNew, whose one cold start per run gives index-ms and
 # view-ms no spread on its own, and so does BenchmarkServeIngestScale
 # (about 8 s a run), whose single run cannot even order its n=10k and
-# n=100k apply-us-per-batch; benchjson folds the repeats into a median
-# with min and max. The
-# runs are collected into a temp file with && so a failing benchmark
+# n=100k apply-us-per-batch, and so do the two kernel benches, whose
+# iterations of a few tens of ms move with what else the host runs;
+# benchjson folds the repeats into a median with min and max. The runs
+# are collected into a temp file with && so a failing benchmark
 # fails the target (and the CI job) instead of being swallowed by the
 # pipe into benchjson.
 bench:
@@ -114,6 +118,7 @@ bench:
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeIngestScale$$' -benchmem -benchtime 1x -count 5 -timeout 30m ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeNew$$' -benchmem -benchtime 1x -count 5 -timeout 30m ./internal/serve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkMinHashAddUnderSweep$$' -benchmem -benchtime 200x -count 5 -timeout 30m ./internal/blocking && \
+	  $(GO) test -run '^$$' -bench '^Benchmark(SignerSignature|SortPairKeys)$$' -benchmem -benchtime 10x -count 5 -timeout 30m ./internal/blocking && \
 	  $(GO) test -run '^$$' -bench 'CornerSearch' -benchmem -benchtime 50x ./internal/selection && \
 	  $(GO) test -run '^$$' -bench 'Sigmoid' -benchtime 0.5s ./internal/embed ) > "$$tmp"; \
 	status=$$?; cat "$$tmp"; \

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wdcproducts/internal/core"
+	"wdcproducts/internal/lsh"
 	"wdcproducts/internal/schemaorg"
 	"wdcproducts/internal/synth"
 )
@@ -124,4 +125,60 @@ func BenchmarkMinHashAddUnderSweep(b *testing.B) {
 			b.ReportMetric(float64(swept.Microseconds())/1e3/float64(sweeps), "sweep-ms")
 		})
 	}
+}
+
+// synthMinHash returns the 16x4 MinHash index the serving daemon builds
+// over the synth n-offer corpus of synthOffers.
+func synthMinHash(b *testing.B, n int) *MinHashIndex {
+	b.Helper()
+	offers := synthOffers(b, n)
+	idxs := make([]int, n)
+	for i := range idxs {
+		idxs[i] = i
+	}
+	return NewServingMinHashBlocker().BuildIndex(offers, idxs).(*MinHashIndex)
+}
+
+// BenchmarkSignerSignature times the MinHash signing kernel
+// (lsh.Signer.Signature) alone: one iteration signs the token set of
+// every distinct title of the synth 30k corpus with a 64-hash family
+// (16x4), serially into a reused buffer, and reports the mean cost per
+// set (ns/set).
+func BenchmarkSignerSignature(b *testing.B) {
+	m := synthMinHash(b, 30000)
+	prep := m.corpus.prep()
+	sets := make([][]int32, m.corpus.titleCount())
+	for t := range sets {
+		sets[t] = prep.TokenSet(t)
+	}
+	signer := lsh.NewSigner(m.cfg.NumHashes(), rand.New(rand.NewSource(1)))
+	var dst []uint64
+	for b.Loop() {
+		for _, set := range sets {
+			dst = signer.Signature(set, dst)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sets)), "ns/set")
+}
+
+// BenchmarkSortPairKeys times the pair-key sort kernel (lsh.SortPairKeys
+// with dedupe, on every core) alone, over the title keys a full query of
+// the synth 30k corpus sweeps out of its 16x4 MinHash index: about 1.4M
+// keys, each pair once per band it collides in. Every iteration sorts a
+// fresh copy of the unsorted keys; the copy is not timed.
+func BenchmarkSortPairKeys(b *testing.B) {
+	m := synthMinHash(b, 30000)
+	var keys []uint64
+	for band := range m.cfg.Bands {
+		keys = m.ix.AppendBandPairs(keys, band, nil)
+	}
+	buf := make([]uint64, len(keys))
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		copy(buf, keys)
+		b.StartTimer()
+		lsh.SortPairKeys(buf, true, 0)
+	}
+	b.ReportMetric(float64(len(keys)), "keys")
 }

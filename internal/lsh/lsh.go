@@ -85,39 +85,42 @@ func (s *Signer) NumHashes() int { return len(s.a) }
 // Signature computes the MinHash signature of a token-ID set into dst
 // (allocating when dst is too small) and returns it. The empty set hashes
 // to an all-max signature that collides only with other empty sets.
+//
+// Token ids enter the hash as their 32-bit patterns (uint32(tok)), so
+// every value is the exact (a_i*x + b_i) mod (2^61-1) over a 32-bit
+// domain; mulmod61 relies on that bound. The loop is hash-major: each
+// hash function's a_i and b_i stay in registers while it runs over the
+// (short) set.
 func (s *Signer) Signature(set []int32, dst []uint64) []uint64 {
 	n := len(s.a)
 	if cap(dst) < n {
 		dst = make([]uint64, n)
 	}
-	dst = dst[:n]
+	dst, a, b := dst[:n], s.a[:n], s.b[:n]
 	for i := range dst {
-		dst[i] = ^uint64(0)
-	}
-	for _, tok := range set {
-		x := uint64(uint32(tok))
-		for i := 0; i < n; i++ {
-			h := mulmod61(s.a[i], x) + s.b[i]
+		ai, bi := a[i], b[i]
+		m := ^uint64(0)
+		for _, tok := range set {
+			h := mulmod61(ai, uint64(uint32(tok))) + bi
 			if h >= mersennePrime61 {
 				h -= mersennePrime61
 			}
-			if h < dst[i] {
-				dst[i] = h
-			}
+			m = min(m, h)
 		}
+		dst[i] = m
 	}
 	return dst
 }
 
-// mulmod61 returns a*x mod 2^61-1 without overflow, using the Mersenne
-// reduction (hi<<3 | lo-fold) on the 128-bit product.
+// mulmod61 returns a*x mod 2^61-1 for a < 2^61 and x < 2^32, using the
+// Mersenne reduction on the 128-bit product: 2^64 = 8 * 2^61, so the
+// product hi*2^64 + lo is (hi*8 + lo>>61)*2^61 + (lo & mask), and
+// 2^61 = 1 modulo the prime. The product is below 2^93, so the folded
+// multiple hi<<3 | lo>>61 is below 2^32 and needs no reduction of its
+// own; one conditional subtraction corrects the sum.
 func mulmod61(a, x uint64) uint64 {
 	hi, lo := bits.Mul64(a, x)
-	// 2^64 = 8 * 2^61, so the product is hi*2^64 + lo =
-	// (hi*8 + lo>>61)*2^61 + (lo & mask); fold the 2^61 multiples once,
-	// then correct the at-most-one remaining wrap.
-	folded := (hi << 3) | (lo >> 61)
-	r := (lo & mersennePrime61) + folded%mersennePrime61
+	r := (lo & mersennePrime61) + (hi<<3 | lo>>61)
 	if r >= mersennePrime61 {
 		r -= mersennePrime61
 	}
@@ -227,18 +230,20 @@ func (ix *Index) Add(set []int32) int {
 	return i
 }
 
-// bandKey hashes one band of a signature (FNV-1a over the row values).
+// bandKey hashes one band of a signature into its bucket key. Each of
+// the Rows 64-bit row values is mixed in as one word: xor, multiply by
+// an odd constant, rotate. Every step is a bijection of the row value
+// it takes in, so two bands that differ only in their last row never
+// share a key; keys of bands that differ earlier coincide only by a
+// 64-bit accident. Band keys are never persisted (a snapshot holds the
+// signatures and RestoreIndex rebuckets them), and bucket membership
+// depends only on which bands are equal, so the mix can change without
+// changing any candidate set.
 func bandKey(sig []uint64, band, rows int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64) ^ uint64(band)*prime64
+	const mix = 0x9e3779b97f4a7c15 // odd: multiplying by it is a bijection
+	h := uint64(band)
 	for _, v := range sig[band*rows : (band+1)*rows] {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
+		h = bits.RotateLeft64((h^v)*mix, 31)
 	}
 	return h
 }

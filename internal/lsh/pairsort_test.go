@@ -18,10 +18,19 @@ func pairKeys(rng *rand.Rand, n, span int, row func(*rand.Rand) uint64) []uint64
 	return keys
 }
 
+// oneRow draws n keys of row 5 whose partners lie in [6, 6+span).
+func oneRow(n, span int) func(*rand.Rand) []uint64 {
+	return func(rng *rand.Rand) []uint64 {
+		return pairKeys(rng, n, span, func(*rand.Rand) uint64 { return 5 })
+	}
+}
+
 // TestSortPairKeys compares the row kernel with slices.Sort (plus
 // slices.Compact when deduplicating) on both sides of its fallback (a key
-// set smaller than its row range), on skewed and duplicate-heavy rows
-// and on lower endpoints up to 2^20, at workers 1 and 8.
+// set smaller than its row range), on both sides of the radix cut-over
+// within a bucket (radixRun), on skewed and duplicate-heavy rows, on
+// lower endpoints up to 2^20 and partners up to 2^32-1, at workers 1
+// and 8.
 func TestSortPairKeys(t *testing.T) {
 	const rows = 100 // the row range of the cut-off cases: lo spans [0, 99]
 	spanRows := func(n int) func(*rand.Rand) []uint64 {
@@ -68,6 +77,29 @@ func TestSortPairKeys(t *testing.T) {
 				keys[lo] = uint64(lo)<<32 | uint64(lo+1+rng.Intn(100))
 			}
 			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			return keys
+		}},
+		// One row is one bucket: these runs sit on both sides of the
+		// radix cut-over.
+		{"run below radix cut-over", oneRow(radixRun-1, 3*radixRun)},
+		{"run at radix cut-over", oneRow(radixRun, 3*radixRun)},
+		{"run above radix cut-over", oneRow(radixRun+1, 3*radixRun)},
+		{"one row, many duplicates", oneRow(5000, 60)},
+		{"one key, many times", oneRow(radixRun+5, 1)},
+		{"partners up to 2^32-1", func(rng *rand.Rand) []uint64 {
+			keys := make([]uint64, 20000)
+			for i := range keys {
+				lo := uint64(rng.Intn(300))
+				keys[i] = lo<<32 | (1<<32 - 1 - uint64(rng.Intn(1<<20)))
+			}
+			return append(keys, 0<<32|(1<<32-1), 299<<32|(1<<32-1))
+		}},
+		{"partners across the 32-bit range", func(rng *rand.Rand) []uint64 {
+			keys := make([]uint64, 20000)
+			for i := range keys {
+				lo := uint64(rng.Intn(300))
+				keys[i] = lo<<32 | (lo + 1 + uint64(rng.Int63n(1<<32-1-int64(lo))))
+			}
 			return keys
 		}},
 		{"lo up to 2^20", func(rng *rand.Rand) []uint64 {

@@ -72,7 +72,9 @@ func RestoreIndex(cfg Config, rng *rand.Rand, r *persist.Reader) (*Index, error)
 // sets — even ones held by different Index instances, as long as both
 // indexes share the same hash family — collide in a band iff their
 // BandKeys are equal. With Bucket it names every set colliding with set
-// i, the incremental-delta query path.
+// i, the incremental-delta query path. Keys are derived state, never
+// persisted: a snapshot holds signatures, so the band mix may change
+// between releases without invalidating one.
 func (ix *Index) BandKey(i, band int) uint64 {
 	return bandKey(ix.sigs[i], band, ix.cfg.Rows)
 }

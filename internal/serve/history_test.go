@@ -68,21 +68,29 @@ func (h *epochHistory) failed(err *Error) {
 	h.mu.Unlock()
 }
 
-// TestEpochHistory runs the checker on Match and Candidates alike.
+// TestEpochHistory runs the checker on Match and Candidates alike, over
+// the §6 48x2 banding and the 16x4 banding the daemon serves.
 // Candidates answers come from the live index, sweeping it one band at a
 // time while Adds land between bands. The stream length bounds the
 // number of batches, and so the run time under -race.
 func TestEpochHistory(t *testing.T) {
 	all := fixture(t)
 	const seedN, streamN = 40, 480
-	t.Run("minhash", func(t *testing.T) {
-		bl := blocking.NewMinHashBlocker()
-		cfg := testConfig(all[:seedN])
-		cfg.Blocker = bl
-		cfg.BatchSize = 8
-		h, s := recordHistory(t, cfg, all[seedN:seedN+streamN])
-		h.check(t, bl, s, seedN, streamN)
-	})
+	for _, r := range []struct {
+		name string
+		bl   *blocking.MinHashBlocker
+	}{
+		{"minhash", blocking.NewMinHashBlocker()},
+		{"minhash-16x4", blocking.NewServingMinHashBlocker()}, // the banding wdcserve serves
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			cfg := testConfig(all[:seedN])
+			cfg.Blocker = r.bl
+			cfg.BatchSize = 8
+			h, s := recordHistory(t, cfg, all[seedN:seedN+streamN])
+			h.check(t, r.bl, s, seedN, streamN)
+		})
+	}
 }
 
 // recordHistory runs two posters, two readers and a fault injector

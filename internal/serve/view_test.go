@@ -28,7 +28,8 @@ import (
 // publication, compare the layered view against s.buildView run fresh
 // over the same index — every offer's match list and corpus position
 // must agree exactly. The rows force CompactLayers low so the walk
-// crosses several compactions, and cover the engine worker pool. Row
+// crosses several compactions, and cover the engine worker pool on the
+// §6 48x2 banding and the 16x4 banding the daemon serves. Row
 // names keep their "/shards=1" suffix so test IDs stay stable across
 // releases.
 func TestLayeredViewEquivalence(t *testing.T) {
@@ -47,6 +48,8 @@ func TestLayeredViewEquivalence(t *testing.T) {
 			},
 		})
 	}
+	// The banding wdcserve serves.
+	rows = append(rows, row{name: "serving-16x4", blocker: blocking.NewServingMinHashBlocker()})
 
 	for _, r := range rows {
 		r := r
@@ -75,6 +78,9 @@ func TestLayeredViewEquivalence(t *testing.T) {
 			v := s.view.Load()
 			if len(v.offers) != 145 {
 				t.Fatalf("streamed corpus has %d offers, want 145", len(v.offers))
+			}
+			if st := s.Stats(); st.BasePairs+st.DeltaPairs == 0 {
+				t.Fatal("the streamed corpus has no candidate pair, so the walk compared empty views")
 			}
 			if got := s.Stats().Compactions; got == 0 {
 				t.Fatal("the walk crossed no compaction; CompactLayers=3 should have forced several")

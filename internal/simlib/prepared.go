@@ -10,33 +10,42 @@ import (
 
 // Prepared is an interned title corpus: each distinct title is converted
 // exactly once into the representations the similarity metrics consume —
-// its rune slice, ordered token-ID list, sorted token-ID set,
-// first-occurrence unique token-ID list, and (lazily) its character
-// trigram profile. Metrics bound to a Prepared corpus via PrepareMetric
-// score pairs of interned IDs with zero per-call tokenization or map
-// allocation, and produce bit-identical results to their string
-// counterparts.
+// its ordered token-ID list, sorted token-ID set and first-occurrence
+// unique token-ID list, held in one exact-size block per title — and,
+// lazily on the first metric that needs them, its rune slice and its
+// character trigram profile. Metrics bound to a Prepared corpus via
+// PrepareMetric score pairs of interned IDs with zero per-call
+// tokenization or map allocation, and produce bit-identical results to
+// their string counterparts.
 //
 // Like Registry, a Prepared corpus and the PreparedMetric values bound to
-// it carry mutable scratch state and are not safe for concurrent use. They
-// serve the single-threaded §3 build pipeline; the parallel experiment
-// harness keeps using the stateless string metrics.
+// it carry mutable scratch state (the lazy tables too) and are not safe
+// for concurrent use. They serve the single-threaded §3 build pipeline;
+// the parallel experiment harness keeps using the stateless string
+// metrics.
 type Prepared struct {
 	titles  []string
 	byTitle map[string]int
 
-	runes [][]rune  // title runes, for the character-level metrics
 	toks  [][]int32 // ordered token ids, duplicates preserved
 	sets  [][]int32 // sorted unique token ids, for the token-set metrics
 	uniqs [][]int32 // unique token ids in first-occurrence order (GeneralizedJaccard)
 
-	// Interned token table.
+	// Interned token table. tokRunes is filled lazily, as GeneralizedJaccard
+	// first compares a token.
 	tokStrs  []string
 	tokRunes [][]rune
 	byTok    map[string]int32
 
-	// Lazily built trigram profiles (sorted unique gram ids) and the gram
-	// intern table backing them.
+	// scratch is Intern's reused buffer for the ids of the title being
+	// interned.
+	scratch []int32
+
+	// Lazily built per-title tables, grown to the title count on first
+	// use: title runes for the character-level metrics, and trigram
+	// profiles (sorted unique gram ids) with the gram intern table behind
+	// them.
+	runes      [][]rune
 	grams      [][]int32
 	gramsBuilt []bool
 	byGram     map[string]int32
@@ -59,6 +68,11 @@ func NewPrepared() *Prepared {
 
 // Intern adds title to the corpus and returns its ID. Interning the same
 // title again returns the existing ID without recomputing anything.
+//
+// The token ids are collected in reused scratch and then copied into one
+// exact-size block: the ordered tokens, then the first-occurrence unique
+// list (the ordered tokens themselves when no token repeats), then the
+// sorted set.
 func (p *Prepared) Intern(title string) int {
 	if id, ok := p.byTitle[title]; ok {
 		return id
@@ -66,23 +80,29 @@ func (p *Prepared) Intern(title string) int {
 	id := len(p.titles)
 	p.byTitle[title] = id
 	p.titles = append(p.titles, title)
-	p.runes = append(p.runes, []rune(title))
 
-	var toks []int32
+	ids := p.scratch[:0]
 	textutil.EachToken(title, func(t string) {
-		toks = append(toks, p.internToken(t))
+		ids = append(ids, p.internToken(t))
 	})
-	p.toks = append(p.toks, toks)
+	nt := len(ids)
+	ids = appendFirstOccurrences(ids)
+	p.scratch = ids
+	nu := len(ids) - nt
 
-	// Sorted unique set and first-occurrence unique list.
-	uniq := firstOccurrences(toks)
-	set := append([]int32(nil), uniq...)
+	if nu == nt {
+		ids = ids[:nt] // no token repeats: the unique list is the token list
+	}
+	block := make([]int32, len(ids)+nu)
+	copy(block, ids)
+	toks := block[:nt:nt]
+	uniq := block[len(ids)-nu : len(ids) : len(ids)]
+	set := block[len(ids):]
+	copy(set, uniq)
 	slices.Sort(set)
+	p.toks = append(p.toks, toks)
 	p.uniqs = append(p.uniqs, uniq)
 	p.sets = append(p.sets, set)
-
-	p.grams = append(p.grams, nil)
-	p.gramsBuilt = append(p.gramsBuilt, false)
 	return id
 }
 
@@ -92,26 +112,27 @@ func (p *Prepared) Intern(title string) int {
 // title stall ingest, so a map takes over.
 const scanTokens = 16
 
-// firstOccurrences returns the distinct ids of toks in first-occurrence
-// order, in time linear in len(toks).
-func firstOccurrences(toks []int32) []int32 {
-	uniq := make([]int32, 0, len(toks))
-	if len(toks) <= scanTokens {
-		for _, t := range toks {
-			if !slices.Contains(uniq, t) {
-				uniq = append(uniq, t)
+// appendFirstOccurrences appends the distinct ids of toks, in
+// first-occurrence order, to toks itself and returns the extended slice,
+// in time linear in len(toks).
+func appendFirstOccurrences(toks []int32) []int32 {
+	nt := len(toks)
+	if nt <= scanTokens {
+		for _, t := range toks[:nt] {
+			if !slices.Contains(toks[nt:], t) {
+				toks = append(toks, t)
 			}
 		}
-		return uniq
+		return toks
 	}
-	seen := make(map[int32]struct{}, len(toks))
-	for _, t := range toks {
+	seen := make(map[int32]struct{}, nt)
+	for _, t := range toks[:nt] {
 		if _, ok := seen[t]; !ok {
 			seen[t] = struct{}{}
-			uniq = append(uniq, t)
+			toks = append(toks, t)
 		}
 	}
-	return uniq
+	return toks
 }
 
 func (p *Prepared) internToken(t string) int32 {
@@ -121,8 +142,31 @@ func (p *Prepared) internToken(t string) int32 {
 	id := int32(len(p.tokStrs))
 	p.byTok[t] = id
 	p.tokStrs = append(p.tokStrs, t)
-	p.tokRunes = append(p.tokRunes, []rune(t))
 	return id
+}
+
+// titleRunes returns the runes of title i, converting the title on its
+// first use.
+func (p *Prepared) titleRunes(i int) []rune {
+	if len(p.runes) <= i {
+		p.runes = append(p.runes, make([][]rune, len(p.titles)-len(p.runes))...)
+	}
+	if p.runes[i] == nil {
+		p.runes[i] = []rune(p.titles[i])
+	}
+	return p.runes[i]
+}
+
+// tokenRunes returns the runes of interned token id, converting the token
+// on its first use.
+func (p *Prepared) tokenRunes(id int32) []rune {
+	if len(p.tokRunes) <= int(id) {
+		p.tokRunes = append(p.tokRunes, make([][]rune, len(p.tokStrs)-len(p.tokRunes))...)
+	}
+	if p.tokRunes[id] == nil {
+		p.tokRunes[id] = []rune(p.tokStrs[id])
+	}
+	return p.tokRunes[id]
 }
 
 // Len returns the number of interned titles.
@@ -155,7 +199,7 @@ func (p *Prepared) jaroWinklerIDs(a, b int32) float64 {
 	if s, ok := p.jw[key]; ok {
 		return s
 	}
-	s := jaroWinklerRunes(p.tokRunes[a], p.tokRunes[b])
+	s := jaroWinklerRunes(p.tokenRunes(a), p.tokenRunes(b))
 	p.jw[key] = s
 	return s
 }
@@ -163,6 +207,10 @@ func (p *Prepared) jaroWinklerIDs(a, b int32) float64 {
 // gramSetFor lazily builds the sorted unique trigram-ID profile of title i,
 // matching gramSet(title, 3) of the string TrigramJaccard.
 func (p *Prepared) gramSetFor(i int) []int32 {
+	if len(p.grams) <= i {
+		p.grams = append(p.grams, make([][]int32, len(p.titles)-len(p.grams))...)
+		p.gramsBuilt = append(p.gramsBuilt, make([]bool, len(p.titles)-len(p.gramsBuilt))...)
+	}
 	if p.gramsBuilt[i] {
 		return p.grams[i]
 	}
@@ -389,7 +437,7 @@ type preparedLev struct {
 func (l *preparedLev) Name() string { return "levenshtein" }
 
 func (l *preparedLev) SimIDs(i, j int) float64 {
-	ra, rb := l.p.runes[i], l.p.runes[j]
+	ra, rb := l.p.titleRunes(i), l.p.titleRunes(j)
 	if cap(l.prev) < len(rb)+1 {
 		l.prev = make([]int, len(rb)+1)
 		l.cur = make([]int, len(rb)+1)
@@ -398,7 +446,7 @@ func (l *preparedLev) SimIDs(i, j int) float64 {
 }
 
 func (p *Prepared) jaroWinklerTitleIDs(i, j int) float64 {
-	return jaroWinklerRunes(p.runes[i], p.runes[j])
+	return jaroWinklerRunes(p.titleRunes(i), p.titleRunes(j))
 }
 
 // ---------------------------------------------------------------------------

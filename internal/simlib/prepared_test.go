@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wdcproducts/internal/corpus"
+	"wdcproducts/internal/textutil"
+	"wdcproducts/internal/xrand"
 )
 
 // generatedTitles builds a corpus that covers the tokenizer's and metrics'
@@ -190,5 +194,121 @@ func TestStringBridgeFallback(t *testing.T) {
 	}
 	if pm.Name() != "custom" {
 		t.Fatalf("bridge name = %q", pm.Name())
+	}
+}
+
+// referenceCorpus interns titles the plain way: a rune copy per title, a
+// token list grown by append, a map for first occurrences and a sorted
+// copy of them. It is the reference TestInternMatchesReference holds
+// Intern to.
+type referenceCorpus struct {
+	byTok             map[string]int32
+	tokStrs           []string
+	runes             [][]rune
+	toks, uniqs, sets [][]int32
+}
+
+func (r *referenceCorpus) intern(title string) {
+	r.runes = append(r.runes, []rune(title))
+	var toks []int32
+	textutil.EachToken(title, func(t string) {
+		id, ok := r.byTok[t]
+		if !ok {
+			id = int32(len(r.tokStrs))
+			r.byTok[t] = id
+			r.tokStrs = append(r.tokStrs, t)
+		}
+		toks = append(toks, id)
+	})
+	r.toks = append(r.toks, toks)
+	uniq := make([]int32, 0, len(toks))
+	seen := map[int32]bool{}
+	for _, t := range toks {
+		if !seen[t] {
+			seen[t] = true
+			uniq = append(uniq, t)
+		}
+	}
+	set := append([]int32(nil), uniq...)
+	slices.Sort(set)
+	r.uniqs = append(r.uniqs, uniq)
+	r.sets = append(r.sets, set)
+}
+
+// TestInternMatchesReference checks that Intern yields, title for title,
+// the token ids, ordered tokens, first-occurrence unique list, sorted set
+// and (lazily built) runes of referenceCorpus, and the same token table.
+// The titles are those of the raw tiny corpus the seed build starts
+// from, the generated edge cases, titles longer than scanTokens tokens
+// (with and without repeats) and non-ASCII titles, each interned twice.
+// Each title's lists must also be capped at their length, so an append
+// to one cannot write into the next list of its block.
+func TestInternMatchesReference(t *testing.T) {
+	var titles []string
+	for _, o := range corpus.Generate(corpus.TinyConfig(), xrand.New(42).Split("corpus")).Offers {
+		titles = append(titles, o.Title)
+	}
+	titles = append(titles, generatedTitles()...)
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{scanTokens + 1, 40, 300} {
+		for _, vocab := range []int{n / 3, 4 * n} {
+			words := make([]string, n)
+			for i := range words {
+				words[i] = fmt.Sprintf("Tok%d", rng.Intn(vocab))
+			}
+			titles = append(titles, strings.Join(words, " "))
+		}
+	}
+	titles = append(titles,
+		"GRÖSSE Größe größe 42 ÄÖÜ äöü ß",
+		"京东 北京 京东 Ωmega ΩMEGA caffè CAFFÈ",
+		"ñandú Ñandú déjà-vu DÉJÀ-VU 🎧 İstanbul ǅemal",
+		strings.Repeat("Δέλτα δέλτα ", 12),
+	)
+	titles = append(titles, titles...)
+
+	prep := NewPrepared()
+	ref := &referenceCorpus{byTok: map[string]int32{}}
+	var ids []int
+	for _, title := range titles {
+		if id := prep.Intern(title); id == len(ids) {
+			ids = append(ids, id)
+			ref.intern(title)
+		} else if prep.Title(id) != title {
+			t.Fatalf("re-interning %q returned the id of %q", title, prep.Title(id))
+		}
+	}
+	if !slices.Equal(prep.tokStrs, ref.tokStrs) {
+		t.Fatalf("token table holds %d tokens, reference %d", len(prep.tokStrs), len(ref.tokStrs))
+	}
+	for i := range ids {
+		title := prep.Title(i)
+		lists := []struct {
+			name      string
+			got, want []int32
+		}{
+			{"ordered tokens", prep.toks[i], ref.toks[i]},
+			{"unique tokens", prep.uniqs[i], ref.uniqs[i]},
+			{"token set", prep.TokenSet(i), ref.sets[i]},
+		}
+		for _, l := range lists {
+			if !slices.Equal(l.got, l.want) {
+				t.Fatalf("title %d %q: %s %v, want %v", i, title, l.name, l.got, l.want)
+			}
+			if cap(l.got) != len(l.got) {
+				t.Fatalf("title %d %q: %s has capacity %d past its length %d", i, title, l.name, cap(l.got), len(l.got))
+			}
+		}
+		if got := prep.Tokens(i); !slices.Equal(got, textutil.Tokenize(title)) {
+			t.Fatalf("title %d: Tokens %q, want %q", i, got, textutil.Tokenize(title))
+		}
+		if got := prep.titleRunes(i); !slices.Equal(got, ref.runes[i]) {
+			t.Fatalf("title %d: runes %q, want %q", i, string(got), string(ref.runes[i]))
+		}
+	}
+	for id, tok := range ref.tokStrs {
+		if got := prep.tokenRunes(int32(id)); string(got) != tok {
+			t.Fatalf("token %d: runes %q, want %q", id, string(got), tok)
+		}
 	}
 }
